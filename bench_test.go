@@ -24,6 +24,7 @@ import (
 	"servicefridge/internal/fridge"
 	"servicefridge/internal/metrics"
 	"servicefridge/internal/obs"
+	"servicefridge/internal/orchestrator"
 	"servicefridge/internal/prof"
 	"servicefridge/internal/sim"
 	"servicefridge/internal/telemetry"
@@ -300,12 +301,11 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 }
 
 // benchCollector returns a collector warmed to its allocation-free steady
-// state: tallies presized, stores pre-grown, and a span backing array
-// recycled through the pool.
+// state: stores pre-grown and a span backing array recycled through the
+// pool.
 func benchCollector(extra int) *trace.Collector {
 	col := trace.NewCollector()
 	col.KeepSpans = false
-	col.Presize([]string{"svc"}, 1<<22)
 	warm := col.StartTrace("A", 0)
 	for i := 0; i < 4096; i++ {
 		col.AddSpan(warm, trace.Span{Service: "svc", Host: "h", Submit: sim.Time(i), Start: sim.Time(i), End: sim.Time(i + 1)})
@@ -446,22 +446,37 @@ func BenchmarkTelemetrySample(b *testing.B) {
 }
 
 // BenchmarkServerJobChurn measures job submit/complete cycles through the
-// frequency-scalable core pool.
+// frequency-scalable core pool, recycling one Job the way the executor
+// recycles its pooled invocations. Gated allocation-free via
+// bench_gates.json.
 func BenchmarkServerJobChurn(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine(1)
 	srv := cluster.NewServer(eng, "n1", cluster.RoleNormalWorker, 6)
 	done := 0
-	var submit func()
-	submit = func() {
+	job := &cluster.Job{Tag: "x", Demand: 100 * time.Microsecond}
+	job.OnDone = func() {
 		done++
 		if done < b.N {
-			srv.Submit(&cluster.Job{Tag: "x", Demand: 100 * time.Microsecond, OnDone: submit})
+			srv.Submit(job)
 		}
 	}
 	b.ResetTimer()
-	srv.Submit(&cluster.Job{Tag: "x", Demand: 100 * time.Microsecond, OnDone: submit})
+	srv.Submit(job)
 	eng.Run()
+}
+
+// BenchmarkCounterObserveComplete measures the MCF indegree counters'
+// per-request bookkeeping (one arrival and one completion of a region-A
+// request). Gated allocation-free via bench_gates.json.
+func BenchmarkCounterObserveComplete(b *testing.B) {
+	c := core.NewCounter(core.BuildGraph(app.TwoRegionStudy()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Observe("A")
+		c.Complete("A")
+	}
 }
 
 // BenchmarkMCFCalculation measures one full MCF evaluation over the study
@@ -497,18 +512,30 @@ func BenchmarkMCFClassification(b *testing.B) {
 	}
 }
 
-// BenchmarkRequestExecution measures the cost of simulating one full
-// Advanced Search request (about 260 microservice invocations).
+// BenchmarkRequestExecution measures simulating one isolated Advanced
+// Search request (259 microservice invocations) on the default testbed:
+// its network hops, placements, jobs and spans, with no meter, control or
+// telemetry ticks in the calendar. Gated allocation-free via
+// bench_gates.json.
 func BenchmarkRequestExecution(b *testing.B) {
+	eng := sim.NewEngine(1)
+	orch := orchestrator.New(cluster.DefaultTestbed(eng))
+	spec := app.TwoRegionStudy()
+	orch.DeployRoundRobin(spec.PlacedServices())
+	col := trace.NewCollector()
+	col.KeepSpans = false
+	x := app.NewExecutor(eng, spec, orch, col, eng.RNG().Stream("exec"))
+	x.Launch("A", nil) // warm the executor's pools and placement handles
+	eng.Run()
+	col.Grow(b.N)
 	b.ReportAllocs()
-	res := engine.Build(engine.Config{Seed: 1, KeepSpans: false})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res.Executor.Launch("A", nil)
-		res.Engine.RunFor(10 * time.Second)
+		x.Launch("A", nil)
+		eng.Run()
 	}
-	if res.Executor.Completed() != uint64(b.N) {
-		b.Fatalf("completed %d of %d", res.Executor.Completed(), b.N)
+	if x.Completed() != uint64(b.N)+1 {
+		b.Fatalf("completed %d of %d", x.Completed(), b.N+1)
 	}
 }
 

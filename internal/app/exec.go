@@ -10,19 +10,23 @@ import (
 	"servicefridge/internal/trace"
 )
 
-// Placement resolves which server runs the next invocation of a service.
-// The orchestrator implements it; tests can use fixed maps.
+// Placement resolves which server runs each invocation of a service. The
+// orchestrator implements it; tests can use fixed maps.
 type Placement interface {
-	// HostFor returns the server for the next call to service, or nil if
-	// the service has no running instance.
-	HostFor(service string) *cluster.Server
+	// Route returns the placement handle of service. The executor resolves
+	// it once per service and calls it for every invocation; each call
+	// returns the server for the next invocation, or nil if the service
+	// has no running instance.
+	Route(service string) func() *cluster.Server
 }
 
 // PlacementFunc adapts a function to the Placement interface.
 type PlacementFunc func(service string) *cluster.Server
 
-// HostFor implements Placement.
-func (f PlacementFunc) HostFor(service string) *cluster.Server { return f(service) }
+// Route implements Placement.
+func (f PlacementFunc) Route(service string) func() *cluster.Server {
+	return func() *cluster.Server { return f(service) }
+}
 
 // Executor replays requests of an application Spec against a cluster. One
 // request walks its region's stages: the API-layer job first, then each
@@ -47,19 +51,33 @@ type Executor struct {
 	launched  uint64
 	completed uint64
 
+	// svcs holds per-service state, indexed by service ID; the spec must
+	// not gain services after the executor is built.
+	svcs []serviceState
+
 	// prof, when non-nil, receives the per-invocation exec count. The
 	// exec phase is count-only (see prof.Count): a timed scope per
 	// invocation would cost more wall time than the handlers it
 	// measures, so invocation seconds stay inside the dispatch scope.
 	prof *prof.Profiler
 
-	// live sets (index-tracked, swap-removed) and free pools.
+	// live sets (index-tracked, swap-removed) and free pools; free
+	// invocations are pooled per service, in svcs.
 	liveReqs  []*request
 	liveCalls []*callRun
 	liveInvs  []*invocation
 	freeReqs  []*request
 	freeCalls []*callRun
-	freeInvs  []*invocation
+}
+
+// serviceState is the executor's state for one service: its placement
+// handle, resolved on the service's first invocation, and its free
+// invocations. Pooling invocations per service keeps a recycled
+// invocation's job under the same Tag, so the server it lands on again
+// reuses the job's cached busy-time cell instead of looking the tag up.
+type serviceState struct {
+	route    func() *cluster.Server
+	freeInvs []*invocation
 }
 
 // request is one in-flight end-to-end request: the API invocation followed
@@ -95,12 +113,11 @@ type invocation struct {
 	x       *Executor
 	liveIdx int
 
-	req     *request // owner when this is the region's API invocation
-	cr      *callRun // owner when this is a stage-call invocation
-	tr      *trace.Trace
-	service string
-	ms      *Microservice
-	demand  time.Duration
+	req    *request // owner when this is the region's API invocation
+	cr     *callRun // owner when this is a stage-call invocation
+	tr     *trace.Trace
+	ms     *Microservice
+	demand time.Duration
 
 	host               *cluster.Server
 	submitted, started sim.Time
@@ -115,6 +132,7 @@ func NewExecutor(eng *sim.Engine, spec *Spec, place Placement, col *trace.Collec
 	return &Executor{
 		eng: eng, spec: spec, place: place, col: col, rng: rng,
 		NetDelay: 100 * time.Microsecond,
+		svcs:     make([]serviceState, spec.NumServices()),
 	}
 }
 
@@ -151,7 +169,7 @@ func (x *Executor) Launch(regionName string, onDone func(*trace.Trace)) {
 	// stages and waits for them (§2.1: upper-level services "not only
 	// perform their own tasks, but also wait for the return of the
 	// lower-level microservices").
-	x.invoke(req, nil, req.tr, r.API, r.APIExec)
+	x.invoke(req, nil, req.tr, r.api, r.APIExec)
 }
 
 // startStage begins stage idx of the request, issuing every call's initial
@@ -213,23 +231,19 @@ func (cr *callRun) issueNext() {
 		return
 	}
 	cr.issued++
-	cr.x.invoke(nil, cr, cr.req.tr, cr.call.Service, cr.call.Exec)
+	cr.x.invoke(nil, cr, cr.req.tr, cr.call.callee, cr.call.Exec)
 }
 
-// invoke starts one invocation of service with the given mean demand on
-// behalf of req (API layer) or cr (stage call).
-func (x *Executor) invoke(req *request, cr *callRun, tr *trace.Trace, service string, meanExec time.Duration) {
-	ms := x.spec.Service(service)
-	if ms == nil {
-		panic(fmt.Sprintf("app: invoke of unknown service %q", service))
-	}
+// invoke starts one invocation of ms with the given mean demand on behalf
+// of req (API layer) or cr (stage call).
+func (x *Executor) invoke(req *request, cr *callRun, tr *trace.Trace, ms *Microservice, meanExec time.Duration) {
 	demand := meanExec
 	if ms.Jitter > 0 {
 		demand = time.Duration(x.rng.LogNormal(float64(meanExec), ms.Jitter*float64(meanExec)))
 	}
-	inv := x.acquireInv()
+	inv := x.acquireInv(ms)
 	inv.req, inv.cr, inv.tr = req, cr, tr
-	inv.service, inv.ms, inv.demand = service, ms, demand
+	inv.ms, inv.demand = ms, demand
 	if x.NetDelay > 0 {
 		x.eng.Schedule(x.NetDelay, inv.submitFn)
 	} else {
@@ -242,13 +256,13 @@ func (inv *invocation) submit() {
 	// Count-only: a timed scope per invocation costs more than the
 	// handler (see prof.Count); the wall time lands under Dispatch.
 	x.prof.Count(prof.Exec)
-	host := x.place.HostFor(inv.service)
+	host := x.svcs[inv.ms.id].route()
 	if host == nil {
-		panic(fmt.Sprintf("app: service %q has no placed instance", inv.service))
+		panic(fmt.Sprintf("app: service %q has no placed instance", inv.ms.Name))
 	}
 	inv.host = host
 	inv.submitted = x.eng.Now()
-	inv.job.Tag = inv.service
+	inv.job.Tag = inv.ms.Name
 	inv.job.Demand = inv.demand
 	inv.job.Slowdown = inv.ms.Slowdown()
 	host.Submit(&inv.job)
@@ -262,7 +276,7 @@ func (inv *invocation) onStart() {
 func (inv *invocation) onDone() {
 	x := inv.x
 	x.col.AddSpan(inv.tr, trace.Span{
-		Service: inv.service,
+		Service: inv.ms.Name,
 		Host:    inv.host.Name(),
 		Submit:  inv.submitted,
 		Start:   inv.started,
@@ -338,12 +352,16 @@ func (x *Executor) releaseCall(c *callRun) {
 	x.freeCalls = append(x.freeCalls, c)
 }
 
-func (x *Executor) acquireInv() *invocation {
+func (x *Executor) acquireInv(ms *Microservice) *invocation {
+	sv := &x.svcs[ms.id]
+	if sv.route == nil {
+		sv.route = x.place.Route(ms.Name)
+	}
 	var inv *invocation
-	if n := len(x.freeInvs); n > 0 {
-		inv = x.freeInvs[n-1]
-		x.freeInvs[n-1] = nil
-		x.freeInvs = x.freeInvs[:n-1]
+	if n := len(sv.freeInvs); n > 0 {
+		inv = sv.freeInvs[n-1]
+		sv.freeInvs[n-1] = nil
+		sv.freeInvs = sv.freeInvs[:n-1]
 	} else {
 		inv = &invocation{x: x}
 		inv.submitFn = inv.submit
@@ -362,6 +380,7 @@ func (x *Executor) releaseInv(inv *invocation) {
 	last.liveIdx = inv.liveIdx
 	x.liveInvs[n] = nil
 	x.liveInvs = x.liveInvs[:n]
+	sv := &x.svcs[inv.ms.id]
 	inv.req, inv.cr, inv.tr, inv.ms, inv.host = nil, nil, nil, nil, nil
-	x.freeInvs = append(x.freeInvs, inv)
+	sv.freeInvs = append(sv.freeInvs, inv)
 }

@@ -243,3 +243,25 @@ func TestManyRequestsAllComplete(t *testing.T) {
 		t.Fatalf("collector has %d B traces, want 50", col.Count("B"))
 	}
 }
+
+// TestRequestZeroAllocs: with the executor's pools and the collector's
+// stores warm, one whole region-A request (259 invocations: network hops,
+// placements, jobs on a contended server, spans) allocates nothing.
+func TestRequestZeroAllocs(t *testing.T) {
+	spec := TwoRegionStudy()
+	eng := sim.NewEngine(1)
+	srv := cluster.NewServer(eng, "n1", cluster.RoleNormalWorker, 6)
+	col := trace.NewCollector()
+	col.KeepSpans = false
+	x := NewExecutor(eng, spec, onePlacement(srv), col, eng.RNG().Stream("exec"))
+	x.Launch("A", nil)
+	eng.Run()
+	col.Grow(1000)
+	allocs := testing.AllocsPerRun(100, func() {
+		x.Launch("A", nil)
+		eng.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("one request allocated %.3f objects, want 0", allocs)
+	}
+}

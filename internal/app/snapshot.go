@@ -62,8 +62,12 @@ func (x *Executor) Restore(s *ExecState) {
 	x.rng.SetState(s.rng)
 	clearPtrs(x.freeReqs)
 	clearPtrs(x.freeCalls)
-	clearPtrs(x.freeInvs)
-	x.freeReqs, x.freeCalls, x.freeInvs = x.freeReqs[:0], x.freeCalls[:0], x.freeInvs[:0]
+	x.freeReqs, x.freeCalls = x.freeReqs[:0], x.freeCalls[:0]
+	for i := range x.svcs {
+		sv := &x.svcs[i]
+		clearPtrs(sv.freeInvs)
+		sv.freeInvs = sv.freeInvs[:0]
+	}
 	x.liveReqs = x.liveReqs[:0]
 	for i := range s.reqs {
 		r := s.reqs[i].ptr

@@ -71,6 +71,9 @@ type Microservice struct {
 	// DB names the paired database service, if any.
 	DB string
 
+	// id is the service's dense index in its spec's registration order,
+	// assigned by AddService.
+	id int
 	// slowdown caches the β curve so the per-invocation hot path never
 	// re-closes over CPUShare. Built by AddService; rebuilt lazily for
 	// hand-constructed values.
@@ -84,6 +87,11 @@ func (m *Microservice) Slowdown() cluster.SlowdownFunc {
 	}
 	return m.slowdown
 }
+
+// ID returns the service's dense index in its spec's registration order.
+// Request-path state is indexed by it instead of by name. It is meaningful
+// only for profiles obtained from a Spec.
+func (m *Microservice) ID() int { return m.id }
 
 // Beta returns the execution-time inflation factor at frequency f relative
 // to FreqMax — the variance coefficient β of Equation (2).
@@ -107,6 +115,10 @@ type Call struct {
 	// at once. The API layer iterates over records, so most call fans
 	// are sequential (1, the default); some record batches overlap.
 	Concurrency int
+
+	// callee is the resolved Service profile, set by Spec.AddRegion so
+	// the executor never looks a callee up by name.
+	callee *Microservice
 }
 
 // Weight is the per-request completion time contributed by this edge at
@@ -129,6 +141,13 @@ type Region struct {
 	APIExec time.Duration
 	// Stages execute sequentially per request.
 	Stages []Stage
+
+	// Resolved by Spec.AddRegion: the API service's profile and the
+	// distinct function services the region calls, in first-call order,
+	// as dense service IDs and as names.
+	api          *Microservice
+	serviceIDs   []int
+	serviceNames []string
 }
 
 // Calls flattens the region's stages into a single list.
@@ -179,23 +198,18 @@ func (r *Region) Weight(service string) time.Duration {
 }
 
 // ServiceNames returns the distinct function services the region calls, in
-// first-call order.
-func (r *Region) ServiceNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range r.Calls() {
-		if !seen[c.Service] {
-			seen[c.Service] = true
-			out = append(out, c.Service)
-		}
-	}
-	return out
-}
+// first-call order. The slice is the caller's to keep.
+func (r *Region) ServiceNames() []string { return append([]string(nil), r.serviceNames...) }
+
+// ServiceIDs returns the dense IDs of the services ServiceNames lists, in
+// the same order. The slice is a read-only view, shared by every caller.
+func (r *Region) ServiceIDs() []int { return r.serviceIDs }
 
 // Spec is a complete application: services plus regions.
 type Spec struct {
 	services     map[string]*Microservice
 	serviceOrder []string
+	byID         []*Microservice
 	regions      map[string]*Region
 	regionOrder  []string
 }
@@ -218,15 +232,18 @@ func (s *Spec) AddService(m Microservice) *Microservice {
 		panic(fmt.Sprintf("app: service %q CPUShare %v outside [0,1]", m.Name, m.CPUShare))
 	}
 	cp := m
+	cp.id = len(s.byID)
 	cp.slowdown = cluster.LinearSlowdown(cp.CPUShare)
 	s.services[m.Name] = &cp
 	s.serviceOrder = append(s.serviceOrder, m.Name)
+	s.byID = append(s.byID, &cp)
 	return &cp
 }
 
 // AddRegion registers a region. The API service and every callee must
 // already be registered, callees must be function services, and call
-// parameters must be positive.
+// parameters must be positive. The spec keeps its own copy of the stages,
+// with every call resolved to its callee's profile.
 func (s *Spec) AddRegion(r Region) *Region {
 	if _, dup := s.regions[r.Name]; dup {
 		panic(fmt.Sprintf("app: duplicate region %q", r.Name))
@@ -238,19 +255,32 @@ func (s *Spec) AddRegion(r Region) *Region {
 	if api.Kind != KindAPI {
 		panic(fmt.Sprintf("app: region %q API %q is %v, want api", r.Name, r.API, api.Kind))
 	}
-	for _, c := range r.Calls() {
-		callee, ok := s.services[c.Service]
-		if !ok {
-			panic(fmt.Sprintf("app: region %q calls unknown service %q", r.Name, c.Service))
-		}
-		if callee.Kind != KindFunction {
-			panic(fmt.Sprintf("app: region %q calls %q of kind %v, want function", r.Name, c.Service, callee.Kind))
-		}
-		if c.Times <= 0 || c.Exec <= 0 {
-			panic(fmt.Sprintf("app: region %q call to %q has non-positive times/exec", r.Name, c.Service))
+	cp := r
+	cp.api, cp.serviceIDs, cp.serviceNames = api, nil, nil
+	cp.Stages = make([]Stage, len(r.Stages))
+	seen := make([]bool, len(s.byID))
+	for i, st := range r.Stages {
+		cp.Stages[i] = append(Stage(nil), st...)
+		for j := range cp.Stages[i] {
+			c := &cp.Stages[i][j]
+			callee, ok := s.services[c.Service]
+			if !ok {
+				panic(fmt.Sprintf("app: region %q calls unknown service %q", r.Name, c.Service))
+			}
+			if callee.Kind != KindFunction {
+				panic(fmt.Sprintf("app: region %q calls %q of kind %v, want function", r.Name, c.Service, callee.Kind))
+			}
+			if c.Times <= 0 || c.Exec <= 0 {
+				panic(fmt.Sprintf("app: region %q call to %q has non-positive times/exec", r.Name, c.Service))
+			}
+			c.callee = callee
+			if id := callee.id; !seen[id] {
+				seen[id] = true
+				cp.serviceIDs = append(cp.serviceIDs, id)
+				cp.serviceNames = append(cp.serviceNames, c.Service)
+			}
 		}
 	}
-	cp := r
 	s.regions[r.Name] = &cp
 	s.regionOrder = append(s.regionOrder, r.Name)
 	return &cp
@@ -258,6 +288,9 @@ func (s *Spec) AddRegion(r Region) *Region {
 
 // Service returns the profile for name, or nil.
 func (s *Spec) Service(name string) *Microservice { return s.services[name] }
+
+// ServiceByID returns the profile with dense ID id (see Microservice.ID).
+func (s *Spec) ServiceByID(id int) *Microservice { return s.byID[id] }
 
 // Region returns the region named name, or nil.
 func (s *Spec) Region(name string) *Region { return s.regions[name] }

@@ -184,6 +184,43 @@ func TestRegionAggregates(t *testing.T) {
 	if len(a.Calls()) != 8 {
 		t.Fatalf("flattened calls = %d, want 8", len(a.Calls()))
 	}
+	ids := a.ServiceIDs()
+	if len(ids) != len(names) {
+		t.Fatalf("region A has %d service IDs for %d names", len(ids), len(names))
+	}
+	for i, id := range ids {
+		if got := s.ServiceByID(id); got != s.Service(names[i]) || got.ID() != id {
+			t.Fatalf("ServiceIDs()[%d] = %d does not resolve to %q", i, id, names[i])
+		}
+	}
+}
+
+// TestAddRegionResolvesAgainstItsOwnSpec: a region copied out of one spec
+// and registered in another (with services in a different order) takes the
+// new spec's service IDs and profiles, not the source's.
+func TestAddRegionResolvesAgainstItsOwnSpec(t *testing.T) {
+	src := TwoRegionStudy()
+	dst := NewSpec()
+	for i := len(studyServices) - 1; i >= 0; i-- {
+		dst.AddService(studyServices[i])
+	}
+	dst.AddService(Microservice{Name: "api-advanced-search", Kind: KindAPI})
+	a := dst.AddRegion(*src.Region("A"))
+	want := src.Region("A").ServiceNames()
+	got := a.ServiceNames()
+	if len(got) != len(want) || len(a.ServiceIDs()) != len(want) {
+		t.Fatalf("copied region lists %v / IDs %v, want %v", got, a.ServiceIDs(), want)
+	}
+	for i, id := range a.ServiceIDs() {
+		if got[i] != want[i] || dst.ServiceByID(id) != dst.Service(want[i]) {
+			t.Fatalf("service %d: %q (ID %d), want %q from the destination spec", i, got[i], id, want[i])
+		}
+	}
+	for _, c := range a.Calls() {
+		if c.callee != dst.Service(c.Service) {
+			t.Fatalf("call to %q resolved outside the destination spec", c.Service)
+		}
+	}
 }
 
 func TestUnthrottledResponse(t *testing.T) {

@@ -56,10 +56,21 @@ type Job struct {
 	since     sim.Time      // when remaining was last recomputed
 	timer     sim.Timer
 	running   bool
-	// busyCell caches the server's per-tag busy accumulator for this job's
-	// Tag, so accruing busy time never hashes the tag string.
+	// srv is the server the job was last submitted to. fire is the job's
+	// completion handler, bound on first Submit and reading srv when it
+	// runs, so no completion of a recycled or restored job allocates.
+	srv  *Server
+	fire sim.Handler
+	// busyCell caches the per-tag busy accumulator of server cellSrv for
+	// tag cellTag, so accruing busy time never hashes the tag string, and
+	// a job started again on the same server under the same tag (a pooled
+	// job reused for one owner) skips the tag lookup altogether.
 	busyCell *time.Duration
+	cellSrv  *Server
+	cellTag  string
 }
+
+func (j *Job) complete() { j.srv.complete(j) }
 
 func (j *Job) slowdownAt(f GHz) float64 {
 	if j.Slowdown == nil {
@@ -191,6 +202,10 @@ func (s *Server) Submit(j *Job) {
 	if j.Demand < 0 {
 		panic(fmt.Sprintf("cluster: job %q with negative demand %v", j.Tag, j.Demand))
 	}
+	j.srv = s
+	if j.fire == nil {
+		j.fire = j.complete
+	}
 	if len(s.running) < s.cores {
 		s.start(j)
 		return
@@ -204,12 +219,14 @@ func (s *Server) start(j *Job) {
 	j.factor = j.slowdownAt(s.freq)
 	j.since = s.eng.Now()
 	j.running = true
-	cell := s.busyByTag[j.Tag]
-	if cell == nil {
-		cell = new(time.Duration)
-		s.busyByTag[j.Tag] = cell
+	if j.cellSrv != s || j.cellTag != j.Tag {
+		cell := s.busyByTag[j.Tag]
+		if cell == nil {
+			cell = new(time.Duration)
+			s.busyByTag[j.Tag] = cell
+		}
+		j.busyCell, j.cellSrv, j.cellTag = cell, s, j.Tag
 	}
-	j.busyCell = cell
 	s.running = append(s.running, j)
 	if j.OnStart != nil {
 		j.OnStart()
@@ -219,7 +236,7 @@ func (s *Server) start(j *Job) {
 
 func (s *Server) scheduleCompletion(j *Job) {
 	wall := time.Duration(float64(j.remaining) * j.factor)
-	j.timer = s.eng.After(wall, func() { s.complete(j) })
+	j.timer = s.eng.After(wall, j.fire)
 }
 
 func (s *Server) complete(j *Job) {

@@ -407,3 +407,44 @@ func TestClusterSetAllMaxFreq(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledJobCompletesOnItsCurrentServer guards the job's cached
+// completion handler: one Job runs on server A, then on server B, and a
+// snapshot taken while it runs on B is restored after the job has moved
+// back to A. The restored completion must land on B, so only B's
+// completions and busy time move.
+func TestRecycledJobCompletesOnItsCurrentServer(t *testing.T) {
+	eng := sim.NewEngine(1)
+	a := NewServer(eng, "A", RoleNormalWorker, 1)
+	b := NewServer(eng, "B", RoleNormalWorker, 1)
+	done := 0
+	job := &Job{Tag: "svc", Demand: 10 * time.Millisecond, OnDone: func() { done++ }}
+	a.Submit(job)
+	eng.Run()
+	b.Submit(job)
+	eng.RunFor(5 * time.Millisecond)
+	se, sa, sb := eng.Snapshot(), a.Snapshot(), b.Snapshot()
+
+	// Detour: finish on B, then run the same job on A again.
+	eng.Run()
+	a.Submit(job)
+	eng.Run()
+	if a.Completed() != 2 || b.Completed() != 1 || done != 3 {
+		t.Fatalf("detour: A=%d B=%d done=%d, want 2, 1, 3", a.Completed(), b.Completed(), done)
+	}
+
+	eng.Restore(se)
+	a.Restore(sa)
+	b.Restore(sb)
+	done = 0
+	eng.Run()
+	if a.Completed() != 1 || a.BusyCoreTime() != 10*time.Millisecond {
+		t.Fatalf("A moved after restore: completed=%d busy=%v, want 1 and 10ms", a.Completed(), a.BusyCoreTime())
+	}
+	if b.Completed() != 1 || b.BusyCoreTime() != 10*time.Millisecond {
+		t.Fatalf("B after restore: completed=%d busy=%v, want 1 and 10ms", b.Completed(), b.BusyCoreTime())
+	}
+	if done != 1 || eng.Now() != sim.Time(20*time.Millisecond) {
+		t.Fatalf("restored job: done=%d at %v, want 1 at 20ms", done, eng.Now())
+	}
+}

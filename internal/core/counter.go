@@ -10,31 +10,14 @@ package core
 // Counter maintains live indegree counts per function service.
 type Counter struct {
 	g *Graph
-	// pending[s] is the number of live request-access edges into s.
-	pending map[string]float64
-	// arrivals/completions accumulate within the current slot for the
-	// slot history.
-	slotArrivals    map[string]float64
-	slotCompletions map[string]float64
-	slots           []Slot
-}
-
-// Slot is the recorded state of one closed time slot.
-type Slot struct {
-	// Arrivals and Completions are the per-service edge deltas in the
-	// slot; Pending is the live count at slot close.
-	Arrivals, Completions, Pending map[string]float64
+	// pending[id] is the number of live request-access edges into the
+	// service with dense spec ID id.
+	pending []float64
 }
 
 // NewCounter creates zeroed counters over the graph's services.
 func NewCounter(g *Graph) *Counter {
-	c := &Counter{
-		g:               g,
-		pending:         make(map[string]float64),
-		slotArrivals:    make(map[string]float64),
-		slotCompletions: make(map[string]float64),
-	}
-	return c
+	return &Counter{g: g, pending: make([]float64, g.spec.NumServices())}
 }
 
 // Observe records the arrival of one request to region: every service the
@@ -44,9 +27,8 @@ func (c *Counter) Observe(region string) {
 	if r == nil {
 		return
 	}
-	for _, sn := range r.ServiceNames() {
-		c.pending[sn]++
-		c.slotArrivals[sn]++
+	for _, id := range r.ServiceIDs() {
+		c.pending[id]++
 	}
 }
 
@@ -58,16 +40,20 @@ func (c *Counter) Complete(region string) {
 	if r == nil {
 		return
 	}
-	for _, sn := range r.ServiceNames() {
-		if c.pending[sn] > 0 {
-			c.pending[sn]--
+	for _, id := range r.ServiceIDs() {
+		if c.pending[id] > 0 {
+			c.pending[id]--
 		}
-		c.slotCompletions[sn]++
 	}
 }
 
 // Pending returns the live edge count for service.
-func (c *Counter) Pending(service string) float64 { return c.pending[service] }
+func (c *Counter) Pending(service string) float64 {
+	if ms := c.g.spec.Service(service); ms != nil {
+		return c.pending[ms.ID()]
+	}
+	return 0
+}
 
 // Total returns the total live edge count across all services.
 func (c *Counter) Total() float64 {
@@ -82,13 +68,13 @@ func (c *Counter) Total() float64 {
 // edges (Equation 3). With no live edges it returns an empty map.
 func (c *Counter) Shares() map[string]float64 {
 	total := c.Total()
-	out := make(map[string]float64, len(c.pending))
+	out := make(map[string]float64)
 	if total == 0 {
 		return out
 	}
-	for s, v := range c.pending {
+	for id, v := range c.pending {
 		if v > 0 {
-			out[s] = v / total
+			out[c.g.spec.ServiceByID(id).Name] = v / total
 		}
 	}
 	return out
@@ -104,16 +90,16 @@ func (c *Counter) RegionLoad() map[string]float64 {
 	counts := map[string]int{}
 	for _, rn := range c.g.spec.RegionNames() {
 		r := c.g.spec.Region(rn)
-		var unique []string
-		for _, sn := range r.ServiceNames() {
-			if len(c.g.Edges(sn)) == 1 {
-				unique = append(unique, sn)
+		var unique []int
+		for _, id := range r.ServiceIDs() {
+			if len(c.g.Edges(c.g.spec.ServiceByID(id).Name)) == 1 {
+				unique = append(unique, id)
 			}
 		}
 		if len(unique) > 0 {
 			var sum float64
-			for _, sn := range unique {
-				sum += c.pending[sn]
+			for _, id := range unique {
+				sum += c.pending[id]
 			}
 			load[rn] = sum / float64(len(unique))
 			counts[rn] = len(unique)
@@ -127,9 +113,9 @@ func (c *Counter) RegionLoad() map[string]float64 {
 		}
 		r := c.g.spec.Region(rn)
 		var best float64
-		for _, sn := range r.ServiceNames() {
-			residual := c.pending[sn]
-			for _, e := range c.g.Edges(sn) {
+		for _, id := range r.ServiceIDs() {
+			residual := c.pending[id]
+			for _, e := range c.g.Edges(c.g.spec.ServiceByID(id).Name) {
 				if e.Region != rn {
 					residual -= load[e.Region]
 				}
@@ -144,23 +130,3 @@ func (c *Counter) RegionLoad() map[string]float64 {
 	}
 	return load
 }
-
-// Advance closes the current slot, recording its arrivals, completions and
-// final pending counts, and opens a new one.
-func (c *Counter) Advance() Slot {
-	snap := Slot{
-		Arrivals:    c.slotArrivals,
-		Completions: c.slotCompletions,
-		Pending:     make(map[string]float64, len(c.pending)),
-	}
-	for s, v := range c.pending {
-		snap.Pending[s] = v
-	}
-	c.slots = append(c.slots, snap)
-	c.slotArrivals = make(map[string]float64)
-	c.slotCompletions = make(map[string]float64)
-	return snap
-}
-
-// Slots returns the closed slot history.
-func (c *Counter) Slots() []Slot { return c.slots }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"servicefridge/internal/app"
 	"servicefridge/internal/sim"
 )
 
@@ -78,30 +79,6 @@ func TestCounterUnknownRegionIgnored(t *testing.T) {
 	}
 }
 
-func TestCounterSlots(t *testing.T) {
-	// Figure 10: slot counters = carry-over + arrivals - completions.
-	c := NewCounter(studyGraph())
-	c.Observe("A")
-	c.Observe("A")
-	s1 := c.Advance()
-	if s1.Arrivals["ticketinfo"] != 2 || s1.Pending["ticketinfo"] != 2 {
-		t.Fatalf("slot1 = %+v", s1)
-	}
-	c.Observe("B")
-	c.Complete("A")
-	s2 := c.Advance()
-	if s2.Arrivals["ticketinfo"] != 1 || s2.Completions["ticketinfo"] != 1 {
-		t.Fatalf("slot2 arrivals/completions wrong: %+v", s2)
-	}
-	// Carry-over: 2 (slot1) + 1 (B arrival) - 1 (A completion) = 2.
-	if s2.Pending["ticketinfo"] != 2 {
-		t.Fatalf("slot2 pending[ticketinfo] = %v, want 2", s2.Pending["ticketinfo"])
-	}
-	if len(c.Slots()) != 2 {
-		t.Fatalf("recorded %d slots, want 2", len(c.Slots()))
-	}
-}
-
 func TestRegionLoadRecovery(t *testing.T) {
 	c := NewCounter(studyGraph())
 	for i := 0; i < 30; i++ {
@@ -133,70 +110,69 @@ func TestRegionLoadPureB(t *testing.T) {
 	}
 }
 
-// TestCounterSlotConservation pins the Figure 10 slot identity under
-// matched traffic (every Complete follows an earlier Observe): for every
-// closed slot and every service,
-//
-//	Pending(close) = Pending(open) + Arrivals − Completions.
-func TestCounterSlotConservation(t *testing.T) {
-	c := NewCounter(studyGraph())
-	r := sim.NewRNG(7)
-	open := map[string]int{"A": 0, "B": 0}
-	prev := map[string]float64{}
-	for slot := 0; slot < 25; slot++ {
-		for op := 0; op < 40; op++ {
-			region := "A"
-			if r.Intn(2) == 0 {
-				region = "B"
-			}
-			if open[region] == 0 || r.Intn(3) > 0 {
-				c.Observe(region)
-				open[region]++
-			} else {
-				c.Complete(region)
-				open[region]--
+// TestCounterSocialNetworkPinned pins Shares and RegionLoad on a fixed
+// Observe/Complete sequence over the socialnet call graph, whose regions
+// share services (media, post-storage, user), against values recorded
+// from the name-keyed counter this index-keyed one replaced.
+func TestCounterSocialNetworkPinned(t *testing.T) {
+	spec := app.SocialNetwork()
+	c := NewCounter(BuildGraph(spec))
+	regions := spec.RegionNames()
+	r := sim.NewRNG(11)
+	open := map[string]int{}
+	for op := 0; op < 200; op++ {
+		region := regions[r.Intn(len(regions))]
+		if open[region] == 0 || r.Intn(3) > 0 {
+			c.Observe(region)
+			open[region]++
+		} else {
+			c.Complete(region)
+			open[region]--
+		}
+	}
+	wantShares := map[string]float64{
+		"compose-post":        0.044444444444444446,
+		"home-timeline":       0.06666666666666667,
+		"media":               0.15555555555555556,
+		"post-storage":        0.15555555555555556,
+		"social-graph":        0.1111111111111111,
+		"text":                0.044444444444444446,
+		"unique-id":           0.044444444444444446,
+		"url-shorten":         0.044444444444444446,
+		"user":                0.15555555555555556,
+		"user-mention":        0.044444444444444446,
+		"user-timeline":       0.08888888888888889,
+		"write-home-timeline": 0.044444444444444446,
+	}
+	wantLoad := map[string]float64{"compose": 20, "home-timeline": 30, "user-timeline": 20}
+	for name, got := range map[string]map[string]float64{"Shares": c.Shares(), "RegionLoad": c.RegionLoad()} {
+		want := wantShares
+		if name == "RegionLoad" {
+			want = wantLoad
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s = %v, want %v", name, got, want)
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("%s[%s] = %v, want %v", name, k, got[k], v)
 			}
 		}
-		s := c.Advance()
-		seen := map[string]bool{}
-		for _, m := range []map[string]float64{s.Arrivals, s.Completions, s.Pending, prev} {
-			for svc := range m {
-				seen[svc] = true
-			}
-		}
-		for svc := range seen {
-			want := prev[svc] + s.Arrivals[svc] - s.Completions[svc]
-			if s.Pending[svc] != want {
-				t.Fatalf("slot %d, %s: pending(close) = %v, want pending(open) %v + arrivals %v - completions %v = %v",
-					slot, svc, s.Pending[svc], prev[svc], s.Arrivals[svc], s.Completions[svc], want)
-			}
-		}
-		prev = s.Pending
 	}
 }
 
-// TestCounterUnmatchedCompleteAsymmetry pins the documented asymmetry in
-// Complete: pending clamps at zero on an unmatched completion, but the
-// slot history still records it — so the slot identity deliberately
-// over-counts completions in that (erroneous) case, rather than letting a
-// stray Complete corrupt the live shares.
-func TestCounterUnmatchedCompleteAsymmetry(t *testing.T) {
+// TestCounterObserveCompleteZeroAllocs: the per-request bookkeeping the
+// fridge does at every arrival and completion allocates nothing.
+func TestCounterObserveCompleteZeroAllocs(t *testing.T) {
 	c := NewCounter(studyGraph())
-	c.Complete("A") // unmatched: nothing was observed
-	s := c.Advance()
-	if c.Pending("ticketinfo") != 0 {
-		t.Fatalf("pending[ticketinfo] = %v, must clamp at zero", c.Pending("ticketinfo"))
-	}
-	if s.Pending["ticketinfo"] != 0 {
-		t.Fatalf("slot pending[ticketinfo] = %v, must clamp at zero", s.Pending["ticketinfo"])
-	}
-	if s.Completions["ticketinfo"] != 1 {
-		t.Fatalf("slot completions[ticketinfo] = %v, want 1 (unmatched completes still counted)",
-			s.Completions["ticketinfo"])
-	}
-	// The identity is violated by exactly the clamped amount: 0 != 0 - 1.
-	if got, naive := s.Pending["ticketinfo"], -s.Completions["ticketinfo"]; got == naive {
-		t.Fatalf("clamp should break the naive identity, got %v == %v", got, naive)
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Observe("A")
+		c.Observe("B")
+		c.Complete("A")
+		c.Complete("B")
+	})
+	if allocs != 0 {
+		t.Fatalf("Observe+Complete allocated %.3f objects/op, want 0", allocs)
 	}
 }
 

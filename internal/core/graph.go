@@ -53,26 +53,20 @@ type Graph struct {
 	services []string
 	// edges grouped by service, then by region, in stable order.
 	edges map[string][]Edge
-	// regionEdgeCount is |services(r)|: the number of distinct edges a
-	// single request to r contributes to the graph.
-	regionEdgeCount map[string]int
 }
 
 // BuildGraph performs the offline analysis: it walks the spec's regions
 // and materializes the bipartite graph.
 func BuildGraph(spec *app.Spec) *Graph {
 	g := &Graph{
-		spec:            spec,
-		edges:           make(map[string][]Edge),
-		regionEdgeCount: make(map[string]int),
+		spec:  spec,
+		edges: make(map[string][]Edge),
 	}
 	seenSvc := map[string]bool{}
 	for _, rn := range spec.RegionNames() {
 		r := spec.Region(rn)
 		g.apis = append(g.apis, r.API)
-		names := r.ServiceNames()
-		g.regionEdgeCount[rn] = len(names)
-		for _, sn := range names {
+		for _, sn := range r.ServiceNames() {
 			c, _ := r.CallTo(sn)
 			g.edges[sn] = append(g.edges[sn], Edge{
 				Region:    rn,
@@ -104,7 +98,12 @@ func (g *Graph) Edges(service string) []Edge { return g.edges[service] }
 
 // EdgeCount returns the number of distinct edges one request to region
 // contributes (|services(region)|).
-func (g *Graph) EdgeCount(region string) int { return g.regionEdgeCount[region] }
+func (g *Graph) EdgeCount(region string) int {
+	if r := g.spec.Region(region); r != nil {
+		return len(r.ServiceIDs())
+	}
+	return 0
+}
 
 // Beta returns the variance coefficient β of service at frequency f.
 func (g *Graph) Beta(service string, f cluster.GHz) float64 {

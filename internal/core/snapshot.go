@@ -1,45 +1,16 @@
 package core
 
-// CounterState is a snapshot of the indegree counters. The slot history is
-// append-only (Advance moves the accumulator maps into the recorded Slot
-// and replaces them with fresh ones, so recorded slots are frozen); the
-// live accumulator maps are deep-copied.
+// CounterState is a snapshot of the indegree counters.
 type CounterState struct {
-	pending         map[string]float64
-	slotArrivals    map[string]float64
-	slotCompletions map[string]float64
-	slots           []Slot
+	pending []float64
 }
 
 // Snapshot captures the counter's state.
 func (c *Counter) Snapshot() *CounterState {
-	return &CounterState{
-		pending:         copyCounts(c.pending),
-		slotArrivals:    copyCounts(c.slotArrivals),
-		slotCompletions: copyCounts(c.slotCompletions),
-		slots:           c.slots,
-	}
+	return &CounterState{pending: append([]float64(nil), c.pending...)}
 }
 
 // Restore rewinds the counter to the snapshot.
 func (c *Counter) Restore(s *CounterState) {
-	restoreCounts(c.pending, s.pending)
-	restoreCounts(c.slotArrivals, s.slotArrivals)
-	restoreCounts(c.slotCompletions, s.slotCompletions)
-	c.slots = s.slots
-}
-
-func copyCounts(m map[string]float64) map[string]float64 {
-	cp := make(map[string]float64, len(m))
-	for k, v := range m {
-		cp[k] = v
-	}
-	return cp
-}
-
-func restoreCounts(dst, src map[string]float64) {
-	clear(dst)
-	for k, v := range src {
-		dst[k] = v
-	}
+	copy(c.pending, s.pending)
 }

@@ -420,7 +420,6 @@ func BuildE(cfg Config) (*Result, error) {
 
 	col := trace.NewCollector()
 	col.KeepSpans = cfg.KeepSpans
-	col.Presize(cfg.Spec.ServiceNames(), 0)
 	exec := app.NewExecutor(eng, cfg.Spec, orch, col, eng.RNG().Stream("exec"))
 	exec.SetProfiler(pr)
 

@@ -57,7 +57,16 @@ func Figure3(seed uint64) []*metrics.Table {
 	tb := metrics.NewTable("Figure 3: execution time per microservice (1000 trials, advanced-search)",
 		"microservice", "samples", "mean (ms)", "CV", "modal interval (ms)", "frac in modal")
 	for _, svc := range region.ServiceNames() {
-		xs := res.Collector.ServiceExecTimes(svc)
+		// One closed client runs one request at a time, so walking the
+		// retained traces visits the spans in recording order.
+		var xs []time.Duration
+		for _, tr := range res.Collector.Traces() {
+			for _, sp := range tr.Spans {
+				if sp.Service == svc {
+					xs = append(xs, sp.Exec())
+				}
+			}
+		}
 		if len(xs) == 0 {
 			continue
 		}

@@ -117,6 +117,11 @@ type Fridge struct {
 	promotions uint64
 	demotions  uint64
 
+	// liveRelays and freeRelays pool the request-completion relays of
+	// WrapLauncher (live set index-tracked and swap-removed).
+	liveRelays []*relay
+	freeRelays []*relay
+
 	// prof, when non-nil, attributes the control tick's wall time to the
 	// tick phase, with the MCF solve/classification and zone assignment
 	// broken out as sub-phases. The profiler reads the wall clock only:
@@ -278,20 +283,66 @@ func (f *Fridge) MCFInto(services []string, out []float64) bool {
 // counters observe every request arrival and completion — the scheduling
 // engine insertion of Figure 9.
 func (f *Fridge) WrapLauncher(inner workload.Launcher) workload.Launcher {
-	return launcherFunc(func(region string, onDone func(*trace.Trace)) {
-		f.counter.Observe(region)
-		inner.Launch(region, func(tr *trace.Trace) {
-			f.counter.Complete(region)
-			if onDone != nil {
-				onDone(tr)
-			}
-		})
-	})
+	return &countingLauncher{f: f, inner: inner}
 }
 
-type launcherFunc func(region string, onDone func(*trace.Trace))
+type countingLauncher struct {
+	f     *Fridge
+	inner workload.Launcher
+}
 
-func (fn launcherFunc) Launch(region string, onDone func(*trace.Trace)) { fn(region, onDone) }
+func (l *countingLauncher) Launch(region string, onDone func(*trace.Trace)) {
+	l.f.counter.Observe(region)
+	l.inner.Launch(region, l.f.acquireRelay(onDone).fn)
+}
+
+// relay carries one in-flight request's completion: it retires the
+// request's indegree edges, then hands the trace to the caller's callback.
+// Relays are pooled and fn is bound once per relay, so the request path
+// allocates nothing in steady state; the live set is snapshotted like the
+// executor's request objects, which hold the relays' fn.
+type relay struct {
+	f       *Fridge
+	liveIdx int
+	onDone  func(*trace.Trace)
+	fn      func(*trace.Trace)
+}
+
+func (r *relay) done(tr *trace.Trace) {
+	f, onDone := r.f, r.onDone
+	f.counter.Complete(tr.Region)
+	f.releaseRelay(r)
+	if onDone != nil {
+		onDone(tr)
+	}
+}
+
+func (f *Fridge) acquireRelay(onDone func(*trace.Trace)) *relay {
+	var r *relay
+	if n := len(f.freeRelays); n > 0 {
+		r = f.freeRelays[n-1]
+		f.freeRelays[n-1] = nil
+		f.freeRelays = f.freeRelays[:n-1]
+	} else {
+		r = &relay{f: f}
+		r.fn = r.done
+	}
+	r.onDone = onDone
+	r.liveIdx = len(f.liveRelays)
+	f.liveRelays = append(f.liveRelays, r)
+	return r
+}
+
+func (f *Fridge) releaseRelay(r *relay) {
+	n := len(f.liveRelays) - 1
+	last := f.liveRelays[n]
+	f.liveRelays[r.liveIdx] = last
+	last.liveIdx = r.liveIdx
+	f.liveRelays[n] = nil
+	f.liveRelays = f.liveRelays[:n]
+	r.onDone = nil
+	f.freeRelays = append(f.freeRelays, r)
+}
 
 // load returns the region load driving this tick's MCF computation.
 func (f *Fridge) load() map[string]float64 {
@@ -307,7 +358,6 @@ func (f *Fridge) Tick() {
 	f.prof.Enter(prof.Tick)
 	defer f.prof.Exit()
 	f.ticks++
-	f.counter.Advance()
 	load := f.load()
 	if len(load) == 0 {
 		// No live traffic: keep everything at full speed (the budget is

@@ -210,6 +210,39 @@ func TestWrapLauncherPreservesCallerCallback(t *testing.T) {
 	}
 }
 
+// TestWrapLauncherRelaysSurviveRestore: a request in flight at a snapshot
+// keeps its caller's callback across a restore, even after its pooled
+// relay completed and was reused by another caller in the meantime, and a
+// relay the restored request still holds is never handed out again.
+func TestWrapLauncherRelaysSurviveRestore(t *testing.T) {
+	_, f, _ := harness(t, 1.0)
+	var pending []func(*trace.Trace)
+	inner := launcherFunc(func(region string, onDone func(*trace.Trace)) { pending = append(pending, onDone) })
+	wrapped := f.WrapLauncher(inner)
+	calls := map[string]int{}
+	callback := func(name string) func(*trace.Trace) {
+		return func(*trace.Trace) { calls[name]++ }
+	}
+
+	wrapped.Launch("A", callback("first"))
+	held := pending[0] // what the executor's in-flight request holds
+	snap := f.Snapshot()
+	held(&trace.Trace{Region: "A"})
+	wrapped.Launch("B", callback("detour")) // reuses the freed relay
+	pending[1](&trace.Trace{Region: "B"})   // and frees it again
+	f.Restore(snap)
+
+	wrapped.Launch("B", callback("after"))
+	held(&trace.Trace{Region: "A"})
+	pending[len(pending)-1](&trace.Trace{Region: "B"})
+	if calls["first"] != 2 || calls["detour"] != 1 || calls["after"] != 1 {
+		t.Fatalf("callbacks = %v, want first=2 detour=1 after=1", calls)
+	}
+	if got := f.Counter().Total(); got != 0 {
+		t.Fatalf("indegree total = %v after every request completed, want 0", got)
+	}
+}
+
 func TestDemoteForPowerShrinksColdZone(t *testing.T) {
 	eng, f, ctx := harness(t, 0.55) // impossible budget: must demote
 	// Saturate every server so even full throttling of hot+warm cannot
@@ -304,3 +337,7 @@ func TestZoneStringAndName(t *testing.T) {
 		t.Fatal("name wrong")
 	}
 }
+
+type launcherFunc func(region string, onDone func(*trace.Trace))
+
+func (fn launcherFunc) Launch(region string, onDone func(*trace.Trace)) { fn(region, onDone) }

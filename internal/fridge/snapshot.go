@@ -3,12 +3,13 @@ package fridge
 import (
 	"servicefridge/internal/cluster"
 	"servicefridge/internal/core"
+	"servicefridge/internal/trace"
 )
 
 // State is a deep copy of the controller's mutable state: the Algorithm-1
 // adjustments, last-tick zone assignment and frequencies, the cached MCF
-// map (reused in place every tick, so it must be copied) and the indegree
-// counters.
+// map (reused in place every tick, so it must be copied), the indegree
+// counters and the live request-completion relays.
 type State struct {
 	alpha, beta     float64
 	loadOverride    map[string]float64
@@ -27,6 +28,13 @@ type State struct {
 	promotions      uint64
 	demotions       uint64
 	counter         *core.CounterState
+	relays          []relaySnap
+}
+
+// relaySnap is a live relay and the callback it carried at snapshot time.
+type relaySnap struct {
+	ptr    *relay
+	onDone func(*trace.Trace)
 }
 
 // Snapshot captures the controller's state.
@@ -50,6 +58,10 @@ func (f *Fridge) Snapshot() *State {
 		promotions:      f.promotions,
 		demotions:       f.demotions,
 		counter:         f.counter.Snapshot(),
+		relays:          make([]relaySnap, len(f.liveRelays)),
+	}
+	for i, r := range f.liveRelays {
+		s.relays[i] = relaySnap{ptr: r, onDone: r.onDone}
 	}
 	for k, v := range f.adjust {
 		s.adjust[k] = v
@@ -80,7 +92,9 @@ func (f *Fridge) Snapshot() *State {
 
 // Restore rewinds the controller to the snapshot. LoadOverride is restored
 // by reference (experiment cells treat it as an input, not state); warm
-// sweeps overwrite it per cell after restoring.
+// sweeps overwrite it per cell after restoring. The relay free pool is
+// dropped, as the executor drops its pools: a relay freed after the
+// snapshot may be live again once the executor rewinds.
 func (f *Fridge) Restore(s *State) {
 	f.Alpha, f.Beta = s.alpha, s.beta
 	f.LoadOverride = s.loadOverride
@@ -125,4 +139,12 @@ func (f *Fridge) Restore(s *State) {
 	f.promotions = s.promotions
 	f.demotions = s.demotions
 	f.counter.Restore(s.counter)
+	clear(f.freeRelays)
+	f.freeRelays = f.freeRelays[:0]
+	clear(f.liveRelays)
+	f.liveRelays = f.liveRelays[:0]
+	for i, rs := range s.relays {
+		rs.ptr.onDone, rs.ptr.liveIdx = rs.onDone, i
+		f.liveRelays = append(f.liveRelays, rs.ptr)
+	}
 }

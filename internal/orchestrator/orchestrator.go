@@ -33,8 +33,37 @@ type Container struct {
 // Active reports whether the container is serving traffic.
 func (c *Container) Active() bool { return c.active }
 
+// pool is one service's placement state: its containers in creation order
+// and the round-robin cursor. A pool, once created, stays the service's
+// pool forever (Restore resets it in place), so placement handles bound to
+// it stay valid across snapshots.
+type pool struct {
+	list []*Container
+	rr   int
+}
+
+// host round-robins calls across the pool's active instances (swarm's mesh
+// load balancing). Starting-up instances receive no traffic; if nothing is
+// active yet, the oldest stopping/starting instance's node is used so
+// traffic never black-holes during migration.
+func (p *pool) host() *cluster.Server {
+	n := len(p.list)
+	if n == 0 {
+		return nil
+	}
+	start := p.rr
+	for k := 0; k < n; k++ {
+		c := p.list[(start+k)%n]
+		if c.active {
+			p.rr = (start + k + 1) % n
+			return c.Node
+		}
+	}
+	return p.list[0].Node
+}
+
 // Orchestrator tracks container placement for one cluster and implements
-// app.Placement (HostFor) for the request executor.
+// app.Placement (Route) for the request executor.
 type Orchestrator struct {
 	eng *sim.Engine
 	cl  *cluster.Cluster
@@ -48,8 +77,7 @@ type Orchestrator struct {
 
 	nextID     int
 	containers map[int]*Container
-	byService  map[string][]*Container
-	rr         map[string]int
+	pools      map[string]*pool
 
 	migrations uint64
 	started    uint64
@@ -66,8 +94,7 @@ func New(cl *cluster.Cluster) *Orchestrator {
 		cl:           cl,
 		StartupDelay: 500 * time.Millisecond,
 		containers:   make(map[int]*Container),
-		byService:    make(map[string][]*Container),
-		rr:           make(map[string]int),
+		pools:        make(map[string]*pool),
 	}
 }
 
@@ -90,7 +117,8 @@ func (o *Orchestrator) Place(service string, node *cluster.Server, immediate boo
 	o.nextID++
 	c := &Container{ID: o.nextID, Service: service, Node: node, active: immediate}
 	o.containers[c.ID] = c
-	o.byService[service] = append(o.byService[service], c)
+	p := o.pool(service)
+	p.list = append(p.list, c)
 	o.started++
 	if !immediate {
 		delay := o.StartupDelay
@@ -109,14 +137,13 @@ func (o *Orchestrator) Remove(c *Container) {
 		return
 	}
 	delete(o.containers, c.ID)
-	list := o.byService[c.Service]
-	for i, x := range list {
+	p := o.pools[c.Service]
+	for i, x := range p.list {
 		if x.ID == c.ID {
-			list = append(list[:i], list[i+1:]...)
+			p.list = append(p.list[:i], p.list[i+1:]...)
 			break
 		}
 	}
-	o.byService[c.Service] = list
 	o.stopped++
 }
 
@@ -155,14 +182,27 @@ func (o *Orchestrator) DeployPinned(service, node string) *Container {
 // Instances returns the containers of service (active and starting), in
 // creation order.
 func (o *Orchestrator) Instances(service string) []*Container {
-	return o.byService[service]
+	if p := o.pools[service]; p != nil {
+		return p.list
+	}
+	return nil
+}
+
+// pool returns service's placement state, creating it on first use.
+func (o *Orchestrator) pool(service string) *pool {
+	p := o.pools[service]
+	if p == nil {
+		p = &pool{}
+		o.pools[service] = p
+	}
+	return p
 }
 
 // NodesOf returns the distinct nodes hosting active instances of service.
 func (o *Orchestrator) NodesOf(service string) []*cluster.Server {
 	seen := map[string]bool{}
 	var out []*cluster.Server
-	for _, c := range o.byService[service] {
+	for _, c := range o.Instances(service) {
 		if c.active && !seen[c.Node.Name()] {
 			seen[c.Node.Name()] = true
 			out = append(out, c.Node)
@@ -190,9 +230,9 @@ func (o *Orchestrator) ServicesOn(node *cluster.Server) []string {
 
 // Services returns every service with at least one container, sorted.
 func (o *Orchestrator) Services() []string {
-	out := make([]string, 0, len(o.byService))
-	for s, list := range o.byService {
-		if len(list) > 0 {
+	out := make([]string, 0, len(o.pools))
+	for s, p := range o.pools {
+		if len(p.list) > 0 {
 			out = append(out, s)
 		}
 	}
@@ -200,26 +240,21 @@ func (o *Orchestrator) Services() []string {
 	return out
 }
 
-// HostFor implements app.Placement: it round-robins calls across the
-// service's active instances (swarm's mesh load balancing). Starting-up
-// instances receive no traffic; if nothing is active yet, the oldest
-// stopping/starting instance's node is used so traffic never black-holes
-// during migration.
+// Route implements app.Placement: the returned handle round-robins calls
+// across service's active instances, exactly as HostFor does, without
+// looking the service up by name again.
+func (o *Orchestrator) Route(service string) func() *cluster.Server {
+	return o.pool(service).host
+}
+
+// HostFor returns the server for the next call to service (see Route), or
+// nil if the service has no instance. It is the by-name edge over the same
+// placement state the executor's handles use.
 func (o *Orchestrator) HostFor(service string) *cluster.Server {
-	list := o.byService[service]
-	if len(list) == 0 {
-		return nil
+	if p := o.pools[service]; p != nil {
+		return p.host()
 	}
-	n := len(list)
-	start := o.rr[service]
-	for k := 0; k < n; k++ {
-		c := list[(start+k)%n]
-		if c.active {
-			o.rr[service] = (start + k + 1) % n
-			return c.Node
-		}
-	}
-	return list[0].Node
+	return nil
 }
 
 // MoveService migrates service so that its active instances end up exactly
@@ -236,7 +271,7 @@ func (o *Orchestrator) MoveService(service string, targets []*cluster.Server) {
 	}
 	var toKill []*Container
 	have := map[string]bool{}
-	for _, c := range o.byService[service] {
+	for _, c := range o.Instances(service) {
 		if c.stopping {
 			continue
 		}

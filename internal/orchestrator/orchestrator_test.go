@@ -201,3 +201,53 @@ func TestLifecycleCounters(t *testing.T) {
 		t.Fatalf("services = %v", got)
 	}
 }
+
+// TestHostForZeroAllocs: the by-name placement edge and the executor's
+// route handle share one per-service state, and neither allocates.
+func TestHostForZeroAllocs(t *testing.T) {
+	_, cl := testCluster()
+	o := New(cl)
+	o.Place("svc", cl.Server("serverC1"), true)
+	o.Place("svc", cl.Server("serverC2"), true)
+	route := o.Route("svc")
+	allocs := testing.AllocsPerRun(1000, func() {
+		o.HostFor("svc")
+		route()
+	})
+	if allocs != 0 {
+		t.Fatalf("HostFor+route allocated %.3f objects/op, want 0", allocs)
+	}
+	// The handle and the name edge advance the same round-robin cursor.
+	if a, b := o.HostFor("svc"), route(); a == b {
+		t.Fatalf("HostFor and Route did not share the cursor: both chose %s", a.Name())
+	}
+}
+
+// TestRouteSurvivesRestore: a placement handle bound before a snapshot
+// keeps working after Restore, which rewinds its service's instances and
+// round-robin cursor in place; a service first placed after the snapshot
+// rewinds to having no instance.
+func TestRouteSurvivesRestore(t *testing.T) {
+	_, cl := testCluster()
+	o := New(cl)
+	o.Place("svc", cl.Server("serverC1"), true)
+	o.Place("svc", cl.Server("serverC2"), true)
+	route := o.Route("svc")
+	if got := route().Name(); got != "serverC1" {
+		t.Fatalf("first call on %s, want serverC1", got)
+	}
+	snap := o.Snapshot()
+	route()
+	o.Place("svc", cl.Server("serverC3"), true)
+	o.Place("late", cl.Server("serverC1"), true)
+
+	o.Restore(snap)
+	for _, want := range []string{"serverC2", "serverC1", "serverC2"} {
+		if got := route().Name(); got != want {
+			t.Fatalf("restored route chose %s, want %s", got, want)
+		}
+	}
+	if o.HostFor("late") != nil || len(o.Instances("late")) != 0 {
+		t.Fatal("service placed after the snapshot survived the restore")
+	}
+}

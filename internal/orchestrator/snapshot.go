@@ -1,16 +1,15 @@
 package orchestrator
 
 // State is a deep copy of the orchestrator's mutable state: the container
-// registry, per-service instance lists, round-robin cursors, lifecycle
-// counters and the per-container activation flags. Container objects keep
-// their identity across Restore (pending activation/kill closures in the
-// calendar reference them); containers created after the snapshot simply
-// drop out of the registry.
+// registry, per-service pools (instance lists and round-robin cursors),
+// lifecycle counters and the per-container activation flags. Container
+// objects keep their identity across Restore (pending activation/kill
+// closures in the calendar reference them); containers created after the
+// snapshot simply drop out of the registry.
 type State struct {
 	nextID        int
 	containers    map[int]*Container
-	byService     map[string][]*Container
-	rr            map[string]int
+	pools         map[*pool]pool
 	migrations    uint64
 	started       uint64
 	stopped       uint64
@@ -29,8 +28,7 @@ func (o *Orchestrator) Snapshot() *State {
 	s := &State{
 		nextID:        o.nextID,
 		containers:    make(map[int]*Container, len(o.containers)),
-		byService:     make(map[string][]*Container, len(o.byService)),
-		rr:            make(map[string]int, len(o.rr)),
+		pools:         make(map[*pool]pool, len(o.pools)),
 		migrations:    o.migrations,
 		started:       o.started,
 		stopped:       o.stopped,
@@ -42,18 +40,18 @@ func (o *Orchestrator) Snapshot() *State {
 		s.containers[id] = c
 		s.flags = append(s.flags, containerFlags{ptr: c, active: c.active, stopping: c.stopping})
 	}
-	for svc, list := range o.byService {
-		s.byService[svc] = append([]*Container(nil), list...)
-	}
-	for svc, i := range o.rr {
-		s.rr[svc] = i
+	for _, p := range o.pools {
+		s.pools[p] = pool{list: append([]*Container(nil), p.list...), rr: p.rr}
 	}
 	return s
 }
 
-// Restore rewinds the orchestrator to the snapshot. The per-service lists
-// are refilled from fresh copies (Remove mutates list backing arrays in
-// place, so the snapshot's own copies must never be handed to live state).
+// Restore rewinds the orchestrator to the snapshot. Pools are reset in
+// place, never replaced, because the executor's placement handles are
+// bound to them; a pool created after the snapshot rewinds to empty. The
+// instance lists are refilled from fresh copies (Remove mutates list
+// backing arrays in place, so the snapshot's own copies must never be
+// handed to live state).
 func (o *Orchestrator) Restore(s *State) {
 	o.nextID = s.nextID
 	o.migrations = s.migrations
@@ -65,13 +63,10 @@ func (o *Orchestrator) Restore(s *State) {
 	for id, c := range s.containers {
 		o.containers[id] = c
 	}
-	clear(o.byService)
-	for svc, list := range s.byService {
-		o.byService[svc] = append([]*Container(nil), list...)
-	}
-	clear(o.rr)
-	for svc, i := range s.rr {
-		o.rr[svc] = i
+	for _, p := range o.pools {
+		saved := s.pools[p]
+		p.list = append([]*Container(nil), saved.list...)
+		p.rr = saved.rr
 	}
 	for _, f := range s.flags {
 		f.ptr.active, f.ptr.stopping = f.active, f.stopping

@@ -11,13 +11,11 @@ func span(svc string, at sim.Time) Span {
 	return Span{Service: svc, Host: "h0", Submit: at, Start: at, End: at.Add(time.Millisecond)}
 }
 
-// TestAddSpanZeroAllocs pins the hot-path claim from the redesign: with the
-// per-service tallies presized and a recycled span backing array, recording
-// a span is allocation-free.
+// TestAddSpanZeroAllocs pins the hot-path claim from the redesign: with a
+// recycled span backing array, recording a span is allocation-free.
 func TestAddSpanZeroAllocs(t *testing.T) {
 	c := NewCollector()
 	c.KeepSpans = false
-	c.Presize([]string{"svc"}, 16384)
 	c.Grow(16)
 
 	// Warm a large span backing array through the pool: finish a fat trace
@@ -42,12 +40,11 @@ func TestAddSpanZeroAllocs(t *testing.T) {
 
 // TestTraceLifecycleZeroAllocs covers the whole per-request cycle —
 // StartTrace, AddSpan, FinishTrace — at steady state: the Trace slab,
-// span pool, finish-ordered stores and tallies are all pre-grown, so an
+// span pool and finish-ordered stores are all pre-grown, so an
 // entire simulated request costs zero collector allocations.
 func TestTraceLifecycleZeroAllocs(t *testing.T) {
 	c := NewCollector()
 	c.KeepSpans = false
-	c.Presize([]string{"svc"}, 16384)
 
 	// One warm-up cycle creates the region series and seeds the span pool,
 	// then Grow pre-fills every store including the Trace slab.

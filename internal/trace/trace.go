@@ -2,7 +2,9 @@
 // the paper's methodology (§3.1): every request produces a trace of spans,
 // one per microservice invocation, from which response times, per-service
 // execution times and call counts are extracted — exactly the inputs the
-// paper feeds its offline analysis and MCF calculator.
+// paper feeds its offline analysis and MCF calculator. Per-service
+// analyses read the retained spans (KeepSpans); the collector keeps no
+// per-service sample lists of its own.
 package trace
 
 import (
@@ -51,6 +53,9 @@ type Trace struct {
 	// Spans lists every invocation, in dispatch order.
 	Spans []Span
 	done  bool
+	// openIdx is the trace's index in its collector's open list while open
+	// (int32 packs it beside done, keeping Trace at its former size).
+	openIdx int32
 }
 
 // Response returns the request's end-to-end response time.
@@ -123,20 +128,16 @@ func (s *series) after(cut sim.Time) []time.Duration {
 const traceSlabSize = 256
 
 // Collector gathers completed traces, like the Zipkin UI on the manager
-// node. It also maintains running per-service tallies and finish-ordered
-// response stores so that analyses do not re-walk (or re-allocate from)
-// every span list per query.
+// node. It also maintains finish-ordered response stores so that latency
+// queries do not re-walk (or re-allocate from) every trace.
 type Collector struct {
 	nextID uint64
-	open   int
 	traces []*Trace
 	// KeepSpans controls whether span lists are retained on completed
 	// traces. Long experiments that only need response times can disable
 	// it to bound memory; the collector then recycles span backing arrays
 	// across traces, making steady-state span recording allocation-free.
 	KeepSpans bool
-
-	execByService map[string][]time.Duration
 
 	all      series
 	byRegion map[string]*series
@@ -153,39 +154,23 @@ type Collector struct {
 	slab     []Trace
 	spanPool [][]Span
 
-	// openList tracks the open traces in start order so a snapshot can
-	// enumerate (and a restore rewind) in-flight requests. Traces finish
-	// roughly in start order, so the removal scan stays near the front.
+	// openList tracks the open traces (index-tracked, swap-removed) so a
+	// snapshot can enumerate (and a restore rewind) in-flight requests.
 	openList []*Trace
 }
 
 // NewCollector returns an empty collector that retains spans.
 func NewCollector() *Collector {
 	return &Collector{
-		KeepSpans:     true,
-		execByService: make(map[string][]time.Duration),
-		byRegion:      make(map[string]*series),
+		KeepSpans: true,
+		byRegion:  make(map[string]*series),
 	}
 }
 
-// Presize primes the per-service execution tallies for the given services
-// (reserving spansPerService capacity each, if positive) so the map never
-// rehashes and early appends never reallocate on the hot path. Services
-// that never record a span stay invisible to Services()/MeanExec.
-func (c *Collector) Presize(services []string, spansPerService int) {
-	if c.execByService == nil {
-		c.execByService = make(map[string][]time.Duration, len(services))
-	}
-	for _, s := range services {
-		if _, ok := c.execByService[s]; !ok {
-			if spansPerService > 0 {
-				c.execByService[s] = make([]time.Duration, 0, spansPerService)
-			} else {
-				c.execByService[s] = nil
-			}
-		}
-	}
-}
+// Presize does nothing: the collector no longer keeps per-service tallies
+// to reserve. It remains only because the benchmark module's probes
+// (bench/probes.go) call it, and goes once they stop.
+func (c *Collector) Presize(services []string, spansPerService int) {}
 
 // Grow pre-allocates storage for about nTraces completed traces, so a run
 // with a known request population never grows the finish-ordered stores.
@@ -228,11 +213,11 @@ func (c *Collector) allocTrace() *Trace {
 // StartTrace opens a trace for a request entering region at time at.
 func (c *Collector) StartTrace(region string, at sim.Time) *Trace {
 	c.nextID++
-	c.open++
 	t := c.allocTrace()
 	t.ID = c.nextID
 	t.Region = region
 	t.Begin = at
+	t.openIdx = int32(len(c.openList))
 	c.openList = append(c.openList, t)
 	if !c.KeepSpans {
 		if n := len(c.spanPool); n > 0 {
@@ -244,14 +229,12 @@ func (c *Collector) StartTrace(region string, at sim.Time) *Trace {
 	return t
 }
 
-// AddSpan appends a completed span to an open trace and feeds the
-// per-service tallies.
+// AddSpan appends a completed span to an open trace.
 func (c *Collector) AddSpan(t *Trace, s Span) {
 	if t.done {
 		panic("trace: AddSpan on a finished trace")
 	}
 	t.Spans = append(t.Spans, s)
-	c.execByService[s.Service] = append(c.execByService[s.Service], s.Exec())
 	if c.OnSpan != nil {
 		c.OnSpan(s)
 	}
@@ -264,15 +247,12 @@ func (c *Collector) FinishTrace(t *Trace, at sim.Time) {
 	}
 	t.Finish = at
 	t.done = true
-	c.open--
-	for i, o := range c.openList {
-		if o == t {
-			copy(c.openList[i:], c.openList[i+1:])
-			c.openList[len(c.openList)-1] = nil
-			c.openList = c.openList[:len(c.openList)-1]
-			break
-		}
-	}
+	n := len(c.openList) - 1
+	last := c.openList[n]
+	c.openList[t.openIdx] = last
+	last.openIdx = t.openIdx
+	c.openList[n] = nil
+	c.openList = c.openList[:n]
 	if !c.KeepSpans {
 		if cap(t.Spans) > 0 {
 			c.spanPool = append(c.spanPool, t.Spans[:0])
@@ -297,7 +277,7 @@ func (c *Collector) FinishTrace(t *Trace, at sim.Time) {
 func (c *Collector) Traces() []*Trace { return c.traces }
 
 // Open returns the number of traces started but not finished.
-func (c *Collector) Open() int { return c.open }
+func (c *Collector) Open() int { return len(c.openList) }
 
 // Count returns the number of completed traces, optionally filtered by
 // region ("" matches all).
@@ -338,37 +318,6 @@ func (c *Collector) ResponseAfter(region string, cut sim.Time) []time.Duration {
 		return c.all.after(cut)
 	}
 	return c.byRegion[region].after(cut)
-}
-
-// ServiceExecTimes returns every recorded execution time for service,
-// across all traces, in recording order.
-func (c *Collector) ServiceExecTimes(service string) []time.Duration {
-	return c.execByService[service]
-}
-
-// Services returns the names of all services with recorded spans, sorted.
-func (c *Collector) Services() []string {
-	out := make([]string, 0, len(c.execByService))
-	for s, xs := range c.execByService {
-		if len(xs) > 0 {
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// MeanExec returns the mean execution time recorded for service, or 0.
-func (c *Collector) MeanExec(service string) time.Duration {
-	xs := c.execByService[service]
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / time.Duration(len(xs))
 }
 
 // MeanCallTimes returns the average number of invocations of service per

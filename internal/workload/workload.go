@@ -95,6 +95,11 @@ type ClosedLoop struct {
 	alive    int // workers currently looping
 	launched uint64
 	stopped  bool
+
+	// doneFn and loopFn are requestDone and workerLoop, bound once so a
+	// worker's launch and think-time wake-up allocate nothing.
+	doneFn func(*trace.Trace)
+	loopFn sim.Handler
 }
 
 // NewClosedLoop creates a stopped pool; call SetWorkers to start it.
@@ -103,7 +108,9 @@ func NewClosedLoop(eng *sim.Engine, l Launcher, rng *sim.RNG, mix *Mix, think si
 	if think == nil {
 		think = sim.Det(0)
 	}
-	return &ClosedLoop{eng: eng, launcher: l, rng: rng, mix: mix, think: think}
+	c := &ClosedLoop{eng: eng, launcher: l, rng: rng, mix: mix, think: think}
+	c.doneFn, c.loopFn = c.requestDone, c.workerLoop
+	return c
 }
 
 // Launched returns the number of requests started so far.
@@ -145,14 +152,17 @@ func (c *ClosedLoop) workerLoop() {
 	if c.OnLaunch != nil {
 		c.OnLaunch(region)
 	}
-	c.launcher.Launch(region, func(*trace.Trace) {
-		d := c.think.Sample(c.rng)
-		if d <= 0 {
-			c.workerLoop()
-			return
-		}
-		c.eng.Schedule(d, func() { c.workerLoop() })
-	})
+	c.launcher.Launch(region, c.doneFn)
+}
+
+// requestDone thinks, then loops the worker that launched the request.
+func (c *ClosedLoop) requestDone(*trace.Trace) {
+	d := c.think.Sample(c.rng)
+	if d <= 0 {
+		c.workerLoop()
+		return
+	}
+	c.eng.Schedule(d, c.loopFn)
 }
 
 // OpenLoop issues requests as a Poisson process at a settable rate,
