@@ -10,8 +10,6 @@ package app
 type BuiltinFamily struct {
 	// Name is the selection key ("study", "full", "socialnet").
 	Name string
-	// Desc is the one-line description CLI help prints.
-	Desc string
 	// New builds a fresh Spec (specs are cheap; callers that mutate or
 	// run concurrently should build one each).
 	New func() *Spec
@@ -19,9 +17,12 @@ type BuiltinFamily struct {
 
 // builtins is ordered for presentation: the default family first.
 var builtins = []BuiltinFamily{
-	{"study", "TrainTicket §6 study (8 services, regions A/B)", TwoRegionStudy},
-	{"full", "full TrainTicket (42 services, 6 regions)", TrainTicket},
-	{"socialnet", "social network (DeathStarBench-style, 3 regions)", SocialNetwork},
+	// TrainTicket §6 study (8 services, regions A/B).
+	{"study", TwoRegionStudy},
+	// Full TrainTicket (42 services, 6 regions).
+	{"full", TrainTicket},
+	// Social network (DeathStarBench-style, 3 regions).
+	{"socialnet", SocialNetwork},
 }
 
 // Builtin resolves a family name ("" selects the default, "study").

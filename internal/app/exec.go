@@ -136,12 +136,6 @@ func NewExecutor(eng *sim.Engine, spec *Spec, place Placement, col *trace.Collec
 	}
 }
 
-// Spec returns the application the executor replays.
-func (x *Executor) Spec() *Spec { return x.spec }
-
-// Collector returns the trace collector receiving spans.
-func (x *Executor) Collector() *trace.Collector { return x.col }
-
 // SetProfiler attaches a phase profiler to the executor's invocation
 // counter (nil detaches). Wired by the engine builder.
 func (x *Executor) SetProfiler(p *prof.Profiler) { x.prof = p }

@@ -329,44 +329,3 @@ func (s *Spec) PlacedServices() []string {
 
 // NumServices returns the total registered service count.
 func (s *Spec) NumServices() int { return len(s.serviceOrder) }
-
-// RegionsCalling returns the regions that invoke service, in registration
-// order.
-func (s *Spec) RegionsCalling(service string) []*Region {
-	var out []*Region
-	for _, rn := range s.regionOrder {
-		r := s.regions[rn]
-		if _, ok := r.CallTo(service); ok {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// UnthrottledResponse estimates a region's no-contention response time at
-// FreqMax: API work plus, per stage, the serialized call weights divided by
-// their concurrency. It is the normalization basis ("w/o throttling") used
-// by Figures 6 and 15.
-func (s *Spec) UnthrottledResponse(region string) time.Duration {
-	r := s.regions[region]
-	if r == nil {
-		return 0
-	}
-	total := r.APIExec
-	for _, st := range r.Stages {
-		var stageMax time.Duration
-		for _, c := range st {
-			conc := c.Concurrency
-			if conc < 1 {
-				conc = 1
-			}
-			batches := (c.Times + conc - 1) / conc
-			d := time.Duration(batches) * c.Exec
-			if d > stageMax {
-				stageMax = d
-			}
-		}
-		total += stageMax
-	}
-	return total
-}

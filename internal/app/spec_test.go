@@ -223,36 +223,6 @@ func TestAddRegionResolvesAgainstItsOwnSpec(t *testing.T) {
 	}
 }
 
-func TestUnthrottledResponse(t *testing.T) {
-	s := TwoRegionStudy()
-	ra := s.UnthrottledResponse("A")
-	rb := s.UnthrottledResponse("B")
-	if ra <= rb {
-		t.Fatalf("A (%v) should be slower than B (%v)", ra, rb)
-	}
-	// Region B: 3ms API + max(2*4.1, 2*2.8) + max(2*1.2, 1*1.4) = 13.6ms.
-	want := 13600 * time.Microsecond
-	if math.Abs(float64(rb-want)) > float64(100*time.Microsecond) {
-		t.Fatalf("unthrottled B = %v, want ~%v", rb, want)
-	}
-	if s.UnthrottledResponse("nope") != 0 {
-		t.Fatal("unknown region should be 0")
-	}
-}
-
-func TestRegionsCalling(t *testing.T) {
-	s := TwoRegionStudy()
-	if got := len(s.RegionsCalling("ticketinfo")); got != 2 {
-		t.Fatalf("ticketinfo called by %d regions, want 2", got)
-	}
-	if got := len(s.RegionsCalling("seat")); got != 1 {
-		t.Fatalf("seat called by %d regions, want 1", got)
-	}
-	if got := len(s.RegionsCalling("nope")); got != 0 {
-		t.Fatalf("unknown service called by %d regions, want 0", got)
-	}
-}
-
 func TestSpecValidationPanics(t *testing.T) {
 	cases := []struct {
 		name string

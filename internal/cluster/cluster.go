@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"servicefridge/internal/sim"
 )
@@ -85,16 +84,6 @@ func (c *Cluster) SetAllMaxFreq(max GHz) {
 	for _, s := range c.servers {
 		s.SetMaxFreq(max)
 	}
-}
-
-// SortedNames returns all server names sorted, for stable report output.
-func (c *Cluster) SortedNames() []string {
-	names := make([]string, len(c.servers))
-	for i, s := range c.servers {
-		names[i] = s.Name()
-	}
-	sort.Strings(names)
-	return names
 }
 
 // DefaultTestbed builds the five-node cluster of Table 2: one manager

@@ -55,7 +55,6 @@ type Job struct {
 	factor    float64       // current slowdown factor
 	since     sim.Time      // when remaining was last recomputed
 	timer     sim.Timer
-	running   bool
 	// srv is the server the job was last submitted to. fire is the job's
 	// completion handler, bound on first Submit and reading srv when it
 	// runs, so no completion of a recycled or restored job allocates.
@@ -218,7 +217,6 @@ func (s *Server) start(j *Job) {
 	j.remaining = j.Demand
 	j.factor = j.slowdownAt(s.freq)
 	j.since = s.eng.Now()
-	j.running = true
 	if j.cellSrv != s || j.cellTag != j.Tag {
 		cell := s.busyByTag[j.Tag]
 		if cell == nil {
@@ -249,7 +247,6 @@ func (s *Server) complete(j *Job) {
 			break
 		}
 	}
-	j.running = false
 	j.remaining = 0
 	s.completedJobs++
 	// Start the next queued job before the completion callback so that

@@ -21,7 +21,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"servicefridge/internal/app"
@@ -83,9 +82,6 @@ func BuildGraph(spec *app.Spec) *Graph {
 	return g
 }
 
-// Spec returns the application the graph was built from.
-func (g *Graph) Spec() *app.Spec { return g.spec }
-
 // Services returns the V_F vertices (function services with at least one
 // edge), in first-seen order.
 func (g *Graph) Services() []string { return append([]string(nil), g.services...) }
@@ -112,12 +108,4 @@ func (g *Graph) Beta(service string, f cluster.GHz) float64 {
 		return 1
 	}
 	return ms.Beta(f)
-}
-
-// SortedServices returns the V_F vertices sorted by name, for stable
-// report output.
-func (g *Graph) SortedServices() []string {
-	out := g.Services()
-	sort.Strings(out)
-	return out
 }

@@ -28,9 +28,6 @@ func NewCalculator(g *Graph) *Calculator {
 	return &Calculator{g: g, RTRef: DefaultRTRef}
 }
 
-// Graph returns the underlying bipartite graph.
-func (c *Calculator) Graph() *Graph { return c.g }
-
 func (c *Calculator) rtRef() time.Duration {
 	if c.RTRef > 0 {
 		return c.RTRef

@@ -26,14 +26,14 @@ func TestValidate(t *testing.T) {
 		cfg  Config
 		want string // substring of the error
 	}{
-		{"unknown scheme", Config{Scheme: "Nonsense"}, `unknown scheme "Nonsense"`},
+		{"unknown scheme", Config{Scheme: "Nonsense"}, `unknown scheme "Nonsense" (known: Baseline, Capping`},
 		{"negative budget", Config{BudgetFraction: -0.5}, "BudgetFraction"},
+		{"budget above one", Config{BudgetFraction: 1.5}, "BudgetFraction 1.5 must be in (0, 1]"},
 		{"negative max required", Config{MaxRequired: -1}, "MaxRequired"},
 		{"negative workers", Config{Workers: -1}, "Workers"},
 		{"negative extra workers", Config{ExtraWorkers: -2}, "ExtraWorkers"},
 		{"negative warmup", Config{Warmup: -time.Second}, "Warmup"},
 		{"negative control interval", Config{ControlInterval: -time.Second}, "ControlInterval"},
-		{"negative meter interval", Config{MeterInterval: -time.Second}, "MeterInterval"},
 		{"negative startup delay", Config{StartupDelay: -time.Second}, "StartupDelay"},
 		{"pin unknown service", Config{PinTo: map[string]string{"ghost": "serverB"}}, `unknown service "ghost"`},
 		{"pin empty node", Config{PinTo: map[string]string{"seat": ""}}, "empty node"},

@@ -51,6 +51,10 @@ func AllSchemes() []SchemeName {
 	return out
 }
 
+// meterInterval is the power sampling period, shared by the meter and
+// the TrackFreqOf frequency traces.
+const meterInterval = time.Second
+
 // Config describes one experiment run.
 type Config struct {
 	// Seed drives all randomness; equal configs with equal seeds yield
@@ -61,7 +65,7 @@ type Config struct {
 	// Scheme is the power-management policy; empty defaults to Baseline.
 	Scheme SchemeName
 	// BudgetFraction is the power budget as a fraction of maximum
-	// required power (§6: 100% down to 75%); 0 defaults to 1.0.
+	// required power (§6: 100% down to 75%), in (0, 1]; 0 defaults to 1.0.
 	BudgetFraction float64
 	// MaxRequired, when positive, is the measured maximum required power
 	// the budget fraction applies to (from a calibration run — see
@@ -83,8 +87,6 @@ type Config struct {
 	ExtraWorkers int
 	// Mix is the region request mix; nil defaults to A:B = 1:1.
 	Mix *workload.Mix
-	// Think is per-worker think time between requests (nil = none).
-	Think sim.Dist
 	// Phases optionally schedules workload changes (Figure 13); applied
 	// from t=0.
 	Phases []workload.Phase
@@ -105,8 +107,6 @@ type Config struct {
 	Duration time.Duration
 	// ControlInterval is the scheme tick period (default 1s).
 	ControlInterval time.Duration
-	// MeterInterval is the power sampling period (default 1s).
-	MeterInterval time.Duration
 	// PinTo pins services to named nodes before round-robin deployment
 	// of the rest (§3.4 isolates the observed service on serverB).
 	PinTo map[string]string
@@ -181,9 +181,6 @@ func (c *Config) fill() {
 	if c.ControlInterval == 0 {
 		c.ControlInterval = time.Second
 	}
-	if c.MeterInterval == 0 {
-		c.MeterInterval = time.Second
-	}
 }
 
 // Validate reports the first problem that would make the configuration
@@ -199,8 +196,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: unknown scheme %q (known: %s)",
 			c.Scheme, strings.Join(schemes.Names(), ", "))
 	}
-	if c.BudgetFraction <= 0 {
-		return fmt.Errorf("engine: BudgetFraction %v must be positive", c.BudgetFraction)
+	if c.BudgetFraction <= 0 || c.BudgetFraction > 1 {
+		return fmt.Errorf("engine: BudgetFraction %v must be in (0, 1]", c.BudgetFraction)
 	}
 	if c.MaxRequired < 0 {
 		return fmt.Errorf("engine: MaxRequired %v must not be negative", c.MaxRequired)
@@ -214,9 +211,8 @@ func (c Config) Validate() error {
 	if c.Warmup < 0 || c.Duration < 0 {
 		return fmt.Errorf("engine: Warmup %v and Duration %v must not be negative", c.Warmup, c.Duration)
 	}
-	if c.ControlInterval <= 0 || c.MeterInterval <= 0 {
-		return fmt.Errorf("engine: ControlInterval %v and MeterInterval %v must be positive",
-			c.ControlInterval, c.MeterInterval)
+	if c.ControlInterval <= 0 {
+		return fmt.Errorf("engine: ControlInterval %v must be positive", c.ControlInterval)
 	}
 	if c.StartupDelay < 0 {
 		return fmt.Errorf("engine: StartupDelay %v must not be negative", c.StartupDelay)
@@ -424,7 +420,7 @@ func BuildE(cfg Config) (*Result, error) {
 	exec.SetProfiler(pr)
 
 	model := power.DefaultModel()
-	meter := power.NewMeter(cl, model, cfg.MeterInterval)
+	meter := power.NewMeter(cl, model, meterInterval)
 	budgetVal := power.NewBudget(model, cl.Size(), cfg.BudgetFraction)
 	budget := &budgetVal
 	budget.Base = cfg.MaxRequired
@@ -469,7 +465,7 @@ func BuildE(cfg Config) (*Result, error) {
 		launcher = built.WrapLauncher(exec)
 	}
 
-	res.Gen = workload.NewClosedLoop(eng, launcher, eng.RNG().Stream("workload"), cfg.Mix, cfg.Think)
+	res.Gen = workload.NewClosedLoop(eng, launcher, eng.RNG().Stream("workload"), cfg.Mix)
 	res.Pools = make(map[string]*workload.ClosedLoop)
 	res.OpenLoops = make(map[string]*workload.OpenLoop)
 	profileRegions := map[string]bool{}
@@ -482,7 +478,7 @@ func BuildE(cfg Config) (*Result, error) {
 		regionMix := workload.NewMix([]string{region}, map[string]float64{region: 1})
 		if cfg.PoolWorkers[region] > 0 || (cfg.ProfileClosed && profileRegions[region]) {
 			pool := workload.NewClosedLoop(eng, launcher,
-				eng.RNG().Stream("workload-"+region), regionMix, cfg.Think)
+				eng.RNG().Stream("workload-"+region), regionMix)
 			res.Pools[region] = pool
 		}
 		if cfg.OpenLoopRate[region] > 0 || (!cfg.ProfileClosed && profileRegions[region]) {
@@ -541,7 +537,7 @@ func BuildE(cfg Config) (*Result, error) {
 		eng.Every(tel.Interval(), tel.Sample)
 	}
 	if len(cfg.TrackFreqOf) > 0 {
-		eng.Every(cfg.MeterInterval, func() {
+		eng.Every(meterInterval, func() {
 			for _, svc := range cfg.TrackFreqOf {
 				nodes := orch.NodesOf(svc)
 				if len(nodes) == 0 {
@@ -678,6 +674,20 @@ func (r *Result) CritPathBlame() *trace.BlameAccumulator {
 	return acc
 }
 
+// PeakDraw returns the highest metered cluster draw of the run. On an
+// uncapped Baseline run it is the maximum required power
+// CalibrateMaxRequired measures, so a caller that already ran that
+// configuration reads the budget base from it instead of running it again.
+func (r *Result) PeakDraw() power.Watts {
+	var peak power.Watts
+	for _, cs := range r.Meter.ClusterSamples() {
+		if cs.Total > peak {
+			peak = cs.Total
+		}
+	}
+	return peak
+}
+
 // CalibrateMaxRequired measures the maximum required power of a workload:
 // it runs the configuration uncapped (Baseline at 100%) and returns the
 // peak cluster draw, the base the paper's §6 budget percentages refer to.
@@ -685,14 +695,7 @@ func CalibrateMaxRequired(cfg Config) power.Watts {
 	cfg.Scheme = Baseline
 	cfg.BudgetFraction = 1.0
 	cfg.MaxRequired = 0
-	res := Run(cfg)
-	var peak power.Watts
-	for _, cs := range res.Meter.ClusterSamples() {
-		if cs.Total > peak {
-			peak = cs.Total
-		}
-	}
-	return peak
+	return Run(cfg).PeakDraw()
 }
 
 func phaseLength(phases []workload.Phase) time.Duration {

@@ -107,6 +107,20 @@ func TestMaxRequiredSetsBudgetBase(t *testing.T) {
 	}
 }
 
+// TestPeakDrawMatchesCalibration pins the equivalence the experiments rely
+// on when they read the budget base off an uncapped Baseline run they
+// already have instead of calibrating the same configuration again.
+func TestPeakDrawMatchesCalibration(t *testing.T) {
+	cfg := quick(Config{Seed: 3})
+	peak := Run(cfg).PeakDraw()
+	if peak <= 0 {
+		t.Fatal("uncapped run metered no draw")
+	}
+	if cal := CalibrateMaxRequired(cfg); peak != cal {
+		t.Fatalf("Run(cfg).PeakDraw() = %v, CalibrateMaxRequired(cfg) = %v", peak, cal)
+	}
+}
+
 func TestPinToExcludesNodeFromRoundRobin(t *testing.T) {
 	res := Build(Config{Seed: 1, PinTo: map[string]string{"seat": "serverB"}})
 	nodes := res.Orch.NodesOf("seat")

@@ -150,14 +150,14 @@ func (r *Result) SetBudgetFraction(fraction float64) {
 // is still provably independent of the budget fraction — the latest safe
 // snapshot point for a budget sweep. The fraction is first read at the
 // first control tick (ControlInterval); instrumented runs also read it at
-// the first meter emission (MeterInterval, when Events records) and the
+// the first meter emission (meterInterval, when Events records) and the
 // first telemetry sample (Telemetry.Interval). One nanosecond before the
 // earliest of those, nothing budget-dependent has executed yet.
 func (r *Result) WarmBarrier() sim.Time {
 	cfg := r.Config
 	barrier := cfg.ControlInterval
-	if cfg.Events != nil && cfg.MeterInterval < barrier {
-		barrier = cfg.MeterInterval
+	if cfg.Events != nil && meterInterval < barrier {
+		barrier = meterInterval
 	}
 	if cfg.Telemetry != nil && cfg.Telemetry.Interval() < barrier {
 		barrier = cfg.Telemetry.Interval()

@@ -7,7 +7,6 @@ import (
 	"servicefridge/internal/app"
 	"servicefridge/internal/engine"
 	"servicefridge/internal/metrics"
-	"servicefridge/internal/power"
 )
 
 // Extension experiments go beyond the paper's figures: the scale-out study
@@ -69,13 +68,7 @@ func ExtScaleOut(seed uint64) []*metrics.Table {
 		}
 		calCfg := base
 		calCfg.Spec = app.TwoRegionStudy()
-		maxReqRes := runScaled(calCfg)
-		var maxReq power.Watts
-		for _, cs := range maxReqRes.Meter.ClusterSamples() {
-			if cs.Total > maxReq {
-				maxReq = cs.Total
-			}
-		}
+		maxReq := runScaled(calCfg).PeakDraw()
 		run := func(s engine.SchemeName) metrics.Summary {
 			cfg := base
 			cfg.Spec = app.TwoRegionStudy()
@@ -114,7 +107,8 @@ func ExtOpenLoop(seed uint64) []*metrics.Table {
 	window := cal.Engine.Now().Sub(cal.WarmupEnd).Seconds()
 	rateA := 0.8 * float64(cal.Summary("A").Count) / window
 	rateB := 0.8 * float64(cal.Summary("B").Count) / window
-	maxReq := engine.CalibrateMaxRequired(base)
+	// base is an uncapped Baseline run, so cal is the calibration run.
+	maxReq := cal.PeakDraw()
 
 	tb := metrics.NewTable(
 		fmt.Sprintf("Extension: open-loop (A %.1f req/s, B %.1f req/s) at 80%% budget", rateA, rateB),

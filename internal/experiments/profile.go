@@ -150,16 +150,16 @@ func Figure6(seed uint64) []*metrics.Table {
 	critical := []string{"station", "ticketinfo", "travel"}
 	nonCritical := []string{"basic", "seat"}
 
-	// Twelve independent runs (per frequency: the default deployment plus
-	// five isolation configurations), fanned out across the pool.
+	// Eleven independent runs (the default deployment, which does not
+	// depend on the frequency, plus five isolation configurations per
+	// frequency), fanned out across the pool.
 	type cell struct {
 		observed string
 		freq     cluster.GHz
 	}
-	var cells []cell
+	cells := []cell{{"", cluster.FreqMax}}
 	freqs := []cluster.GHz{cluster.FreqMax, 1.8}
 	for _, f := range freqs {
-		cells = append(cells, cell{"", cluster.FreqMax})
 		for _, svc := range critical {
 			cells = append(cells, cell{svc, f})
 		}
@@ -184,20 +184,20 @@ func Figure6(seed uint64) []*metrics.Table {
 	})
 
 	var tables []*metrics.Table
-	perFreq := 1 + len(critical) + len(nonCritical)
+	base := summaries[0]
+	perFreq := len(critical) + len(nonCritical)
 	for fi, f := range freqs {
 		tb := metrics.NewTable(
 			fmt.Sprintf("Figure 6: whole-application QoS, observed MS isolated at %v", f),
 			"configuration", "mean", "p90", "p95", "p99")
-		row := summaries[fi*perFreq:]
-		base := row[0]
+		row := summaries[1+fi*perFreq:]
 		tb.Rowf("baseline (default swarm deploy)", base.Mean, base.P90, base.P95, base.P99)
 		for i, svc := range critical {
-			s := row[1+i]
+			s := row[i]
 			tb.Rowf("isolate "+svc+" (critical)", s.Mean, s.P90, s.P95, s.P99)
 		}
 		for i, svc := range nonCritical {
-			s := row[1+len(critical)+i]
+			s := row[len(critical)+i]
 			tb.Rowf("isolate "+svc+" (non-critical)", s.Mean, s.P90, s.P95, s.P99)
 		}
 		tables = append(tables, tb)

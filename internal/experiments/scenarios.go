@@ -57,9 +57,8 @@ func ExtScenarios(seed uint64) []*metrics.Table {
 		for _, r := range regions {
 			rates[r] = 0.6 * float64(cal.Summary(r).Count) / window
 		}
-		calCfg := base
-		calCfg.Spec = a.build()
-		maxReq := engine.CalibrateMaxRequired(calCfg)
+		// base is an uncapped Baseline run, so cal is the calibration run.
+		maxReq := cal.PeakDraw()
 
 		in := workload.GenInput{Regions: regions, Rates: rates, Horizon: warmup + measure, Seed: seed}
 		profiles := map[string]*workload.Profile{}

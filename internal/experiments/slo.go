@@ -36,7 +36,8 @@ func ExtSLO(seed uint64) []*metrics.Table {
 	window := cal.Engine.Now().Sub(cal.WarmupEnd).Seconds()
 	rateA := 0.8 * float64(cal.Summary("A").Count) / window
 	rateB := 0.8 * float64(cal.Summary("B").Count) / window
-	maxReq := engine.CalibrateMaxRequired(base)
+	// base is an uncapped Baseline run, so cal is the calibration run.
+	maxReq := cal.PeakDraw()
 
 	type combo struct {
 		scheme engine.SchemeName

@@ -1,8 +1,9 @@
 // Package metrics provides the statistics the paper reports: mean response
-// time, percentile tail latencies (p90/p95/p99), response-time CDFs
-// (Figure 5), execution-time histograms (Figure 3's heatmap), and
-// normalized summaries (Figure 15 normalizes service time to the
-// unthrottled baseline).
+// time and percentile tail latencies (p90/p95/p99) over exact sorted
+// samples, normalized summaries (Figure 15 normalizes service time to the
+// uncapped baseline), Kendall rank correlation, bounded-memory streaming
+// and windowed histograms for live telemetry, and the aligned text and CSV
+// tables every experiment prints.
 package metrics
 
 import (
@@ -142,86 +143,6 @@ func (s Summary) NormalizeTo(base time.Duration) NormalizedSummary {
 	}
 	f := func(d time.Duration) float64 { return float64(d) / float64(base) }
 	return NormalizedSummary{Mean: f(s.Mean), P90: f(s.P90), P95: f(s.P95), P99: f(s.P99)}
-}
-
-// CDFPoint is one (latency, cumulative fraction) point.
-type CDFPoint struct {
-	Value time.Duration
-	Frac  float64
-}
-
-// CDF returns n evenly spaced quantile points, suitable for plotting the
-// response-time CDFs of Figure 5.
-func (s *LatencyStats) CDF(n int) []CDFPoint {
-	if n < 2 || len(s.samples) == 0 {
-		return nil
-	}
-	out := make([]CDFPoint, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		out[i] = CDFPoint{Value: s.Percentile(q), Frac: q}
-	}
-	return out
-}
-
-// Histogram counts samples into explicit right-closed bins, the form of
-// Figure 3's x-axis intervals ("(0.9,1.0] ... (18.4,20.2] ms").
-type Histogram struct {
-	// Edges are the n+1 boundaries of n bins, ascending.
-	Edges []time.Duration
-	// Counts[i] counts samples in (Edges[i], Edges[i+1]].
-	Counts []int
-	// Under and Over count samples outside the edge range.
-	Under, Over int
-}
-
-// NewHistogram builds a histogram over the given edges.
-func NewHistogram(edges []time.Duration) *Histogram {
-	if len(edges) < 2 {
-		panic("metrics: histogram needs at least two edges")
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			panic("metrics: histogram edges must ascend")
-		}
-	}
-	return &Histogram{Edges: edges, Counts: make([]int, len(edges)-1)}
-}
-
-// Add bins one sample.
-func (h *Histogram) Add(d time.Duration) {
-	if d <= h.Edges[0] {
-		h.Under++
-		return
-	}
-	if d > h.Edges[len(h.Edges)-1] {
-		h.Over++
-		return
-	}
-	i := sort.Search(len(h.Edges), func(i int) bool { return h.Edges[i] >= d })
-	h.Counts[i-1]++
-}
-
-// Total returns the number of in-range samples.
-func (h *Histogram) Total() int {
-	n := 0
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// Fractions returns per-bin fractions of in-range samples (0s if empty).
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Counts))
-	total := h.Total()
-	if total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(total)
-	}
-	return out
 }
 
 // Table renders aligned text tables for the experiment harness. Cells are

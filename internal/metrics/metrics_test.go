@@ -121,77 +121,6 @@ func TestPercentileOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	s := FromSamples([]time.Duration{msd(1), msd(2), msd(3), msd(4), msd(5)})
-	pts := s.CDF(5)
-	if len(pts) != 5 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	if pts[0].Value != msd(1) || pts[0].Frac != 0 {
-		t.Fatalf("first point %+v", pts[0])
-	}
-	if pts[4].Value != msd(5) || pts[4].Frac != 1 {
-		t.Fatalf("last point %+v", pts[4])
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Value < pts[i-1].Value || pts[i].Frac <= pts[i-1].Frac {
-			t.Fatal("CDF not monotone")
-		}
-	}
-	if s2 := NewLatencyStats(); s2.CDF(5) != nil {
-		t.Fatal("empty CDF should be nil")
-	}
-}
-
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram([]time.Duration{msd(0), msd(1), msd(2), msd(5)})
-	h.Add(msd(0.5)) // bin 0
-	h.Add(msd(1))   // bin 0 (right-closed)
-	h.Add(msd(1.5)) // bin 1
-	h.Add(msd(4))   // bin 2
-	h.Add(msd(5))   // bin 2
-	h.Add(msd(6))   // over
-	h.Add(msd(0))   // under (left edge exclusive)
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[2] != 2 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if h.Over != 1 || h.Under != 1 {
-		t.Fatalf("over/under = %d/%d", h.Over, h.Under)
-	}
-	if h.Total() != 5 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	fr := h.Fractions()
-	if math.Abs(fr[0]-0.4) > 1e-9 {
-		t.Fatalf("fractions = %v", fr)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	for _, edges := range [][]time.Duration{
-		{msd(1)},
-		{msd(2), msd(1)},
-		{msd(1), msd(1)},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("edges %v should panic", edges)
-				}
-			}()
-			NewHistogram(edges)
-		}()
-	}
-}
-
-func TestHistogramFractionsEmpty(t *testing.T) {
-	h := NewHistogram([]time.Duration{msd(0), msd(1)})
-	fr := h.Fractions()
-	if len(fr) != 1 || fr[0] != 0 {
-		t.Fatalf("fractions = %v", fr)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Demo", "svc", "mean", "p99")
 	tb.Rowf("ticketinfo", msd(12.2), 1.5)

@@ -41,24 +41,5 @@ func (b Budget) MaxPower() Watts {
 // Cap is the admissible cluster draw under the budget.
 func (b Budget) Cap() Watts { return b.MaxPower() * Watts(b.Fraction) }
 
-// Headroom returns Cap minus the current draw (negative when over budget).
-func (b Budget) Headroom(current Watts) Watts { return b.Cap() - current }
-
 // Violated reports whether the current draw exceeds the cap.
 func (b Budget) Violated(current Watts) bool { return current > b.Cap() }
-
-// PerServerCap splits the cap evenly across servers — the naive allocation
-// the uniform Capping comparator uses.
-func (b Budget) PerServerCap() Watts {
-	if b.servers == 0 {
-		return 0
-	}
-	return b.Cap() / Watts(b.servers)
-}
-
-// UniformFreq returns the highest common P-state at which all servers,
-// fully utilized, fit under the cap. This is how a topology-blind capper
-// chooses its setting.
-func (b Budget) UniformFreq() cluster.GHz {
-	return b.model.FreqForPower(b.PerServerCap())
-}

@@ -78,18 +78,3 @@ func (m Model) Dynamic(f cluster.GHz, u float64) Watts {
 // MaxDynamic returns the largest possible dynamic draw (full utilization at
 // FMax).
 func (m Model) MaxDynamic() Watts { return m.Peak - m.Idle }
-
-// FreqForPower returns the highest P-state whose fully-utilized draw does
-// not exceed target. If even the lowest P-state exceeds target, the lowest
-// P-state is returned (a server cannot be powered below idle by DVFS).
-func (m Model) FreqForPower(target Watts) cluster.GHz {
-	best := cluster.FreqMin
-	for _, f := range cluster.PStates() {
-		if m.PeakAt(f) <= target {
-			best = f
-		} else {
-			break
-		}
-	}
-	return best
-}

@@ -3,7 +3,6 @@ package power
 import (
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"servicefridge/internal/cluster"
@@ -73,37 +72,6 @@ func TestCubicScaling(t *testing.T) {
 	}
 }
 
-func TestFreqForPower(t *testing.T) {
-	m := DefaultModel()
-	if got := m.FreqForPower(100); got != cluster.FreqMax {
-		t.Fatalf("FreqForPower(100) = %v, want 2.4", got)
-	}
-	// Below even the min P-state's peak draw, must return FreqMin.
-	if got := m.FreqForPower(1); got != cluster.FreqMin {
-		t.Fatalf("FreqForPower(1) = %v, want 1.2", got)
-	}
-	// The chosen frequency's peak draw never exceeds the target when the
-	// target is achievable.
-	f := func(raw uint8) bool {
-		target := Watts(52 + float64(raw%49)) // 52..100 W (>= PeakAt(FreqMin))
-		got := m.FreqForPower(target)
-		return m.PeakAt(got) <= target+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFreqForPowerPicksHighestFitting(t *testing.T) {
-	m := DefaultModel()
-	for _, f := range cluster.PStates() {
-		got := m.FreqForPower(m.PeakAt(f))
-		if got != f {
-			t.Fatalf("FreqForPower(PeakAt(%v)) = %v, want %v", f, got, f)
-		}
-	}
-}
-
 func TestBudgetArithmetic(t *testing.T) {
 	m := DefaultModel()
 	b := NewBudget(m, 5, 0.8)
@@ -113,14 +81,8 @@ func TestBudgetArithmetic(t *testing.T) {
 	if got := b.Cap(); math.Abs(float64(got-400)) > 1e-9 {
 		t.Fatalf("cap = %v, want 400W", got)
 	}
-	if got := b.PerServerCap(); math.Abs(float64(got-80)) > 1e-9 {
-		t.Fatalf("per-server cap = %v, want 80W", got)
-	}
 	if !b.Violated(401) || b.Violated(399) {
 		t.Fatal("violation detection wrong")
-	}
-	if got := b.Headroom(350); math.Abs(float64(got-50)) > 1e-9 {
-		t.Fatalf("headroom = %v, want 50W", got)
 	}
 }
 
@@ -131,21 +93,6 @@ func TestBudgetClampsFraction(t *testing.T) {
 	}
 	if b := NewBudget(m, 1, 1.5); b.Fraction != 1 {
 		t.Fatal("fraction not clamped to 1")
-	}
-}
-
-func TestBudgetUniformFreqDropsWithBudget(t *testing.T) {
-	m := DefaultModel()
-	prev := cluster.FreqMax
-	for _, frac := range []float64{1.0, 0.95, 0.9, 0.85, 0.8, 0.75} {
-		f := NewBudget(m, 5, frac).UniformFreq()
-		if f > prev {
-			t.Fatalf("uniform freq rose when budget fell: %v at %v", f, frac)
-		}
-		prev = f
-	}
-	if NewBudget(m, 5, 1.0).UniformFreq() != cluster.FreqMax {
-		t.Fatal("100% budget should allow FreqMax")
 	}
 }
 

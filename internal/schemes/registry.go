@@ -3,7 +3,6 @@ package schemes
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"servicefridge/internal/app"
@@ -75,17 +74,6 @@ func Lookup(name string) (Registration, bool) {
 	defer regMu.RUnlock()
 	r, ok := registry[name]
 	return r, ok
-}
-
-// New builds the named scheme, or reports an error naming the known
-// schemes when the name is not registered.
-func New(name string, in BuildInput) (Built, error) {
-	r, ok := Lookup(name)
-	if !ok {
-		return Built{}, fmt.Errorf("schemes: unknown scheme %q (known: %s)",
-			name, strings.Join(Names(), ", "))
-	}
-	return r.New(in), nil
 }
 
 // Names returns every registered scheme name, sorted.

@@ -111,9 +111,6 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // the dispatch phase as self time.
 func (e *Engine) SetProfiler(p *prof.Profiler) { e.prof = p }
 
-// Profiler returns the attached phase profiler (nil when unprofiled).
-func (e *Engine) Profiler() *prof.Profiler { return e.prof }
-
 // Grow pre-allocates calendar capacity for at least n pending events, so a
 // run with a known event population never reallocates the heap slice.
 func (e *Engine) Grow(n int) {

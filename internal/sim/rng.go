@@ -1,6 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// a logical clock, an event calendar, seedable random-number streams and
-// the probability distributions used by the workload and service models.
+// a logical clock, an event calendar, seedable random-number streams with
+// the exponential and log-normal draws the workload and service models
+// use, and the quantile definition every experiment shares.
 //
 // Everything in this repository that involves chance draws from a sim.RNG
 // stream derived from a single root seed, so every experiment, test and
@@ -157,12 +158,4 @@ func (r *RNG) LogNormal(mean, stddev float64) float64 {
 	sigma2 := math.Log(1 + cv2)
 	mu := math.Log(mean) - sigma2/2
 	return math.Exp(r.Norm(mu, math.Sqrt(sigma2)))
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

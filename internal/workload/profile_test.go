@@ -218,7 +218,7 @@ func newDriverRig(t *testing.T, p *Profile, closed bool) *driverRig {
 	rig := &driverRig{eng: eng, open: map[string]*OpenLoop{}, pools: map[string]*ClosedLoop{}}
 	for _, r := range []string{"A", "B"} {
 		if closed {
-			rig.pools[r] = NewClosedLoop(eng, l, eng.RNG().Stream("pool-"+r), NewMix([]string{r}, map[string]float64{r: 1}), nil)
+			rig.pools[r] = NewClosedLoop(eng, l, eng.RNG().Stream("pool-"+r), NewMix([]string{r}, map[string]float64{r: 1}))
 		} else {
 			rig.open[r] = NewOpenLoop(eng, l, eng.RNG().Stream("open-"+r), NewMix([]string{r}, map[string]float64{r: 1}))
 		}

@@ -53,8 +53,6 @@ type Generator func(GenInput) (*Profile, error)
 type Registration struct {
 	// Name is the registry key ("diurnal", "flash-crowd", ...).
 	Name string
-	// Desc is the one-line description CLI help prints.
-	Desc string
 	// New builds the profile.
 	New Generator
 }
@@ -111,9 +109,9 @@ func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
 func roundMS(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
 
 func init() {
+	// Constant per-region base rate from t=0.
 	Register(Registration{
 		Name: "steady",
-		Desc: "constant per-region base rate from t=0",
 		New: func(in GenInput) (*Profile, error) {
 			if err := in.validate(); err != nil {
 				return nil, err
@@ -125,9 +123,10 @@ func init() {
 			return p, p.Validate()
 		},
 	})
+	// 24-step day curve (0.35x night trough to 1x midday peak), regions
+	// phase-shifted by 1/8 day.
 	Register(Registration{
 		Name: "diurnal",
-		Desc: "24-step day curve (0.35x night trough to 1x midday peak), regions phase-shifted by 1/8 day",
 		New: func(in GenInput) (*Profile, error) {
 			if err := in.validate(); err != nil {
 				return nil, err
@@ -147,9 +146,10 @@ func init() {
 			return p, p.Validate()
 		},
 	})
+	// Steady base with a 4x spike on the first region at 40% of the
+	// horizon, stepping back down.
 	Register(Registration{
 		Name: "flash-crowd",
-		Desc: "steady base with a 4x spike on the first region at 40% of the horizon, stepping back down",
 		New: func(in GenInput) (*Profile, error) {
 			if err := in.validate(); err != nil {
 				return nil, err
@@ -170,9 +170,10 @@ func init() {
 			return p, p.Validate()
 		},
 	})
+	// Three seeded correlated bursts (2-4x, all regions at once) inside
+	// the middle 70% of the horizon.
 	Register(Registration{
 		Name: "burst",
-		Desc: "three seeded correlated bursts (2-4x, all regions at once) inside the middle 70% of the horizon",
 		New: func(in GenInput) (*Profile, error) {
 			if err := in.validate(); err != nil {
 				return nil, err

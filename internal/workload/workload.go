@@ -77,39 +77,29 @@ func (m *Mix) Share(region string) float64 {
 }
 
 // ClosedLoop drives a pool of synchronous workers: each worker launches a
-// request, waits for its completion, thinks, and repeats — the behaviour
-// of the paper's Python access programs. The pool size can be changed at
-// runtime (Figure 13 switches 5/15/25 workers every 60 s).
+// request, waits for its completion, and immediately launches the next —
+// the behaviour of the paper's Python access programs. The pool size can
+// be changed at runtime (Figure 13 switches 5/15/25 workers every 60 s).
 type ClosedLoop struct {
 	eng      *sim.Engine
 	launcher Launcher
 	rng      *sim.RNG
 	mix      *Mix
-	think    sim.Dist
-
-	// OnLaunch, if set, observes every request start — the hook the MCF
-	// calculator's indegree counters consume.
-	OnLaunch func(region string)
 
 	target   int // desired workers
 	alive    int // workers currently looping
 	launched uint64
 	stopped  bool
 
-	// doneFn and loopFn are requestDone and workerLoop, bound once so a
-	// worker's launch and think-time wake-up allocate nothing.
+	// doneFn is requestDone, bound once so a worker's launch allocates
+	// nothing.
 	doneFn func(*trace.Trace)
-	loopFn sim.Handler
 }
 
 // NewClosedLoop creates a stopped pool; call SetWorkers to start it.
-// think may be nil for zero think time.
-func NewClosedLoop(eng *sim.Engine, l Launcher, rng *sim.RNG, mix *Mix, think sim.Dist) *ClosedLoop {
-	if think == nil {
-		think = sim.Det(0)
-	}
-	c := &ClosedLoop{eng: eng, launcher: l, rng: rng, mix: mix, think: think}
-	c.doneFn, c.loopFn = c.requestDone, c.workerLoop
+func NewClosedLoop(eng *sim.Engine, l Launcher, rng *sim.RNG, mix *Mix) *ClosedLoop {
+	c := &ClosedLoop{eng: eng, launcher: l, rng: rng, mix: mix}
+	c.doneFn = c.requestDone
 	return c
 }
 
@@ -149,21 +139,11 @@ func (c *ClosedLoop) workerLoop() {
 	}
 	region := c.mix.Pick(c.rng)
 	c.launched++
-	if c.OnLaunch != nil {
-		c.OnLaunch(region)
-	}
 	c.launcher.Launch(region, c.doneFn)
 }
 
-// requestDone thinks, then loops the worker that launched the request.
-func (c *ClosedLoop) requestDone(*trace.Trace) {
-	d := c.think.Sample(c.rng)
-	if d <= 0 {
-		c.workerLoop()
-		return
-	}
-	c.eng.Schedule(d, c.loopFn)
-}
+// requestDone loops the worker that launched the request.
+func (c *ClosedLoop) requestDone(*trace.Trace) { c.workerLoop() }
 
 // OpenLoop issues requests as a Poisson process at a settable rate,
 // independent of completions — for probing beyond the closed-loop
@@ -173,9 +153,6 @@ type OpenLoop struct {
 	launcher Launcher
 	rng      *sim.RNG
 	mix      *Mix
-
-	// OnLaunch observes request starts, as in ClosedLoop.
-	OnLaunch func(region string)
 
 	rate     float64 // requests per second; 0 pauses
 	launched uint64
@@ -193,9 +170,6 @@ func (o *OpenLoop) Launched() uint64 { return o.launched }
 
 // Rate returns the current arrival rate in requests/second.
 func (o *OpenLoop) Rate() float64 { return o.rate }
-
-// SetMix swaps the request mix.
-func (o *OpenLoop) SetMix(m *Mix) { o.mix = m }
 
 // SetRate changes the arrival rate; 0 pauses the generator.
 func (o *OpenLoop) SetRate(perSecond float64) {
@@ -220,9 +194,6 @@ func (o *OpenLoop) scheduleNext(epoch int) {
 		}
 		region := o.mix.Pick(o.rng)
 		o.launched++
-		if o.OnLaunch != nil {
-			o.OnLaunch(region)
-		}
 		o.launcher.Launch(region, nil)
 		o.scheduleNext(epoch)
 	})
