@@ -105,7 +105,7 @@ type phaseCounters struct {
 // frame is one suspended outer scope on the goroutine-local stack.
 type frame struct {
 	phase      Phase
-	allocStart uint64 // allocation counter at entry; 0 when untracked
+	allocStart uint64 // allocation counter at entry, for alloc-tracked phases
 }
 
 // Profiler attributes one run's wall time to phases. The zero value is
@@ -177,7 +177,6 @@ func (p *Profiler) Enter(phase Phase) {
 	if p.depth < maxDepth {
 		f := &p.stack[p.depth]
 		f.phase = p.cur
-		f.allocStart = 0
 		if allocTracked[phase] {
 			f.allocStart = p.allocNow()
 		}
@@ -214,7 +213,10 @@ func (p *Profiler) Exit() {
 	if p.depth < maxDepth {
 		p.phases[p.cur].nanos.Add(now - p.mark)
 		f := &p.stack[p.depth]
-		if f.allocStart != 0 {
+		// The closing scope's own phase says whether its entry count was
+		// read: the counter itself may read 0 early in a process, before
+		// the runtime has flushed any allocation statistics.
+		if allocTracked[p.cur] {
 			if end := p.allocNow(); end > f.allocStart {
 				p.phases[p.cur].allocBytes.Add(int64(end - f.allocStart))
 			}
