@@ -301,8 +301,7 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 }
 
 // benchCollector returns a collector warmed to its allocation-free steady
-// state: stores pre-grown and a span backing array recycled through the
-// pool.
+// state: stores pre-grown and a finished trace ready for reuse.
 func benchCollector(extra int) *trace.Collector {
 	col := trace.NewCollector()
 	col.KeepSpans = false

@@ -147,7 +147,8 @@ func (x *Executor) Launched() uint64 { return x.launched }
 func (x *Executor) Completed() uint64 { return x.completed }
 
 // Launch starts one request against region now. onDone (optional) fires
-// with the completed trace.
+// with the completed trace (see trace.Collector.FinishTrace for how long
+// it stays readable).
 func (x *Executor) Launch(regionName string, onDone func(*trace.Trace)) {
 	r := x.spec.Region(regionName)
 	if r == nil {
@@ -211,8 +212,8 @@ func (r *request) callDone() {
 func (r *request) finish() {
 	x := r.x
 	x.completed++
-	x.col.FinishTrace(r.tr, x.eng.Now())
-	onDone, tr := r.onDone, r.tr
+	tr := x.col.FinishTrace(r.tr, x.eng.Now())
+	onDone := r.onDone
 	x.releaseReq(r)
 	if onDone != nil {
 		onDone(tr)

@@ -9,24 +9,18 @@ import (
 	"servicefridge/internal/workload"
 )
 
-// Session-safe forking. A RunState can only be restored into the Result
-// it was taken from (calendar closures capture pointers into the live
-// object graph), so a what-if fork is not a second engine: it is a
-// detour on the same one. The what-if control plane pauses a run,
-// replays to the fork point from a base snapshot, explores the baseline
-// and perturbed branches to completion, and then replays back to where
-// it paused — every step deterministic, so the detour is invisible to
-// the session's own outputs.
-//
-// Resuming MUST replay (ReplayTo), not restore a bookmark snapshot taken
-// before the detour: snapshots share append-only backing arrays (trace
-// stores, slabs) with the live run, and a perturbed branch overwrites
-// the region beyond its fork point with different values — values a
-// bookmark's prefix may cover. Replaying from the base rebuilds every
-// store from the true event sequence, bit-identical to a run that never
-// forked. Unperturbed detours are exempt (a deterministic replay writes
-// back the exact bytes it overwrites), which is why warm-started sweeps
-// may keep restoring one snapshot without replaying.
+// Forking. A RunState can only be restored into the Result it was taken
+// from (calendar closures capture pointers into the live object graph),
+// so a what-if fork is not a second engine: it is a detour on the same
+// one. Every RunState owns its data, so any RunState of a run restores
+// at any time and in any order, however the run was perturbed in between.
+// A what-if bookmarks where the run is paused, restores (or advances to)
+// a bookmark at the fork point, explores the perturbed branch to
+// completion, and restores the pause bookmark: the detour is invisible to
+// the run's own outputs, byte-identical to a run that never forked. A
+// caller answering many what-ifs keeps bookmarks of the unperturbed run
+// and advances the nearest one with ForkAt when it has none at a fork
+// point.
 
 // Total returns the simulation end time of the run: Warmup+Duration, or
 // the phase schedule's (or traffic profile's) end when that is longer —
@@ -45,9 +39,7 @@ func (r *Result) Total() sim.Time {
 	return sim.Time(total)
 }
 
-// ReplayTo rewinds the run to base and replays it forward to at. It is
-// both the fork primitive and the only sound way to resume a paused run
-// after a perturbed detour (see the package comment above). base must
+// ReplayTo rewinds the run to base and replays it forward to at. base must
 // have been taken from this Result at a time <= at.
 func (r *Result) ReplayTo(base *RunState, at sim.Time) error {
 	if at < base.Now() {
@@ -63,16 +55,16 @@ func (r *Result) ReplayTo(base *RunState, at sim.Time) error {
 }
 
 // ForkAt replays the run from base to the fork instant and returns a
-// fresh snapshot there. A typical what-if is
+// fresh bookmark there. A typical what-if is
 //
-//	snap, _ := res.ForkAt(base, at)  // state at the fork point
-//	res.Finish()                     // baseline branch to completion
-//	...read stats...
-//	res.Restore(snap)                // back to the fork point
+//	paused := res.Snapshot()        // where the run is
+//	snap, _ := res.ForkAt(base, at) // the unperturbed state at the fork
 //	...perturb (budget, clamp, load)...
-//	res.Finish()                     // perturbed branch to completion
+//	res.Finish()                    // perturbed branch to completion
 //	...read stats...
-//	res.ReplayTo(base, paused)       // resume where the run was paused
+//	res.Restore(paused)             // resume where the run was paused
+//
+// and a later what-if at the same instant starts from res.Restore(snap).
 func (r *Result) ForkAt(base *RunState, at sim.Time) (*RunState, error) {
 	if err := r.ReplayTo(base, at); err != nil {
 		return nil, err

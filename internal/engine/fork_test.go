@@ -9,8 +9,9 @@ import (
 
 // TestForkDetourInvisible is the what-if safety property: pausing a run
 // mid-flight, replaying a fork from the base snapshot, exploring a
-// perturbed branch to completion, and rewinding to the paused position
-// must leave the resumed run byte-identical to one that never forked.
+// perturbed branch to completion, and rewinding to the paused position —
+// by replay or by restoring a bookmark — must leave the resumed run
+// byte-identical to one that never forked.
 func TestForkDetourInvisible(t *testing.T) {
 	cold := Run(instrumentedConfig("ServiceFridge"))
 	want := fingerprint(t, cold)
@@ -49,15 +50,24 @@ func TestForkDetourInvisible(t *testing.T) {
 		}
 	}
 
-	// Replay back to the paused position and resume: the detour must be
-	// invisible. (A bookmark Restore would not be — the perturbed branch
-	// scribbled different values over shared append-only backing arrays.)
+	// Replay back to the paused position: the detour must be invisible.
 	if err := live.ReplayTo(base, paused); err != nil {
 		t.Fatalf("ReplayTo: %v", err)
 	}
+
+	// A second detour resumes by restoring a bookmark instead: snapshots
+	// own their data, so the perturbed branch cannot reach the bookmark's
+	// stores.
+	bookmark := live.Snapshot()
+	live.Restore(snap)
+	live.SetBudgetFraction(0.6)
+	live.ClampFreq(1.4)
+	live.ScaleWorkers(0.5)
+	live.Finish()
+	live.Restore(bookmark)
 	live.Finish()
 	if got := fingerprint(t, live); got != want {
-		t.Fatal("run with a what-if detour diverged from the cold run")
+		t.Fatal("run with what-if detours diverged from the cold run")
 	}
 }
 

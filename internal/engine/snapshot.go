@@ -21,12 +21,18 @@ import (
 // workload generators, the optional Fridge/Telemetry/Events instrumentation
 // and the budget.
 //
-// A RunState is immutable once taken — Restore only reads it — so one
-// warmed-up run can be forked any number of times: snapshot after warmup,
-// then for each sweep cell restore, retune (e.g. SetBudgetFraction) and
-// Finish. Every fork replays exactly the events a cold run with the same
-// configuration would execute, byte-identical outputs included.
+// A RunState owns its data and is immutable once taken — Restore only
+// reads it, copying saved stores back into the run's own buffers — so
+// any RunState of a run can be restored at any time and in any order,
+// however the run was perturbed in between. One warmed-up run can be
+// forked any number of times: snapshot after warmup, then for each sweep
+// cell restore, retune (e.g. SetBudgetFraction) and Finish. Every fork
+// replays exactly the events a cold run with the same configuration would
+// execute, byte-identical outputs included.
 type RunState struct {
+	// owner is the Result the state was taken from: the only one it can
+	// be restored into.
+	owner   *Result
 	eng     *sim.EngineState
 	cluster *cluster.ClusterState
 	orch    *orchestrator.State
@@ -49,9 +55,7 @@ type RunState struct {
 func (s *RunState) Now() sim.Time { return s.eng.Now() }
 
 // Snapshot captures the run's complete state at the current simulation
-// time. FreqSeries rows are append-only and never mutated, so the capture
-// keeps slice headers; everything mutated in place is deep-copied by the
-// component snapshots.
+// time.
 func (r *Result) Snapshot() *RunState {
 	// The profiler is deliberately not part of RunState: profiling
 	// accumulates across restores (it measures the process, not the
@@ -60,6 +64,7 @@ func (r *Result) Snapshot() *RunState {
 	r.Config.Prof.Enter(prof.Snapshot)
 	defer r.Config.Prof.Exit()
 	s := &RunState{
+		owner:   r,
 		eng:     r.Engine.Snapshot(),
 		cluster: r.Cluster.Snapshot(),
 		orch:    r.Orch.Snapshot(),
@@ -90,17 +95,23 @@ func (r *Result) Snapshot() *RunState {
 		s.tel = r.Config.Telemetry.Snapshot()
 	}
 	for svc, pts := range r.FreqSeries {
-		s.freq[svc] = pts
+		s.freq[svc] = append([]FreqPoint(nil), pts...)
 	}
 	return s
 }
 
 // Restore rewinds the run to a snapshot previously taken from it. The
-// snapshot must come from this same Result: restore works by writing saved
+// snapshot must come from this same Result — restore works by writing saved
 // values back into the live object graph, because the calendar's event
-// closures capture pointers into it. Memoized latency statistics are
-// dropped (ResetStats) since the collector store rewinds.
+// closures capture pointers into it — and Restore panics otherwise.
+// Memoized latency statistics are dropped (ResetStats) since the collector
+// store rewinds. Slices read from the run before a Restore (meter samples,
+// frequency series, response views) are overwritten by it.
 func (r *Result) Restore(s *RunState) {
+	if s.owner != r {
+		panic("engine: Restore of a RunState taken from a different Result " +
+			"(a snapshot restores only into the run it was taken from)")
+	}
 	r.Config.Prof.Enter(prof.Snapshot)
 	defer r.Config.Prof.Exit()
 	r.Engine.Restore(s.eng)
@@ -129,9 +140,13 @@ func (r *Result) Restore(s *RunState) {
 	r.Config.Ledger.Restore(s.ledger)
 	*r.Budget = s.budget
 	r.Config.BudgetFraction = s.budget.Fraction
-	clear(r.FreqSeries)
+	for svc := range r.FreqSeries {
+		if _, ok := s.freq[svc]; !ok {
+			delete(r.FreqSeries, svc)
+		}
+	}
 	for svc, pts := range s.freq {
-		r.FreqSeries[svc] = pts
+		r.FreqSeries[svc] = append(r.FreqSeries[svc][:0], pts...)
 	}
 	r.ResetStats()
 }

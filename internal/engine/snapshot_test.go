@@ -3,11 +3,14 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"servicefridge/internal/cluster"
 	"servicefridge/internal/obs"
 	"servicefridge/internal/schemes"
 	"servicefridge/internal/sim"
@@ -15,8 +18,9 @@ import (
 )
 
 // fingerprint serializes everything a run exports — latency summaries,
-// meter readings, trace counts, orchestrator actions, the event JSONL and
-// the telemetry CSV — so two runs compare byte-for-byte.
+// meter readings, trace counts (and, under KeepSpans, a digest of every
+// retained trace and span), orchestrator actions, the event JSONL and the
+// telemetry CSV — so two runs compare byte-for-byte.
 func fingerprint(t *testing.T, res *Result) string {
 	t.Helper()
 	var b bytes.Buffer
@@ -32,8 +36,18 @@ func fingerprint(t *testing.T, res *Result) string {
 		fmt.Fprintf(&b, "s at=%d srv=%s f=%v u=%v p=%v\n", smp.At, smp.Server, smp.Freq, smp.Util, smp.Power)
 	}
 	fmt.Fprintf(&b, "traces=%d launched=%d completed=%d migrations=%d crashes=%d\n",
-		len(res.Collector.Traces()), res.Executor.Launched(), res.Executor.Completed(),
+		res.Collector.Count(""), res.Executor.Launched(), res.Executor.Completed(),
 		res.Orch.Migrations(), res.Orch.Crashes())
+	if res.Config.KeepSpans {
+		h := fnv.New64a()
+		for _, tr := range res.Collector.Traces() {
+			fmt.Fprintf(h, "%d %s %d %d|", tr.ID, tr.Region, tr.Begin, tr.Finish)
+			for _, sp := range tr.Spans {
+				fmt.Fprintf(h, "%s %s %d %d %d %v|", sp.Service, sp.Host, sp.Submit, sp.Start, sp.End, sp.FreqGHz)
+			}
+		}
+		fmt.Fprintf(&b, "retained=%d spans=%016x\n", len(res.Collector.Traces()), h.Sum64())
+	}
 	svcs := make([]string, 0, len(res.FreqSeries))
 	for svc := range res.FreqSeries {
 		svcs = append(svcs, svc)
@@ -126,6 +140,127 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBookmarkRestoreAnyOrder is the bookmark property: snapshots own
+// their data, so after perturbed detours from random snapshots along the
+// unperturbed path, restoring any snapshot — earlier or later than the
+// detour's fork, in random order — and finishing reproduces the cold run
+// byte for byte.
+// It covers every registered scheme plus a profile-driven run (the one
+// ScaleTraffic applies to), each with KeepSpans off and on.
+func TestBookmarkRestoreAnyOrder(t *testing.T) {
+	type variant struct {
+		name    string
+		cfg     func() Config
+		profile bool
+	}
+	var variants []variant
+	names := schemes.Names()
+	sort.Strings(names)
+	for _, name := range names {
+		name := name
+		variants = append(variants, variant{name: name, cfg: func() Config {
+			cfg := instrumentedConfig(name)
+			cfg.Workers = 4 // a mixed pool for ScaleWorkers to scale
+			return cfg
+		}})
+	}
+	variants = append(variants, variant{name: "profile", profile: true,
+		cfg: func() Config { return profileConfig(t, "diurnal", false) }})
+
+	rng := rand.New(rand.NewSource(14))
+	for _, v := range variants {
+		for _, keep := range []bool{false, true} {
+			v, keep := v, keep
+			seed := rng.Int63()
+			t.Run(fmt.Sprintf("%s/keepspans=%v", v.name, keep), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				config := func() Config {
+					cfg := v.cfg()
+					cfg.KeepSpans = keep
+					return cfg
+				}
+				want := fingerprint(t, Run(config()))
+
+				live := Build(config())
+				total := int64(live.Total())
+				cuts := make([]int64, 4)
+				for i := range cuts {
+					cuts[i] = rng.Int63n(total)
+				}
+				sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
+				var marks []*RunState
+				for _, at := range cuts {
+					live.Engine.RunUntil(sim.Time(at))
+					marks = append(marks, live.Snapshot())
+				}
+
+				for round := 0; round < 3; round++ {
+					fork := marks[rng.Intn(len(marks))]
+					live.Restore(fork)
+					perturb(t, live, rng, v.profile)
+					if rng.Intn(2) == 0 {
+						live.Finish()
+					} else {
+						live.Engine.RunUntil(fork.Now() + sim.Time(rng.Int63n(total-int64(fork.Now())+1)))
+					}
+					for _, i := range rng.Perm(len(marks)) {
+						live.Restore(marks[i])
+						live.Finish()
+						if got := fingerprint(t, live); got != want {
+							t.Fatalf("round %d: restoring the t=%v bookmark after a detour from t=%v diverged from the cold run",
+								round, marks[i].Now(), fork.Now())
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// perturb applies a random non-empty set of what-if perturbations.
+func perturb(t *testing.T, res *Result, rng *rand.Rand, profile bool) {
+	t.Helper()
+	for applied := false; !applied; {
+		if rng.Intn(2) == 0 {
+			res.SetBudgetFraction(0.5 + 0.4*rng.Float64())
+			applied = true
+		}
+		if rng.Intn(2) == 0 {
+			res.ClampFreq(cluster.GHz(1.2 + 0.1*float64(rng.Intn(8))))
+			applied = true
+		}
+		if rng.Intn(2) == 0 {
+			res.ScaleWorkers(0.5 + 1.5*rng.Float64())
+			applied = true
+		}
+		if profile && rng.Intn(2) == 0 {
+			if err := res.ScaleTraffic(0.5 + 1.5*rng.Float64()); err != nil {
+				t.Fatalf("ScaleTraffic: %v", err)
+			}
+			applied = true
+		}
+	}
+}
+
+// TestRestoreForeignRunStatePanics pins the owner guard: a RunState
+// restores only into the Result it was taken from. Restoring another
+// run's state would write through that run's saved pointers into its
+// objects, so it panics instead.
+func TestRestoreForeignRunStatePanics(t *testing.T) {
+	a := Build(Config{Seed: 1, Workers: 4})
+	b := Build(Config{Seed: 1, Workers: 4})
+	a.Engine.RunUntil(sim.Time(time.Second))
+	snap := a.Snapshot()
+	a.Restore(snap) // its own run: fine
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "different Result") {
+			t.Fatalf("Restore of a foreign RunState: recovered %q, want the owner-guard panic", msg)
+		}
+	}()
+	b.Restore(snap)
 }
 
 // TestSnapshotWarmBudgetSweep is the warm-start use case end to end: warm

@@ -110,11 +110,27 @@ func (h *StreamingHistogram) Mean() time.Duration {
 	return h.sum / time.Duration(h.count)
 }
 
+// occupied returns the bucket range [lo, hi] that can hold samples:
+// histIndex is monotone, so every sample lies in [histIndex(min),
+// histIndex(max)] and every bucket outside the range is zero. An empty
+// histogram returns an empty range (hi < lo).
+func (h *StreamingHistogram) occupied() (lo, hi int) {
+	if h.count == 0 {
+		return 0, -1
+	}
+	return histIndex(uint64(h.min)), histIndex(uint64(h.max))
+}
+
 // Reset returns the histogram to its empty state without releasing its
 // (entirely inline) storage, so a recycled histogram records again with
 // zero allocations — the telemetry layer rotates sliding-window
-// sub-histograms through Reset every sampling tick.
-func (h *StreamingHistogram) Reset() { *h = StreamingHistogram{} }
+// sub-histograms through Reset every sampling tick. Only the occupied
+// buckets are cleared; the rest are already zero.
+func (h *StreamingHistogram) Reset() {
+	lo, hi := h.occupied()
+	clear(h.counts[lo : hi+1])
+	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
+}
 
 // Merge folds every sample of o into h. Counts are bucket-exact, so a
 // merged histogram answers Quantile exactly as if every sample had been
@@ -131,7 +147,8 @@ func (h *StreamingHistogram) Merge(o *StreamingHistogram) {
 	}
 	h.count += o.count
 	h.sum += o.sum
-	for i := range h.counts {
+	lo, hi := o.occupied()
+	for i := lo; i <= hi; i++ {
 		h.counts[i] += o.counts[i]
 	}
 }
@@ -167,9 +184,11 @@ func (h *StreamingHistogram) Quantile(q float64) time.Duration {
 // valueAtRank returns an upper bound for the rank-th smallest sample
 // (0-based): the top of the bucket holding it, clamped to the observed
 // maximum — at most one bucket width above the exact order statistic.
+// The walk covers only the occupied buckets.
 func (h *StreamingHistogram) valueAtRank(rank uint64) time.Duration {
 	var cum uint64
-	for i := 0; i < histBuckets; i++ {
+	lo, hi := h.occupied()
+	for i := lo; i <= hi; i++ {
 		cum += h.counts[i]
 		if cum > rank {
 			top := time.Duration(histLow(i) + histWidth(i) - 1)

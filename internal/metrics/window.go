@@ -148,10 +148,13 @@ func (h *WindowedHistogram) Quantiles(qs []float64, out []time.Duration) {
 				vals[j], vals[j-1] = vals[j-1], vals[j]
 			}
 		}
+		// Every sub-histogram's occupied range lies within the window's
+		// [histIndex(min), histIndex(max)], so the walk starts and ends
+		// there.
 		var cum uint64
 		next := 0
 	walk:
-		for i := 0; i < histBuckets; i++ {
+		for i, hi := histIndex(uint64(min)), histIndex(uint64(max)); i <= hi; i++ {
 			for j := range h.subs {
 				cum += h.subs[j].counts[i]
 			}
@@ -212,25 +215,56 @@ func (h *WindowedHistogram) Quantile(q float64) time.Duration {
 	return out[0]
 }
 
-// Clone returns an independent deep copy of the window: the sub-histograms
-// are value types, so copying the slice contents shares no state with the
-// parent — mutating either side never shows in the other.
-func (h *WindowedHistogram) Clone() *WindowedHistogram {
-	return &WindowedHistogram{
-		subs: append([]StreamingHistogram(nil), h.subs...),
-		cur:  h.cur,
-	}
+// WindowState is a compact, immutable copy of a WindowedHistogram for
+// snapshot/restore: each sub-histogram's exact scalars plus only its
+// occupied buckets, the range [histIndex(min), histIndex(max)] outside
+// which every count is zero. A window of ten ~15 KiB sub-histograms
+// typically saves in a few hundred bytes.
+type WindowState struct {
+	subs   []subState
+	counts []uint64 // each sub-histogram's occupied buckets, back to back
+	cur    int
 }
 
-// CopyFrom overwrites this window's state with src's, without allocating
-// when the widths already match — the restore half of snapshot/restore.
-// It panics if the widths differ.
-func (h *WindowedHistogram) CopyFrom(src *WindowedHistogram) {
-	if len(h.subs) != len(src.subs) {
-		panic("metrics: WindowedHistogram.CopyFrom with mismatched widths")
+type subState struct {
+	count    uint64
+	sum      time.Duration
+	min, max time.Duration
+}
+
+// Save returns the window's compact state.
+func (h *WindowedHistogram) Save() *WindowState {
+	n := 0
+	for i := range h.subs {
+		lo, hi := h.subs[i].occupied()
+		n += hi - lo + 1
 	}
-	copy(h.subs, src.subs)
-	h.cur = src.cur
+	s := &WindowState{subs: make([]subState, len(h.subs)), counts: make([]uint64, 0, n), cur: h.cur}
+	for i := range h.subs {
+		sh := &h.subs[i]
+		s.subs[i] = subState{count: sh.count, sum: sh.sum, min: sh.min, max: sh.max}
+		lo, hi := sh.occupied()
+		s.counts = append(s.counts, sh.counts[lo:hi+1]...)
+	}
+	return s
+}
+
+// Load rewinds the window to a saved state without allocating, clearing
+// and writing only occupied buckets. It panics if the widths differ.
+func (h *WindowedHistogram) Load(s *WindowState) {
+	if len(h.subs) != len(s.subs) {
+		panic("metrics: WindowedHistogram.Load with mismatched widths")
+	}
+	off := 0
+	for i := range h.subs {
+		sh := &h.subs[i]
+		sh.Reset()
+		st := s.subs[i]
+		sh.count, sh.sum, sh.min, sh.max = st.count, st.sum, st.min, st.max
+		lo, hi := sh.occupied()
+		off += copy(sh.counts[lo:hi+1], s.counts[off:])
+	}
+	h.cur = s.cur
 }
 
 // MergedInto folds every live sub-histogram into dst (after resetting it)

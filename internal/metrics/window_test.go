@@ -187,59 +187,56 @@ func TestStreamingHistogramResetMerge(t *testing.T) {
 	}
 }
 
-// TestWindowedHistogramCloneNoAliasing pins the snapshot contract of
-// Clone/CopyFrom: a clone must share no mutable state with its parent —
-// adds and rotations on either side stay invisible to the other — and
-// CopyFrom must rewind a diverged window to exactly the cloned state.
-func TestWindowedHistogramCloneNoAliasing(t *testing.T) {
+// TestWindowedHistogramSaveLoad pins the snapshot contract of Save/Load:
+// Load rewinds a diverged window to exactly the saved state (every
+// sub-histogram bucket for bucket, so later quantiles and rotations match
+// too), the state shares nothing with the window — adds and rotations
+// after Save never show in it — and restores repeatedly, and it holds
+// only occupied buckets.
+func TestWindowedHistogramSaveLoad(t *testing.T) {
+	samples := corpora()["lognormal"]
 	w := NewWindowedHistogram(4)
-	for i := 0; i < 40; i++ {
-		if i%10 == 0 {
-			w.Rotate()
+	fillWindow(w, samples, 37)
+	want := NewWindowedHistogram(4) // the same window, never saved
+	fillWindow(want, samples, 37)
+	st := w.Save()
+	if n := len(st.counts); n == 0 || n >= histBuckets {
+		t.Fatalf("saved %d buckets for a 4-wide window, want occupied buckets only (0 < n < %d)", n, histBuckets)
+	}
+
+	for round := 0; round < 2; round++ {
+		// Diverge over a wider range (new buckets on both sides), with a
+		// full wraparound.
+		for i := 0; i < 50; i++ {
+			if i%10 == 0 {
+				w.Rotate()
+			}
+			w.Add(time.Duration(i%3) * time.Hour)
 		}
-		w.Add(time.Duration(i+1) * time.Millisecond)
-	}
-	snap := w.Clone()
-	wantCount, wantSum, wantP95 := w.Count(), w.Sum(), w.Quantile(0.95)
-
-	// Mutate the parent heavily: new samples, full wraparound.
-	for i := 0; i < 100; i++ {
-		if i%5 == 0 {
-			w.Rotate()
+		w.Load(st)
+		if w.cur != want.cur {
+			t.Fatalf("round %d: cur = %d, want %d", round, w.cur, want.cur)
 		}
-		w.Add(time.Hour)
-	}
-	if snap.Count() != wantCount || snap.Sum() != wantSum || snap.Quantile(0.95) != wantP95 {
-		t.Fatalf("clone changed when parent mutated: count %d sum %v p95 %v, want %d %v %v",
-			snap.Count(), snap.Sum(), snap.Quantile(0.95), wantCount, wantSum, wantP95)
-	}
-
-	// Mutate the clone: the parent must not see it.
-	parentCount := w.Count()
-	snap.Add(time.Minute)
-	snap.Rotate()
-	if w.Count() != parentCount {
-		t.Fatalf("parent changed when clone mutated: count %d, want %d", w.Count(), parentCount)
+		for i := range w.subs {
+			if w.subs[i] != want.subs[i] {
+				t.Fatalf("round %d: sub-histogram %d differs from the saved window", round, i)
+			}
+		}
 	}
 
-	// CopyFrom restores the diverged parent to a fresh clone's state.
-	snap2 := NewWindowedHistogram(4)
-	fillWindow(snap2, []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}, 2)
-	w.CopyFrom(snap2)
-	if w.Count() != snap2.Count() || w.Sum() != snap2.Sum() || w.Quantile(0.5) != snap2.Quantile(0.5) {
-		t.Fatalf("CopyFrom mismatch: count %d sum %v, want %d %v", w.Count(), w.Sum(), snap2.Count(), snap2.Sum())
-	}
-	// ...and shares no state with its source either.
-	snap2.Add(time.Hour)
-	if w.Count() == snap2.Count() {
-		t.Fatal("CopyFrom aliased the source window")
+	empty := NewWindowedHistogram(4)
+	w.Load(empty.Save())
+	for i := range w.subs {
+		if w.subs[i] != (StreamingHistogram{}) {
+			t.Fatalf("loading an empty window left sub-histogram %d non-zero", i)
+		}
 	}
 
 	// Width mismatch is a programming error and must panic.
 	defer func() {
 		if recover() == nil {
-			t.Fatal("CopyFrom with mismatched widths did not panic")
+			t.Fatal("Load with mismatched widths did not panic")
 		}
 	}()
-	w.CopyFrom(NewWindowedHistogram(2))
+	w.Load(NewWindowedHistogram(2).Save())
 }

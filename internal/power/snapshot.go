@@ -6,11 +6,12 @@ import (
 	"servicefridge/internal/sim"
 )
 
-// MeterState is a snapshot of the meter. The samples and totals stores are
-// append-only and recorded rows are never mutated, so the snapshot keeps
-// slice headers and restore truncates by assigning them back; the
-// per-server cursors are deep-copied because sampling rewrites them in
-// place.
+// MeterState is a snapshot of the meter that owns its data: the samples
+// and totals stores are copied, and Restore copies them back into the
+// meter's own buffers, so a branch run after one restore never writes into
+// rows another snapshot reads. A row's ByTag map is shared, since sampling
+// builds a fresh one per row and never mutates it. The per-server cursors
+// are deep-copied because sampling rewrites them in place.
 type MeterState struct {
 	lastBusy    map[string]time.Duration
 	lastBusyTag map[string]map[string]time.Duration
@@ -28,8 +29,8 @@ func (m *Meter) Snapshot() *MeterState {
 		lastBusy:    make(map[string]time.Duration, len(m.lastBusy)),
 		lastBusyTag: make(map[string]map[string]time.Duration, len(m.lastBusyTag)),
 		lastAt:      m.lastAt,
-		samples:     m.samples,
-		totals:      m.totals,
+		samples:     append([]Sample(nil), m.samples...),
+		totals:      append([]ClusterSample(nil), m.totals...),
 		last:        make(map[string]Sample, len(m.last)),
 		timer:       m.timer,
 		started:     m.started,
@@ -55,8 +56,8 @@ func (m *Meter) Snapshot() *MeterState {
 // so the cursor set matches a cold run's exactly.
 func (m *Meter) Restore(s *MeterState) {
 	m.lastAt = s.lastAt
-	m.samples = s.samples
-	m.totals = s.totals
+	m.samples = append(m.samples[:0], s.samples...)
+	m.totals = append(m.totals[:0], s.totals...)
 	m.timer = s.timer
 	m.started = s.started
 	clear(m.lastBusy)

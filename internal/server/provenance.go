@@ -32,7 +32,7 @@ func (c *ledgerCmd) fail(status int, msg string) {
 	c.reply <- cmdReply{status: status, body: errorBody(msg)}
 }
 
-func (c *ledgerCmd) exec(s *session, res *engine.Result, base *engine.RunState) {
+func (c *ledgerCmd) exec(s *session, res *engine.Result) {
 	led := res.Config.Ledger
 	if led == nil { // unreachable: run() always attaches a ledger
 		c.fail(statusInternal, "session has no ledger")
@@ -76,7 +76,7 @@ type explainDoc struct {
 	EventsDropped uint64 `json:"events_dropped,omitempty"`
 }
 
-func (c *explainCmd) exec(s *session, res *engine.Result, base *engine.RunState) {
+func (c *explainCmd) exec(s *session, res *engine.Result) {
 	led := res.Config.Ledger
 	if led == nil { // unreachable: run() always attaches a ledger
 		c.fail(statusInternal, "session has no ledger")

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -194,13 +195,27 @@ func TestWhatIfDeterministicAndEffective(t *testing.T) {
 	}
 
 	// The detour must be invisible: the session's result is still
-	// byte-identical to a fresh session that never ran a what-if.
+	// byte-identical to a fresh session that never ran a what-if. /result
+	// is built once at completion, so the engine itself is checked through
+	// /ledger, which the session serves from its live run.
 	_, after := doReq(t, "GET", ts.URL+"/sessions/"+id+"/result", "")
 	fresh := createSession(t, ts, shortScenario)
 	waitState(t, ts, fresh, StateDone)
 	_, want := doReq(t, "GET", ts.URL+"/sessions/"+fresh+"/result", "")
 	if !bytes.Equal(after, want) {
 		t.Fatal("result changed after a what-if detour")
+	}
+	assertSameLedger(t, ts, id, fresh)
+}
+
+// assertSameLedger requires two sessions to serve byte-identical run
+// ledgers.
+func assertSameLedger(t *testing.T, ts *httptest.Server, id, want string) {
+	t.Helper()
+	_, got := doReq(t, "GET", ts.URL+"/sessions/"+id+"/ledger", "")
+	_, ref := doReq(t, "GET", ts.URL+"/sessions/"+want+"/ledger", "")
+	if len(ref) == 0 || !bytes.Equal(got, ref) {
+		t.Fatalf("session %s ledger differs from session %s's after what-if detours", id, want)
 	}
 }
 
@@ -223,6 +238,42 @@ func TestWhatIfWhileRunning(t *testing.T) {
 	_, after := doReq(t, "POST", ts.URL+"/sessions/"+id+"/whatif", query)
 	if !bytes.Equal(during, after) {
 		t.Fatal("what-if answered differently while running vs after completion")
+	}
+
+	// The session kept advancing from the bookmark its detour restored:
+	// its final result and ledger must equal a session that never forked.
+	fresh := createSession(t, ts, long)
+	waitState(t, ts, fresh, StateDone)
+	_, got := doReq(t, "GET", ts.URL+"/sessions/"+id+"/result", "")
+	_, want := doReq(t, "GET", ts.URL+"/sessions/"+fresh+"/result", "")
+	if !bytes.Equal(got, want) {
+		t.Fatal("a what-if while running changed the session's final result")
+	}
+	assertSameLedger(t, ts, id, fresh)
+}
+
+// TestRunStateSize bounds what one bookmark of a what-if session holds at
+// t=60 s (the 50-worker, 5 + 55 s ServiceFridge session): a session caches
+// several, so each must stay small. The telemetry windows are saved by
+// their occupied buckets, and the per-run stores by their used length.
+func TestRunStateSize(t *testing.T) {
+	sc, err := experiments.LoadScenario(strings.NewReader(
+		`{"scheme":"ServiceFridge","budget":0.8,"workers":50,"warmup_s":5,"duration_s":55,"seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := sessionConfig(sc, sc.NewTelemetry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := engine.Build(cfg)
+	res.Finish()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	snap := res.Snapshot()
+	runtime.ReadMemStats(&after)
+	if size := after.TotalAlloc - before.TotalAlloc; size > 500_000 {
+		t.Fatalf("a what-if session's RunState at t=%v holds %d bytes, want <= 500000", snap.Now(), size)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // the engine exclusively. exec runs with the warm engine; fail answers
 // the command when no engine is (or will be) available.
 type sessionCmd interface {
-	exec(s *session, res *engine.Result, base *engine.RunState)
+	exec(s *session, res *engine.Result)
 	fail(status int, msg string)
 }
 
@@ -39,8 +39,9 @@ const (
 	// or evicted.
 	StateDone State = "done"
 	// StateCancelled: the run was stopped early. The engine (if it ever
-	// started) stays warm for what-if queries — forks replay from the
-	// t=0 base snapshot, so they do not depend on how far the run got.
+	// started) stays warm for what-if queries — forks restore bookmarks
+	// of the unperturbed run, so they do not depend on how far the run
+	// got.
 	StateCancelled State = "cancelled"
 	// StateFailed: the engine could not be built.
 	StateFailed State = "failed"
@@ -71,6 +72,10 @@ type session struct {
 
 	simNow   atomic.Int64 // engine clock (ns), updated at chunk boundaries
 	simTotal atomic.Int64
+
+	// bm holds the what-if bookmarks; only the session goroutine touches
+	// it.
+	bm bookmarks
 
 	mu       sync.Mutex
 	state    State
@@ -159,18 +164,11 @@ queued:
 		pprof.Labels("session", s.id)))
 
 	s.setState(StateRunning, "")
-	cfg, err := s.scenario.Config()
+	cfg, err := sessionConfig(s.scenario, s.tel)
 	var res *engine.Result
 	if err == nil {
-		cfg.Telemetry = s.tel
-		// Every session carries an events recorder and a run ledger:
-		// both are passive (the run is byte-identical with or without
-		// them), and they back GET /ledger and /explain. A done
-		// session's ledger is byte-identical to cmd/fridge -ledger at
-		// the same scenario. The phase profiler is passive too, and
-		// backs GET /profile.
-		cfg.Events = obs.NewRecorder(0)
-		cfg.Ledger = obs.NewLedger()
+		// The phase profiler is passive like the instrumentation
+		// sessionConfig attaches, and backs GET /profile.
 		cfg.Prof = s.profiler
 		res, err = engine.BuildE(cfg)
 	}
@@ -181,7 +179,7 @@ queued:
 		s.drainUnstarted()
 		return
 	}
-	base := res.Snapshot() // t=0 base every what-if fork replays from
+	s.bm.base = res.Snapshot() // t=0 bookmark, the root of every fork
 	total := res.Total()
 	s.simTotal.Store(int64(total))
 
@@ -199,7 +197,7 @@ advance:
 		for {
 			select {
 			case cmd := <-s.cmds:
-				cmd.exec(s, res, base)
+				cmd.exec(s, res)
 			case <-s.cancel:
 				cancelled = true
 				break advance
@@ -227,16 +225,33 @@ advance:
 	s.srv.sessionTerminal(s)
 
 	// Terminal sessions keep their warm engine: what-if queries fork
-	// from the t=0 base snapshot, so they work identically on done and
-	// cancelled sessions until the session is deleted or evicted.
+	// from bookmarks of the unperturbed run, so they work identically on
+	// done and cancelled sessions until the session is deleted or
+	// evicted.
 	for {
 		select {
 		case cmd := <-s.cmds:
-			cmd.exec(s, res, base)
+			cmd.exec(s, res)
 		case <-s.gone:
 			return
 		}
 	}
+}
+
+// sessionConfig is the run a session executes: the scenario's config with
+// the session's telemetry, an events recorder and a run ledger attached.
+// Both are passive (the run is byte-identical with or without them), and
+// they back GET /ledger and /explain. A done session's ledger is
+// byte-identical to cmd/fridge -ledger at the same scenario.
+func sessionConfig(sc experiments.Scenario, tel *telemetry.Telemetry) (engine.Config, error) {
+	cfg, err := sc.Config()
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Telemetry = tel
+	cfg.Events = obs.NewRecorder(0)
+	cfg.Ledger = obs.NewLedger()
+	return cfg, nil
 }
 
 // drainUnstarted answers what-if commands on a session whose engine never

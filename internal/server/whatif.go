@@ -124,8 +124,48 @@ func (c *whatifCmd) fail(status int, msg string) {
 	c.reply <- cmdReply{status: status, body: errorBody(msg)}
 }
 
-func (c *whatifCmd) exec(s *session, res *engine.Result, base *engine.RunState) {
-	s.execWhatif(res, base, c)
+func (c *whatifCmd) exec(s *session, res *engine.Result) {
+	s.execWhatif(res, c)
+}
+
+// forkCacheSize bounds the fork-point bookmarks a session caches besides
+// its t=0 base; the least recently used one goes first.
+const forkCacheSize = 8
+
+// bookmarks is a session's what-if state: the t=0 base, fork-point
+// bookmarks of the unperturbed run (least recently used first), and the
+// baseline branch, which is the same for every query.
+type bookmarks struct {
+	base     *engine.RunState
+	forks    []*engine.RunState
+	baseline *branchDoc
+}
+
+// forkAt leaves the run at the unperturbed state of time at: it restores
+// the cached bookmark there, or advances the nearest cached bookmark
+// before at (engine.ForkAt) and caches the new one.
+func (b *bookmarks) forkAt(res *engine.Result, at sim.Time) error {
+	from := b.base
+	for i, bm := range b.forks {
+		if bm.Now() == at {
+			copy(b.forks[i:], b.forks[i+1:])
+			b.forks[len(b.forks)-1] = bm
+			res.Restore(bm)
+			return nil
+		}
+		if bm.Now() < at && bm.Now() > from.Now() {
+			from = bm
+		}
+	}
+	bm, err := res.ForkAt(from, at)
+	if err != nil {
+		return err
+	}
+	if len(b.forks) == forkCacheSize {
+		b.forks = append(b.forks[:0], b.forks[1:]...)
+	}
+	b.forks = append(b.forks, bm)
+	return nil
 }
 
 func branchStats(res *engine.Result, tel *telemetry.Telemetry) branchDoc {
@@ -146,16 +186,18 @@ func branchStats(res *engine.Result, tel *telemetry.Telemetry) branchDoc {
 }
 
 // execWhatif runs one what-if on the session goroutine, which owns the
-// engine. The protocol (see internal/engine/fork.go): pause where the run
-// is, fork at the requested time from the t=0 base snapshot, run the
-// baseline branch to completion, rewind to the fork and run the perturbed
-// branch, then replay back to the paused position — the detour is
-// invisible to the session's own outputs. Telemetry publication is
-// suspended for the duration so /status and the stream never see detour
-// state.
-func (s *session) execWhatif(res *engine.Result, base *engine.RunState, cmd *whatifCmd) {
-	paused := res.Engine.Now()
+// engine. The protocol (see internal/engine/fork.go): bookmark where the
+// run is paused, run the baseline branch to completion once per session,
+// restore (or make) the bookmark at the fork point, run the perturbed
+// branch, then restore the paused bookmark — the detour is invisible to
+// the session's own outputs. Telemetry publication is suspended for the
+// duration so /status and the stream never see detour state.
+func (s *session) execWhatif(res *engine.Result, cmd *whatifCmd) {
 	at := sim.Time(cmd.req.AtS * 1e9)
+	if total := res.Total(); at > total {
+		cmd.fail(statusUnprocessable, fmt.Sprintf("at_s %v exceeds the run's end at %v s", cmd.req.AtS, total.Seconds()))
+		return
+	}
 
 	// Traffic perturbations are validated — and the swap profile built —
 	// before any fork, so a bad query fails fast with the session
@@ -203,28 +245,23 @@ func (s *session) execWhatif(res *engine.Result, base *engine.RunState, cmd *wha
 
 	s.tel.SetPublishing(false)
 	defer s.tel.SetPublishing(true)
+	paused := res.Snapshot()
+	defer res.Restore(paused)
 
-	resume := func() error {
-		if err := res.ReplayTo(base, paused); err != nil {
-			return err
-		}
-		s.simNow.Store(int64(res.Engine.Now()))
-		return nil
+	// The baseline is the unperturbed run to its end whatever the fork
+	// point, so it runs once per session, from where the run is paused (a
+	// done session is already there).
+	if s.bm.baseline == nil {
+		res.Finish()
+		d := branchStats(res, s.tel)
+		s.bm.baseline = &d
 	}
+	baseline := *s.bm.baseline
 
-	snap, err := res.ForkAt(base, at)
-	if err != nil {
-		cmd.fail(statusUnprocessable, err.Error())
-		if rerr := resume(); rerr != nil {
-			s.setState(StateFailed, rerr.Error())
-		}
+	if err := s.bm.forkAt(res, at); err != nil { // unreachable: at is within the run
+		cmd.fail(statusInternal, err.Error())
 		return
 	}
-
-	res.Finish()
-	baseline := branchStats(res, s.tel)
-
-	res.Restore(snap)
 	if cmd.req.Budget != 0 {
 		res.SetBudgetFraction(cmd.req.Budget)
 	}
@@ -237,32 +274,17 @@ func (s *session) execWhatif(res *engine.Result, base *engine.RunState, cmd *wha
 	if cmd.req.RateFactor != 0 {
 		if err := res.ScaleTraffic(cmd.req.RateFactor); err != nil { // unreachable: checked pre-fork
 			cmd.fail(statusInternal, err.Error())
-			if rerr := resume(); rerr != nil {
-				s.setState(StateFailed, rerr.Error())
-			}
 			return
 		}
 	}
 	if swap != nil {
 		if err := res.SwapProfile(swap); err != nil { // unreachable: checked pre-fork
 			cmd.fail(statusInternal, err.Error())
-			if rerr := resume(); rerr != nil {
-				s.setState(StateFailed, rerr.Error())
-			}
 			return
 		}
 	}
 	res.Finish()
 	perturbed := branchStats(res, s.tel)
-
-	if err := resume(); err != nil {
-		// Should be unreachable: the replay retraces a path the run
-		// already took. Surface it loudly rather than serving a corrupt
-		// session.
-		s.setState(StateFailed, err.Error())
-		cmd.fail(statusInternal, err.Error())
-		return
-	}
 
 	doc := whatIfDoc{Scenario: s.scenario, Query: cmd.req, Baseline: baseline, Perturbed: perturbed}
 	doc.Delta.P90Ms = perturbed.P90Ms - baseline.P90Ms

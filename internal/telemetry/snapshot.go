@@ -6,13 +6,13 @@ import (
 )
 
 // State is a deep copy of a bound Telemetry's mutable state: the sliding
-// latency windows, the live sample rows, the SLO state machines, counters
-// and the alert recorder. Bindings and options are construction-time and
-// not captured.
+// latency windows (compact: occupied buckets only), the live sample rows,
+// the SLO state machines, counters and the alert recorder. Bindings and
+// options are construction-time and not captured.
 type State struct {
-	all      *metrics.WindowedHistogram
-	regions  []*metrics.WindowedHistogram
-	services []*metrics.WindowedHistogram
+	all      *metrics.WindowState
+	regions  []*metrics.WindowState
+	services []*metrics.WindowState
 
 	rows    []Sample // deep copies of the live ring rows, oldest-first
 	start   int
@@ -36,9 +36,9 @@ func (t *Telemetry) Snapshot() *State {
 		panic("telemetry: Snapshot of an unbound instance")
 	}
 	s := &State{
-		all:           t.all.Clone(),
-		regions:       make([]*metrics.WindowedHistogram, len(t.regions)),
-		services:      make([]*metrics.WindowedHistogram, len(t.services)),
+		all:           t.all.Save(),
+		regions:       make([]*metrics.WindowState, len(t.regions)),
+		services:      make([]*metrics.WindowState, len(t.services)),
 		rows:          make([]Sample, 0, t.n),
 		start:         t.start,
 		n:             t.n,
@@ -52,10 +52,10 @@ func (t *Telemetry) Snapshot() *State {
 		totalSpans:    t.totalSpans,
 	}
 	for i, w := range t.regions {
-		s.regions[i] = w.Clone()
+		s.regions[i] = w.Save()
 	}
 	for i, w := range t.services {
-		s.services[i] = w.Clone()
+		s.services[i] = w.Save()
 	}
 	for i := 0; i < t.n; i++ {
 		s.rows = append(s.rows, cloneSample(&t.samples[(t.start+i)%len(t.samples)]))
@@ -69,12 +69,12 @@ func (t *Telemetry) Snapshot() *State {
 // set, so a dirty row would otherwise leak post-snapshot values into a
 // later wraparound or CSV export).
 func (t *Telemetry) Restore(s *State) {
-	t.all.CopyFrom(s.all)
+	t.all.Load(s.all)
 	for i, w := range t.regions {
-		w.CopyFrom(s.regions[i])
+		w.Load(s.regions[i])
 	}
 	for i, w := range t.services {
-		w.CopyFrom(s.services[i])
+		w.Load(s.services[i])
 	}
 	for i := range t.samples {
 		resetRow(&t.samples[i])

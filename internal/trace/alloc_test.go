@@ -11,8 +11,8 @@ func span(svc string, at sim.Time) Span {
 	return Span{Service: svc, Host: "h0", Submit: at, Start: at, End: at.Add(time.Millisecond)}
 }
 
-// TestAddSpanZeroAllocs pins the hot-path claim from the redesign: with a
-// recycled span backing array, recording a span is allocation-free.
+// TestAddSpanZeroAllocs pins the hot-path claim: with KeepSpans off the
+// collector stores no spans, so recording one is allocation-free.
 func TestAddSpanZeroAllocs(t *testing.T) {
 	c := NewCollector()
 	c.KeepSpans = false
@@ -39,15 +39,15 @@ func TestAddSpanZeroAllocs(t *testing.T) {
 }
 
 // TestTraceLifecycleZeroAllocs covers the whole per-request cycle —
-// StartTrace, AddSpan, FinishTrace — at steady state: the Trace slab,
-// span pool and finish-ordered stores are all pre-grown, so an
-// entire simulated request costs zero collector allocations.
+// StartTrace, AddSpan, FinishTrace — at steady state: finished traces are
+// recycled and the finish-ordered stores are pre-grown, so an entire
+// simulated request costs zero collector allocations.
 func TestTraceLifecycleZeroAllocs(t *testing.T) {
 	c := NewCollector()
 	c.KeepSpans = false
 
-	// One warm-up cycle creates the region series and seeds the span pool,
-	// then Grow pre-fills every store including the Trace slab.
+	// One warm-up cycle creates the region series and a recyclable trace,
+	// then Grow pre-fills the finish-ordered stores.
 	warm := c.StartTrace("A", 0)
 	c.AddSpan(warm, span("svc", 0))
 	c.AddSpan(warm, span("svc", 1))

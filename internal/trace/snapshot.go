@@ -6,22 +6,20 @@ import (
 	"servicefridge/internal/sim"
 )
 
-// CollectorState is a snapshot of the collector. Completed-trace stores
-// (traces, finish-ordered series) are append-only and
-// their recorded prefixes are never mutated, so the snapshot keeps slice
-// HEADERS and restore truncates by assigning them back — safe even if a
-// later append reallocated the backing array. Open traces and the span
-// pool are mutated in place after the snapshot, so those are deep-copied.
+// CollectorState is a snapshot of the collector that owns its data: the
+// finish-ordered series and the completed-record list are copied, and
+// Restore copies them back into the collector's own buffers, so any
+// snapshot can be restored at any time and in any order — a branch run
+// after one restore never writes into memory another snapshot reads.
+// Completed records themselves are shared by pointer: each is written
+// once into a slab slot that is never handed out again. Open traces are
+// deep-copied with their spans, because Restore revives them in place.
 type CollectorState struct {
-	nextID uint64
-
+	nextID   uint64
 	traces   []*Trace
 	all      seriesState
-	byRegion map[string]regionSeriesState
-
-	slab     []Trace
-	spanPool [][]Span
-	openSnap []openTraceSnap
+	byRegion map[string]seriesState
+	open     []openTraceSnap
 }
 
 type seriesState struct {
@@ -30,24 +28,23 @@ type seriesState struct {
 	unsorted bool
 }
 
-type regionSeriesState struct {
-	ptr *series
-	val seriesState
-}
-
 type openTraceSnap struct {
 	ptr   *Trace
 	val   Trace
-	spans []Span // deep copy: span arrays are recycled when !KeepSpans
+	spans []Span
 }
 
 func captureSeries(s *series) seriesState {
-	return seriesState{finish: s.finish, resp: s.resp, unsorted: s.unsorted}
+	return seriesState{
+		finish:   append([]sim.Time(nil), s.finish...),
+		resp:     append([]time.Duration(nil), s.resp...),
+		unsorted: s.unsorted,
+	}
 }
 
 func restoreSeries(s *series, st seriesState) {
-	s.finish = st.finish
-	s.resp = st.resp
+	s.finish = append(s.finish[:0], st.finish...)
+	s.resp = append(s.resp[:0], st.resp...)
 	s.unsorted = st.unsorted
 }
 
@@ -55,58 +52,66 @@ func restoreSeries(s *series, st seriesState) {
 func (c *Collector) Snapshot() *CollectorState {
 	st := &CollectorState{
 		nextID:   c.nextID,
-		traces:   c.traces,
+		traces:   append([]*Trace(nil), c.traces...),
 		all:      captureSeries(&c.all),
-		byRegion: make(map[string]regionSeriesState, len(c.byRegion)),
-		slab:     c.slab,
-		spanPool: append([][]Span(nil), c.spanPool...),
-		openSnap: make([]openTraceSnap, len(c.openList)),
+		byRegion: make(map[string]seriesState, len(c.byRegion)),
+		open:     make([]openTraceSnap, len(c.openList)),
 	}
 	for region, rs := range c.byRegion {
-		st.byRegion[region] = regionSeriesState{ptr: rs, val: captureSeries(rs)}
+		st.byRegion[region] = captureSeries(rs)
 	}
 	for i, t := range c.openList {
-		st.openSnap[i] = openTraceSnap{
-			ptr:   t,
-			val:   *t,
-			spans: append([]Span(nil), t.Spans...),
-		}
+		st.open[i] = openTraceSnap{ptr: t, val: *t, spans: append([]Span(nil), t.Spans...)}
 	}
 	return st
 }
 
-// Restore rewinds the collector. The snapshot-era tail of the trace slab is
-// re-zeroed (traces handed out after the snapshot wrote into it), and each
-// open trace gets a fresh span array — its original backing may since have
-// been recycled through the span pool.
+// Restore rewinds the collector. Open traces are revived in place (the
+// executor's requests hold their pointers) with their saved spans copied
+// into the trace's own buffer; every other trace object returns to the
+// free list. The record slab is not rewound: a slot handed out after the
+// snapshot may be listed by a later one, so records only ever go to fresh
+// slots.
 func (c *Collector) Restore(st *CollectorState) {
 	c.nextID = st.nextID
-	c.traces = st.traces
+	c.traces = append(c.traces[:0], st.traces...)
 	restoreSeries(&c.all, st.all)
-	// Per-region series objects are reset in place, never deleted: like
-	// the servers' per-tag busy boxes, a *series created once must stay
-	// the map's value forever, because older snapshots hold its pointer.
-	// A region first seen after the snapshot rewinds to empty, which is
-	// indistinguishable from it never having been created.
+	// Per-region series are never deleted, so the live map holds every
+	// region the snapshot saved; a region first seen after the snapshot
+	// rewinds to empty, which is indistinguishable from it never having
+	// been created.
 	for region, rs := range c.byRegion {
-		if _, ok := st.byRegion[region]; !ok {
-			restoreSeries(rs, seriesState{finish: rs.finish[:0], resp: rs.resp[:0]})
-		}
+		restoreSeries(rs, st.byRegion[region])
 	}
-	for _, rs := range st.byRegion {
-		restoreSeries(rs.ptr, rs.val)
-	}
-	for i := range st.slab {
-		st.slab[i] = Trace{}
-	}
-	c.slab = st.slab
-	c.spanPool = append(c.spanPool[:0], st.spanPool...)
+
+	// Every trace object is either open or free. Free them all, revive
+	// the snapshot's open set, then drop the revived ones from the free
+	// list. A trace's span buffer is its own while it is open or free
+	// (the record takes it at finish and the trace starts a fresh one),
+	// so the saved spans can be copied into it.
+	c.free = append(c.free, c.openList...)
 	c.openList = c.openList[:0]
-	for i := range st.openSnap {
-		o := &st.openSnap[i]
+	for i := range st.open {
+		o := &st.open[i]
+		buf := o.ptr.Spans[:0]
 		*o.ptr = o.val
-		o.ptr.Spans = append([]Span(nil), o.spans...)
+		o.ptr.Spans = append(buf, o.spans...)
 		o.ptr.openIdx = int32(i)
 		c.openList = append(c.openList, o.ptr)
 	}
+	free := c.free[:0]
+	for _, t := range c.free {
+		if !isOpen(c.openList, t) {
+			free = append(free, t)
+		}
+	}
+	clear(c.free[len(free):])
+	c.free = free
+}
+
+// isOpen reports whether t is the open trace at its recorded index (a
+// free trace keeps the index it last had while open).
+func isOpen(open []*Trace, t *Trace) bool {
+	i := int(t.openIdx)
+	return i < len(open) && open[i] == t
 }

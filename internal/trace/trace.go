@@ -8,6 +8,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -124,19 +125,30 @@ func (s *series) after(cut sim.Time) []time.Duration {
 	return out
 }
 
-// traceSlabSize is how many Trace structs one slab allocation covers.
-const traceSlabSize = 256
+// recordSlabSize is how many completed records one slab allocation covers.
+const recordSlabSize = 256
 
 // Collector gathers completed traces, like the Zipkin UI on the manager
 // node. It also maintains finish-ordered response stores so that latency
 // queries do not re-walk (or re-allocate from) every trace.
+//
+// An open trace (StartTrace..FinishTrace) is a working object: once
+// finished it is recycled for a later request. What survives a request is
+// its response time in the finish-ordered series and, under KeepSpans
+// only, a completed record written once into a record slab and never
+// rewritten — nothing else reads the records, and Count comes from the
+// series. Keeping the two apart is what lets a snapshot list completed
+// records by pointer while Restore revives open traces in place.
 type Collector struct {
 	nextID uint64
+	// traces lists the completed records in completion order (KeepSpans
+	// only).
 	traces []*Trace
-	// KeepSpans controls whether span lists are retained on completed
-	// traces. Long experiments that only need response times can disable
-	// it to bound memory; the collector then recycles span backing arrays
-	// across traces, making steady-state span recording allocation-free.
+	// KeepSpans controls whether spans are recorded and completed
+	// records, with their span lists, retained. Long experiments that
+	// only need response times disable it to bound memory: the collector
+	// then keeps only the finish-ordered response series, and AddSpan
+	// only feeds OnSpan.
 	KeepSpans bool
 
 	all      series
@@ -149,14 +161,14 @@ type Collector struct {
 	OnSpan   func(s Span)
 	OnFinish func(region string, resp time.Duration)
 
-	// slab batches Trace allocations; spanPool recycles span backing
-	// arrays of finished traces when KeepSpans is off.
-	slab     []Trace
-	spanPool [][]Span
+	// records is the unused tail of the current completed-record slab.
+	records []Trace
 
 	// openList tracks the open traces (index-tracked, swap-removed) so a
-	// snapshot can enumerate (and a restore rewind) in-flight requests.
+	// snapshot can enumerate (and a restore rewind) in-flight requests;
+	// free holds finished ones for reuse.
 	openList []*Trace
+	free     []*Trace
 }
 
 // NewCollector returns an empty collector that retains spans.
@@ -173,75 +185,63 @@ func NewCollector() *Collector {
 func (c *Collector) Presize(services []string, spansPerService int) {}
 
 // Grow pre-allocates storage for about nTraces completed traces, so a run
-// with a known request population never grows the finish-ordered stores.
+// with a known request population never grows the finish-ordered stores
+// (nor, under KeepSpans, the record list and slab).
 func (c *Collector) Grow(nTraces int) {
 	grow := func(s *series) {
-		if cap(s.finish)-len(s.finish) < nTraces {
-			f := make([]sim.Time, len(s.finish), len(s.finish)+nTraces)
-			copy(f, s.finish)
-			s.finish = f
-			r := make([]time.Duration, len(s.resp), len(s.resp)+nTraces)
-			copy(r, s.resp)
-			s.resp = r
-		}
+		s.finish = slices.Grow(s.finish, nTraces)
+		s.resp = slices.Grow(s.resp, nTraces)
 	}
 	grow(&c.all)
 	for _, rs := range c.byRegion {
 		grow(rs)
 	}
-	if cap(c.traces)-len(c.traces) < nTraces {
-		ts := make([]*Trace, len(c.traces), len(c.traces)+nTraces)
-		copy(ts, c.traces)
-		c.traces = ts
-	}
-	if len(c.slab) < nTraces {
-		c.slab = make([]Trace, nTraces)
-	}
-}
-
-// allocTrace hands out one zeroed Trace from the current slab, cutting
-// per-request allocations to one slab per traceSlabSize requests.
-func (c *Collector) allocTrace() *Trace {
-	if len(c.slab) == 0 {
-		c.slab = make([]Trace, traceSlabSize)
-	}
-	t := &c.slab[0]
-	c.slab = c.slab[1:]
-	return t
-}
-
-// StartTrace opens a trace for a request entering region at time at.
-func (c *Collector) StartTrace(region string, at sim.Time) *Trace {
-	c.nextID++
-	t := c.allocTrace()
-	t.ID = c.nextID
-	t.Region = region
-	t.Begin = at
-	t.openIdx = int32(len(c.openList))
-	c.openList = append(c.openList, t)
-	if !c.KeepSpans {
-		if n := len(c.spanPool); n > 0 {
-			t.Spans = c.spanPool[n-1]
-			c.spanPool[n-1] = nil
-			c.spanPool = c.spanPool[:n-1]
+	if c.KeepSpans {
+		c.traces = slices.Grow(c.traces, nTraces)
+		if len(c.records) < nTraces {
+			c.records = make([]Trace, nTraces)
 		}
 	}
+}
+
+// StartTrace opens a trace for a request entering region at time at. The
+// trace object may be a recycled one.
+func (c *Collector) StartTrace(region string, at sim.Time) *Trace {
+	c.nextID++
+	var t *Trace
+	if n := len(c.free); n > 0 {
+		t = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		t = new(Trace)
+	}
+	*t = Trace{
+		ID: c.nextID, Region: region, Begin: at,
+		Spans: t.Spans[:0], openIdx: int32(len(c.openList)),
+	}
+	c.openList = append(c.openList, t)
 	return t
 }
 
-// AddSpan appends a completed span to an open trace.
+// AddSpan appends a completed span to an open trace (under KeepSpans;
+// otherwise nothing reads it).
 func (c *Collector) AddSpan(t *Trace, s Span) {
 	if t.done {
 		panic("trace: AddSpan on a finished trace")
 	}
-	t.Spans = append(t.Spans, s)
+	if c.KeepSpans {
+		t.Spans = append(t.Spans, s)
+	}
 	if c.OnSpan != nil {
 		c.OnSpan(s)
 	}
 }
 
-// FinishTrace closes the trace at time at and records it.
-func (c *Collector) FinishTrace(t *Trace, at sim.Time) {
+// FinishTrace closes the trace at time at, records it, and returns the
+// completed trace: under KeepSpans the retained record, otherwise t
+// itself, which stays readable only until the next StartTrace recycles
+// it.
+func (c *Collector) FinishTrace(t *Trace, at sim.Time) *Trace {
 	if t.done {
 		panic("trace: FinishTrace called twice")
 	}
@@ -253,27 +253,36 @@ func (c *Collector) FinishTrace(t *Trace, at sim.Time) {
 	last.openIdx = t.openIdx
 	c.openList[n] = nil
 	c.openList = c.openList[:n]
-	if !c.KeepSpans {
-		if cap(t.Spans) > 0 {
-			c.spanPool = append(c.spanPool, t.Spans[:0])
+	c.free = append(c.free, t)
+	rec := t
+	if c.KeepSpans {
+		// The record takes the span buffer; the recycled trace starts
+		// its next request with a fresh one.
+		if len(c.records) == 0 {
+			c.records = make([]Trace, recordSlabSize)
 		}
+		rec = &c.records[0]
+		c.records = c.records[1:]
+		*rec = *t
 		t.Spans = nil
+		c.traces = append(c.traces, rec)
 	}
-	c.traces = append(c.traces, t)
-	resp := t.Response()
+	resp := rec.Response()
 	c.all.add(at, resp)
-	rs := c.byRegion[t.Region]
+	rs := c.byRegion[rec.Region]
 	if rs == nil {
 		rs = &series{}
-		c.byRegion[t.Region] = rs
+		c.byRegion[rec.Region] = rs
 	}
 	rs.add(at, resp)
 	if c.OnFinish != nil {
-		c.OnFinish(t.Region, resp)
+		c.OnFinish(rec.Region, resp)
 	}
+	return rec
 }
 
-// Traces returns all completed traces in completion order.
+// Traces returns the retained completed traces in completion order;
+// empty unless KeepSpans.
 func (c *Collector) Traces() []*Trace { return c.traces }
 
 // Open returns the number of traces started but not finished.
@@ -283,7 +292,7 @@ func (c *Collector) Open() int { return len(c.openList) }
 // region ("" matches all).
 func (c *Collector) Count(region string) int {
 	if region == "" {
-		return len(c.traces)
+		return len(c.all.resp)
 	}
 	if rs := c.byRegion[region]; rs != nil {
 		return len(rs.resp)

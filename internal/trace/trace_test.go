@@ -31,7 +31,7 @@ func TestTraceLifecycle(t *testing.T) {
 	c.AddSpan(tr, Span{Service: "route", Submit: ms(0), Start: ms(0), End: ms(3)})
 	c.AddSpan(tr, Span{Service: "route", Submit: ms(3), Start: ms(3), End: ms(6)})
 	c.AddSpan(tr, Span{Service: "price", Submit: ms(6), Start: ms(6), End: ms(10)})
-	c.FinishTrace(tr, ms(12))
+	tr = c.FinishTrace(tr, ms(12))
 	if c.Open() != 0 {
 		t.Fatalf("open = %d, want 0", c.Open())
 	}
@@ -86,8 +86,11 @@ func TestKeepSpansFalseDropsSpans(t *testing.T) {
 	tr := c.StartTrace("A", ms(0))
 	c.AddSpan(tr, Span{Service: "s", Submit: ms(0), Start: ms(0), End: ms(1)})
 	c.FinishTrace(tr, ms(2))
-	if len(c.Traces()[0].Spans) != 0 {
-		t.Fatal("spans retained despite KeepSpans=false")
+	if len(c.Traces()) != 0 {
+		t.Fatal("completed record (and its spans) retained despite KeepSpans=false")
+	}
+	if c.Count("") != 1 || c.Count("A") != 1 {
+		t.Fatalf("count = %d/%d, want 1/1 from the response series", c.Count(""), c.Count("A"))
 	}
 }
 
