@@ -14,9 +14,9 @@
 //	experiments -run ext-slo -timeseries telemetry.csv
 //	experiments -run ext-critpath -traces traces.json -trace-sample 0.05
 //	experiments -run fig15 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	experiments -scenario spec.json                  # one control-plane scenario
-//	experiments -workload flash-crowd -app socialnet # ad-hoc scenario from flags
-//	experiments -scenario spec.json -trace day.csv   # spec plus a trace overlay
+//
+// It only regenerates figures: a single run (one scheme, budget and
+// traffic mix, or a JSON scenario spec) is cmd/fridge's job.
 //
 // Independent simulation runs fan out across -parallel workers, both
 // across experiments and across within-figure cells; tables print in
@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"servicefridge/internal/cliutil"
-	"servicefridge/internal/engine"
 	"servicefridge/internal/experiments"
 )
 
@@ -67,39 +66,20 @@ func run() int {
 			"max concurrent simulation runs (1 = sequential)")
 		warmstart = flag.Bool("warmstart", false,
 			"fork budget-sweep cells from one warmed-up snapshot per group (byte-identical output, less wall clock)")
-		scenario = flag.String("scenario", "",
-			"run one JSON scenario spec (the control-plane format, see EXPERIMENTS.md) and print its report instead of regenerating figures")
-		wl        cliutil.WorkloadFlags
 		exports   cliutil.ExportFlags
 		telFlags  cliutil.TelemetryFlags
 		profFlags cliutil.ProfileFlags
 	)
-	wl.Bind(flag.CommandLine)
 	exports.Bind(flag.CommandLine, 0.05)
 	telFlags.Bind(flag.CommandLine)
 	profFlags.Bind(flag.CommandLine)
 	flag.Parse()
-	visited := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { visited[f.Name] = true })
 
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-12s %s\n", e.ID, e.Title)
 		}
 		return 0
-	}
-
-	// -scenario (or any workload/app flag) runs one ad-hoc spec through
-	// the exact mapping the control plane uses and prints the standard
-	// report. Flags layer over the spec file: -app swaps the application,
-	// -workload/-trace/-rate/-horizon/-closed supply the workload section,
-	// -seed overrides the spec's seed. -run/exports do not apply.
-	if *scenario != "" || wl.Active() {
-		return runScenario(*scenario, wl, visited, *seed)
-	}
-	if visited["app"] || visited["spec"] {
-		fmt.Fprintln(os.Stderr, "experiments: -app/-spec apply only with -scenario or -workload/-trace")
-		return 2
 	}
 
 	var todo []experiments.Experiment
@@ -208,67 +188,5 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return 1
 	}
-	return 0
-}
-
-// runScenario loads a scenario spec file (or starts from the zero
-// scenario when path is empty), layers the CLI workload overrides on
-// top, runs it, and prints the same report a control-plane session
-// embeds in its /result document.
-func runScenario(path string, wl cliutil.WorkloadFlags, visited map[string]bool, seed uint64) int {
-	var sc experiments.Scenario
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
-			return 1
-		}
-		sc, err = experiments.DecodeScenario(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			return 1
-		}
-	}
-	if wl.SpecPath != "" {
-		fmt.Fprintln(os.Stderr, "scenario: -spec does not apply to scenario runs (use -app)")
-		return 1
-	}
-	if visited["app"] {
-		sc.App = wl.App
-	}
-	ws, err := wl.Workload()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
-		return 1
-	}
-	if ws != nil {
-		if sc.Workload != nil {
-			fmt.Fprintln(os.Stderr, "scenario: the spec already has a workload section; drop the -workload/-trace flags")
-			return 1
-		}
-		sc.Workload = ws
-	}
-	if visited["seed"] {
-		sc.Seed = seed
-	}
-	sc, err = sc.Normalize()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 1
-	}
-	cfg, err := sc.Config()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 1
-	}
-	tel := sc.NewTelemetry()
-	cfg.Telemetry = tel
-	res, err := engine.RunE(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 1
-	}
-	cliutil.RunReport(os.Stdout, res, tel, sc.SLOTarget())
 	return 0
 }

@@ -50,7 +50,8 @@ func (e *ExportFlags) Stride() int {
 	return int(1/e.TraceSample + 0.5)
 }
 
-// TelemetryFlags groups the live-telemetry flags.
+// TelemetryFlags groups the live-telemetry flags. cmd/fridge applies
+// them to the scenario it runs, whose telemetry every single run binds.
 type TelemetryFlags struct {
 	Timeseries string
 	Listen     string
@@ -73,21 +74,6 @@ func (t *TelemetryFlags) BindServe(fs *flag.FlagSet) {
 		"p95 response-time target the SLO monitor alerts on")
 }
 
-// Enabled reports whether any telemetry surface was requested.
-func (t *TelemetryFlags) Enabled() bool { return t.Timeseries != "" || t.Listen != "" }
-
-// New constructs the Telemetry instance the flags describe, or nil when
-// no telemetry surface was requested. The SLO monitor's grace period is
-// the run's warmup, so the discarded phase cannot trip alerts.
-func (t *TelemetryFlags) New(warmup time.Duration) *telemetry.Telemetry {
-	if !t.Enabled() {
-		return nil
-	}
-	return telemetry.New(telemetry.Options{
-		SLO: telemetry.SLOOptions{Target: t.SLOTarget, Grace: warmup},
-	})
-}
-
 // LoadSpec resolves an application profile: specPath (a JSON profile)
 // wins when set; otherwise name selects a built-in family from
 // app.Builtin ("study", "full", "socialnet", ...).
@@ -108,12 +94,12 @@ func LoadSpec(name, specPath string) (*app.Spec, error) {
 	return family.New(), nil
 }
 
-// WorkloadFlags groups the application and traffic-shape selection flags
-// shared by cmd/fridge and cmd/experiments, so both CLIs parse and
-// validate workload selection identically: -app/-spec pick the call-graph
-// family, -workload/-rate/-horizon generate a registered time-varying
-// profile, -trace replays a recorded t,region,rate schedule, and -closed
-// drives per-region worker pools instead of open-loop arrivals.
+// WorkloadFlags groups cmd/fridge's application and traffic-shape
+// selection flags: -app/-spec pick the call-graph family, -workload/
+// -rate/-horizon generate a registered time-varying profile, -trace
+// replays a recorded t,region,rate schedule, and -closed drives
+// per-region worker pools instead of open-loop arrivals. Workload turns
+// the traffic flags into a scenario's workload section.
 type WorkloadFlags struct {
 	App       string
 	SpecPath  string
@@ -143,24 +129,18 @@ func (w *WorkloadFlags) Bind(fs *flag.FlagSet) {
 		"drive per-region closed-loop worker pools instead of open-loop arrivals")
 }
 
-// Active reports whether a time-varying workload was requested.
-func (w *WorkloadFlags) Active() bool { return w.Profile != "" || w.TracePath != "" }
-
-// LoadSpec resolves the -app/-spec pair.
-func (w *WorkloadFlags) LoadSpec() (*app.Spec, error) { return LoadSpec(w.App, w.SpecPath) }
-
 // Workload resolves the traffic flags into the scenario-format workload
 // section: nil when no time-varying workload was requested, an error for
 // conflicting or dangling flags. A -trace file is read here and carried
 // inline, exactly as a scenario posts it to the control plane; all deeper
 // validation (unknown profile names, malformed traces, bad rates) lives
-// in workload.Spec.Normalize so both CLIs and the server reject
+// in workload.Spec.Normalize so the CLI and the server reject
 // identically.
 func (w *WorkloadFlags) Workload() (*workload.Spec, error) {
 	if w.TracePath != "" && w.Profile != "" {
 		return nil, fmt.Errorf("-trace conflicts with -workload %q", w.Profile)
 	}
-	if !w.Active() {
+	if w.Profile == "" && w.TracePath == "" {
 		if w.Rate != 0 || w.Horizon != 0 || w.Closed {
 			return nil, fmt.Errorf("-rate/-horizon/-closed need -workload or -trace")
 		}
@@ -175,20 +155,6 @@ func (w *WorkloadFlags) Workload() (*workload.Spec, error) {
 		ws.Trace = string(data)
 	}
 	return ws, nil
-}
-
-// MixFor builds the request mix: the two-region study honours the
-// -mixA/-mixB weights; any other spec gets a uniform mix over its
-// regions.
-func MixFor(spec *app.Spec, mixA, mixB float64) *workload.Mix {
-	if spec.Region("A") != nil && spec.Region("B") != nil {
-		return workload.Ratio(mixA, mixB)
-	}
-	weights := map[string]float64{}
-	for _, rn := range spec.RegionNames() {
-		weights[rn] = 1
-	}
-	return workload.NewMix(spec.RegionNames(), weights)
 }
 
 // ParseMix parses comma-separated name=weight pairs into a load map,

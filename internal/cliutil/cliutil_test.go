@@ -45,17 +45,6 @@ func TestLoadSpec(t *testing.T) {
 	}
 }
 
-func TestMixFor(t *testing.T) {
-	study, _ := LoadSpec("study", "")
-	if MixFor(study, 3, 1) == nil {
-		t.Fatal("nil mix for the study spec")
-	}
-	full, _ := LoadSpec("full", "")
-	if MixFor(full, 3, 1) == nil {
-		t.Fatal("nil mix for the full spec")
-	}
-}
-
 func TestParseSweep(t *testing.T) {
 	good := []struct {
 		in   string
@@ -127,15 +116,8 @@ func TestTelemetryFlags(t *testing.T) {
 	if err := fs.Parse([]string{"-timeseries", "out.csv", "-slo-target", "50ms"}); err != nil {
 		t.Fatal(err)
 	}
-	if !tf.Enabled() || tf.SLOTarget != 50*time.Millisecond {
+	if tf.Timeseries != "out.csv" || tf.SLOTarget != 50*time.Millisecond {
 		t.Fatalf("parsed %+v", tf)
-	}
-	if tf.New(time.Second) == nil {
-		t.Fatal("New returned nil with telemetry enabled")
-	}
-	var off TelemetryFlags
-	if off.Enabled() || off.New(0) != nil {
-		t.Fatal("disabled flags built a Telemetry")
 	}
 
 	// The plain Bind must not define the serve-only flags.

@@ -17,8 +17,8 @@ import (
 // lines, the ServiceFridge zone section when the scheme ran one, and the
 // SLO outcome when telemetry was attached. cmd/fridge prints this to
 // stdout and the control plane embeds the same text in its /result
-// documents, so a session and a CLI run with the same scenario and seed
-// produce identical reports.
+// documents; both bind the scenario's telemetry, so a session and a CLI
+// run with the same scenario and seed produce identical reports.
 func RunReport(w io.Writer, res *engine.Result, tel *telemetry.Telemetry, sloTarget time.Duration) {
 	cfg := res.Config
 	fmt.Fprintf(w, "scheme=%s budget=%.0f%% workers=%d regions=%v sim=%v\n\n",
@@ -38,13 +38,8 @@ func RunReport(w io.Writer, res *engine.Result, tel *telemetry.Telemetry, sloTar
 		float64(res.Budget.Cap()), float64(res.Meter.MeanDynamic()),
 		float64(res.Meter.PeakDynamic()), float64(res.Meter.DynamicRange()))
 
-	over := 0
-	for _, cs := range res.Meter.ClusterSamples() {
-		if res.Budget.Violated(cs.Total) {
-			over++
-		}
-	}
-	fmt.Fprintf(w, "budget violations: %d / %d samples\n", over, len(res.Meter.ClusterSamples()))
+	over, samples := res.BudgetViolations()
+	fmt.Fprintf(w, "budget violations: %d / %d samples\n", over, samples)
 	fmt.Fprintf(w, "migrations: %d  container starts: %d\n", res.Orch.Migrations(), res.Orch.Started())
 
 	if res.Fridge != nil {

@@ -688,6 +688,18 @@ func (r *Result) PeakDraw() power.Watts {
 	return peak
 }
 
+// BudgetViolations counts the metered cluster samples whose draw exceeded
+// the budget cap: over of samples.
+func (r *Result) BudgetViolations() (over, samples int) {
+	all := r.Meter.ClusterSamples()
+	for _, cs := range all {
+		if r.Budget.Violated(cs.Total) {
+			over++
+		}
+	}
+	return over, len(all)
+}
+
 // CalibrateMaxRequired measures the maximum required power of a workload:
 // it runs the configuration uncapped (Baseline at 100%) and returns the
 // peak cluster draw, the base the paper's §6 budget percentages refer to.

@@ -4,25 +4,28 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
 	"servicefridge/internal/app"
-	"servicefridge/internal/cliutil"
 	"servicefridge/internal/engine"
 	"servicefridge/internal/schemes"
 	"servicefridge/internal/telemetry"
 	"servicefridge/internal/workload"
 )
 
-// Scenario is the JSON run specification shared by the control plane
-// (internal/server) and the CLIs (-scenario flags). Every field is
-// optional; the zero scenario normalizes to exactly the cmd/fridge flag
-// defaults, i.e. the paper's Table-4 study configuration (Baseline
-// scheme, full budget, 50 workers, A:B = 1:1, 5s warmup + 30s measured,
-// seed 1). Normalization makes every default explicit, so two specs that
-// describe the same run marshal to identical bytes — the property the
-// control plane's byte-identical response guarantee rests on.
+// Scenario is the one description of a single run: cmd/fridge layers its
+// flags onto one (-scenario supplies the starting file), the control
+// plane (internal/server) decodes one per session, and bench/ loads the
+// committed ones. Every field is optional; the zero scenario normalizes
+// to the cmd/fridge flag defaults, i.e. the paper's Table-4 study
+// configuration (Baseline scheme, full budget, 50 workers, A:B = 1:1,
+// 5s warmup + 30s measured, seed 1). Normalization makes every default
+// explicit, so two specs that describe the same run marshal to identical
+// bytes — the property the control plane's byte-identical response
+// guarantee rests on. Config is the only mapping from a run description
+// to engine.Config.
 type Scenario struct {
 	// Scheme is a power-scheme registry name ("" = Baseline).
 	Scheme string `json:"scheme,omitempty"`
@@ -72,35 +75,43 @@ type ScenarioTelemetry struct {
 // Normalize validates s and returns a copy with every default explicit.
 // Normalized scenarios are canonical: equal runs marshal to equal bytes.
 func (s Scenario) Normalize() (Scenario, error) {
+	s, _, err := s.normalize(nil)
+	return s, err
+}
+
+// normalize is Normalize against spec, the application the run executes
+// (nil = the built-in family s.App names, built here once). It returns
+// the spec it checked the mix against.
+func (s Scenario) normalize(spec *app.Spec) (Scenario, *app.Spec, error) {
 	if s.Scheme == "" {
 		s.Scheme = string(engine.Baseline)
 	}
 	if _, ok := schemes.Lookup(s.Scheme); !ok {
-		return s, fmt.Errorf("scenario: unknown scheme %q (known: %s)",
+		return s, nil, fmt.Errorf("scenario: unknown scheme %q (known: %s)",
 			s.Scheme, strings.Join(schemes.Names(), ", "))
 	}
 	if s.Budget == 0 {
 		s.Budget = 1.0
 	}
 	if s.Budget <= 0 || s.Budget > 1 {
-		return s, fmt.Errorf("scenario: budget %v must be in (0, 1]", s.Budget)
+		return s, nil, fmt.Errorf("scenario: budget %v must be in (0, 1]", s.Budget)
 	}
 	if s.Workers == 0 && s.Workload == nil {
 		s.Workers = 50
 	}
 	if s.Workers < 0 {
-		return s, fmt.Errorf("scenario: workers %d must not be negative", s.Workers)
+		return s, nil, fmt.Errorf("scenario: workers %d must not be negative", s.Workers)
 	}
 	if s.App == "" {
 		s.App = "study"
 	}
-	if _, ok := app.Builtin(s.App); !ok {
-		return s, fmt.Errorf("scenario: unknown app %q (known: %s)",
+	family, ok := app.Builtin(s.App)
+	if !ok {
+		return s, nil, fmt.Errorf("scenario: unknown app %q (known: %s)",
 			s.App, strings.Join(app.BuiltinNames(), ", "))
 	}
-	spec, err := cliutil.LoadSpec(s.App, "")
-	if err != nil {
-		return s, err
+	if spec == nil {
+		spec = family.New()
 	}
 	// Collapse the legacy MixA/MixB pair into the Mix map: everything
 	// downstream of normalization sees one mix representation. The wire
@@ -108,28 +119,29 @@ func (s Scenario) Normalize() (Scenario, error) {
 	// them.
 	if len(s.Mix) > 0 {
 		if s.MixA != nil || s.MixB != nil {
-			return s, fmt.Errorf("scenario: mix conflicts with mixA/mixB")
+			return s, nil, fmt.Errorf("scenario: mix conflicts with mixA/mixB")
 		}
 		clean := make(map[string]float64, len(s.Mix))
 		for region, w := range s.Mix {
 			if w < 0 {
-				return s, fmt.Errorf("scenario: mix weight %v for region %q must not be negative", w, region)
+				return s, nil, fmt.Errorf("scenario: mix weight %v for region %q must not be negative", w, region)
 			}
 			if spec.Region(region) == nil {
-				return s, fmt.Errorf("scenario: mix region %q is not in the %s application", region, s.App)
+				return s, nil, fmt.Errorf("scenario: mix region %q is not in the application (regions: %s)",
+					region, strings.Join(spec.RegionNames(), ", "))
 			}
 			if w > 0 {
 				clean[region] = w
 			}
 		}
 		if len(clean) == 0 {
-			return s, fmt.Errorf("scenario: mix has no positive weights")
+			return s, nil, fmt.Errorf("scenario: mix has no positive weights")
 		}
 		s.Mix = clean
 	} else if s.MixA != nil || s.MixB != nil {
 		if spec.Region("A") == nil || spec.Region("B") == nil {
-			return s, fmt.Errorf("scenario: mixA/mixB need regions A and B; app %s has %s (use mix)",
-				s.App, strings.Join(spec.RegionNames(), ", "))
+			return s, nil, fmt.Errorf("scenario: mixA/mixB need regions A and B; the application has %s (use mix)",
+				strings.Join(spec.RegionNames(), ", "))
 		}
 		a, b := 1.0, 1.0
 		if s.MixA != nil {
@@ -139,10 +151,10 @@ func (s Scenario) Normalize() (Scenario, error) {
 			b = *s.MixB
 		}
 		if a < 0 || b < 0 {
-			return s, fmt.Errorf("scenario: mixA %v and mixB %v must not be negative", a, b)
+			return s, nil, fmt.Errorf("scenario: mixA %v and mixB %v must not be negative", a, b)
 		}
 		if a == 0 && b == 0 {
-			return s, fmt.Errorf("scenario: mixA and mixB must not both be zero")
+			return s, nil, fmt.Errorf("scenario: mixA and mixB must not both be zero")
 		}
 		s.Mix = map[string]float64{}
 		if a > 0 {
@@ -165,12 +177,12 @@ func (s Scenario) Normalize() (Scenario, error) {
 		s.DurationS = 30
 	}
 	if s.WarmupS < 0 || s.DurationS < 0 {
-		return s, fmt.Errorf("scenario: warmup_s %v and duration_s %v must not be negative", s.WarmupS, s.DurationS)
+		return s, nil, fmt.Errorf("scenario: warmup_s %v and duration_s %v must not be negative", s.WarmupS, s.DurationS)
 	}
 	if s.Workload != nil {
 		w, err := s.Workload.Normalize(s.WarmupS + s.DurationS)
 		if err != nil {
-			return s, fmt.Errorf("scenario: %v", err)
+			return s, nil, fmt.Errorf("scenario: %v", err)
 		}
 		s.Workload = &w
 	}
@@ -181,7 +193,7 @@ func (s Scenario) Normalize() (Scenario, error) {
 		s.TickMS = 1000
 	}
 	if s.TickMS <= 0 {
-		return s, fmt.Errorf("scenario: tick_ms %v must be positive", s.TickMS)
+		return s, nil, fmt.Errorf("scenario: tick_ms %v must be positive", s.TickMS)
 	}
 	tel := ScenarioTelemetry{}
 	if s.Telemetry != nil {
@@ -197,15 +209,16 @@ func (s Scenario) Normalize() (Scenario, error) {
 		tel.SLOTargetMS = telemetry.DefaultSLOTarget.Seconds() * 1000
 	}
 	if tel.IntervalMS < 0 || tel.WindowTicks < 0 || tel.SLOTargetMS < 0 {
-		return s, fmt.Errorf("scenario: telemetry options must not be negative")
+		return s, nil, fmt.Errorf("scenario: telemetry options must not be negative")
 	}
 	s.Telemetry = &tel
-	return s, nil
+	return s, spec, nil
 }
 
-func ptr(f float64) *float64 { return &f }
-
-func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+// secs converts seconds to the nearest nanosecond, so a whole-nanosecond
+// duration survives the round trip through float seconds (cmd/fridge's
+// -warmup 1.001s stays 1.001s; truncation would make it 1.000999999s).
+func secs(s float64) time.Duration { return time.Duration(math.Round(s * float64(time.Second))) }
 
 // Warmup and Duration return the normalized phase lengths. They assume a
 // normalized scenario (Warmup returns 0 for the zero scenario).
@@ -220,18 +233,23 @@ func (s Scenario) SLOTarget() time.Duration {
 	return secs(s.Telemetry.SLOTargetMS / 1000)
 }
 
-// Config normalizes s and builds the engine configuration it describes —
-// the exact configuration cmd/fridge builds from the equivalent flags, so
-// a control-plane session and a CLI run with the same spec and seed are
-// byte-identical.
+// Config normalizes s and builds the engine configuration it describes.
+// It is the only mapping from a run description to engine.Config: a
+// cmd/fridge run, a control-plane session and a bench/ workload with the
+// same scenario and seed are byte-identical.
 func (s Scenario) Config() (engine.Config, error) {
-	s, err := s.Normalize()
+	_, cfg, err := s.ConfigFor(nil)
+	return cfg, err
+}
+
+// ConfigFor is Config for a run of spec, a custom application profile
+// (cmd/fridge -spec), instead of the built-in family s.App names; a nil
+// spec is Config. It also returns the normalized scenario, whose mix it
+// checked against spec.
+func (s Scenario) ConfigFor(spec *app.Spec) (Scenario, engine.Config, error) {
+	s, spec, err := s.normalize(spec)
 	if err != nil {
-		return engine.Config{}, err
-	}
-	spec, err := cliutil.LoadSpec(s.App, "")
-	if err != nil {
-		return engine.Config{}, err
+		return s, engine.Config{}, err
 	}
 	cfg := engine.Config{
 		Seed:            s.Seed,
@@ -247,17 +265,17 @@ func (s Scenario) Config() (engine.Config, error) {
 	if s.Workload != nil {
 		prof, err := s.Workload.Build(spec.RegionNames(), s.Seed)
 		if err != nil {
-			return engine.Config{}, fmt.Errorf("scenario: %v", err)
+			return s, engine.Config{}, fmt.Errorf("scenario: %v", err)
 		}
 		cfg.Profile = prof
 		cfg.ProfileClosed = s.Workload.Closed
 	}
-	return cfg, cfg.Validate()
+	return s, cfg, cfg.Validate()
 }
 
-// NewTelemetry builds the telemetry sampler the scenario describes. Like
-// the CLI, the SLO monitor's grace period is the warmup so the discarded
-// phase cannot trip alerts. It assumes a normalized scenario.
+// NewTelemetry builds the telemetry sampler the scenario describes. The
+// SLO monitor's grace period is the warmup, so the discarded phase cannot
+// trip alerts. It assumes a normalized scenario.
 func (s Scenario) NewTelemetry() *telemetry.Telemetry {
 	opt := telemetry.Options{
 		SLO: telemetry.SLOOptions{Target: s.SLOTarget(), Grace: s.Warmup()},
@@ -271,7 +289,7 @@ func (s Scenario) NewTelemetry() *telemetry.Telemetry {
 
 // DecodeScenario decodes one JSON scenario from r, rejecting unknown
 // fields and trailing data, without normalizing — for callers that layer
-// overrides (CLI flags) on top before normalization.
+// overrides (cmd/fridge flags) on top before normalization.
 func DecodeScenario(r io.Reader) (Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

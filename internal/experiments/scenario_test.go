@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"servicefridge/internal/cliutil"
 	"servicefridge/internal/engine"
 )
 
@@ -79,44 +78,6 @@ func TestScenarioCanonicalBytes(t *testing.T) {
 	}
 }
 
-// TestScenarioConfigMatchesCLI runs the same short scenario through the
-// Scenario mapping and through the config construction cmd/fridge does,
-// and requires identical results.
-func TestScenarioConfigMatchesCLI(t *testing.T) {
-	sc := Scenario{Scheme: "ServiceFridge", Budget: 0.8, Workers: 20,
-		WarmupS: 1, DurationS: 3, Seed: 7}
-	cfg, err := sc.Config()
-	if err != nil {
-		t.Fatalf("Config: %v", err)
-	}
-
-	spec, err := cliutil.LoadSpec("study", "")
-	if err != nil {
-		t.Fatalf("LoadSpec: %v", err)
-	}
-	cli := engine.Config{
-		Seed:           7,
-		Spec:           spec,
-		Scheme:         engine.SchemeName("ServiceFridge"),
-		BudgetFraction: 0.8,
-		Workers:        20,
-		Mix:            cliutil.MixFor(spec, 1, 1),
-		Warmup:         time.Second,
-		Duration:       3 * time.Second,
-	}
-
-	got := engine.Run(cfg)
-	want := engine.Run(cli)
-	for _, region := range []string{"", "A", "B"} {
-		if g, w := got.Summary(region), want.Summary(region); g != w {
-			t.Fatalf("region %q: scenario run %+v differs from CLI run %+v", region, g, w)
-		}
-	}
-	if g, w := got.Orch.Migrations(), want.Orch.Migrations(); g != w {
-		t.Fatalf("migrations %d != %d", g, w)
-	}
-}
-
 // TestScenarioMixMap exercises the generic region→weight mix path.
 func TestScenarioMixMap(t *testing.T) {
 	// Region A (Advanced Search) responses take seconds each, so the
@@ -163,3 +124,5 @@ func TestScenarioValidation(t *testing.T) {
 		t.Error("LoadScenario accepted trailing data")
 	}
 }
+
+func ptr(f float64) *float64 { return &f }

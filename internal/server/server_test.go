@@ -14,11 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"servicefridge/internal/cliutil"
 	"servicefridge/internal/engine"
 	"servicefridge/internal/experiments"
 	"servicefridge/internal/obs"
-	"servicefridge/internal/telemetry"
 )
 
 // shortScenario finishes in a few dozen milliseconds of wall clock.
@@ -274,51 +272,6 @@ func TestRunStateSize(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if size := after.TotalAlloc - before.TotalAlloc; size > 500_000 {
 		t.Fatalf("a what-if session's RunState at t=%v holds %d bytes, want <= 500000", snap.Now(), size)
-	}
-}
-
-// TestCLIParity is the acceptance test that a session running the default
-// Table-4 scenario matches the cmd/fridge CLI output for the same seed:
-// the CLI builds its config from flag defaults and prints via
-// cliutil.RunReport; the session's report field must be that exact text.
-func TestCLIParity(t *testing.T) {
-	ts := newTestServer(t, Options{})
-	id := createSession(t, ts, `{}`)
-	waitState(t, ts, id, StateDone)
-	_, body := doReq(t, "GET", ts.URL+"/sessions/"+id+"/result", "")
-	var doc resultDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("result unmarshal: %v", err)
-	}
-
-	// The config cmd/fridge builds from its flag defaults (with -listen,
-	// which attaches the same default telemetry a session gets).
-	spec, err := cliutil.LoadSpec("study", "")
-	if err != nil {
-		t.Fatalf("LoadSpec: %v", err)
-	}
-	tel := telemetry.New(telemetry.Options{
-		SLO: telemetry.SLOOptions{Target: telemetry.DefaultSLOTarget, Grace: 5 * time.Second},
-	})
-	cfg := engine.Config{
-		Seed:           1,
-		Spec:           spec,
-		Scheme:         engine.SchemeName("Baseline"),
-		BudgetFraction: 1.0,
-		Workers:        50,
-		Mix:            cliutil.MixFor(spec, 1, 1),
-		Warmup:         5 * time.Second,
-		Duration:       30 * time.Second,
-		Telemetry:      tel,
-	}
-	res, err := engine.RunE(cfg)
-	if err != nil {
-		t.Fatalf("RunE: %v", err)
-	}
-	var want bytes.Buffer
-	cliutil.RunReport(&want, res, tel, telemetry.DefaultSLOTarget)
-	if doc.Report != want.String() {
-		t.Fatalf("session report differs from CLI output:\n--- session\n%s\n--- cli\n%s", doc.Report, want.String())
 	}
 }
 

@@ -356,13 +356,7 @@ func buildResultDoc(sc experiments.Scenario, res *engine.Result, tel *telemetry.
 		PeakDynamicW: float64(res.Meter.PeakDynamic()),
 		RangeW:       float64(res.Meter.DynamicRange()),
 	}
-	samples := res.Meter.ClusterSamples()
-	for _, cs := range samples {
-		if res.Budget.Violated(cs.Total) {
-			doc.Budget.ViolatedSamples++
-		}
-	}
-	doc.Budget.TotalSamples = len(samples)
+	doc.Budget.ViolatedSamples, doc.Budget.TotalSamples = res.BudgetViolations()
 	doc.Orch = orchDoc{Migrations: res.Orch.Migrations(), ContainerStarts: res.Orch.Started()}
 	doc.SLO = sloDocs(tel)
 

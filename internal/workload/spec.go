@@ -15,7 +15,7 @@ const (
 )
 
 // Spec is the JSON "workload" section of a scenario and the resolved form
-// of the CLIs' -workload/-rate/-horizon/-trace/-closed flag group: which
+// of cmd/fridge's -workload/-rate/-horizon/-trace/-closed flag group: which
 // registered shape (or inline trace) makes the run's traffic time-varying,
 // at what base level, over what horizon, and whether setpoints drive
 // open-loop arrival rates (default) or closed-loop worker counts. Trace

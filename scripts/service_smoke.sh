@@ -17,7 +17,12 @@
 #      fork left no trace in the session);
 #   4. the detoured sessions' /ledger bodies (hash-chained run ledgers)
 #      are byte-identical to each other and to the undetoured s4's, and
-#      repeated /explain fetches return identical bytes.
+#      repeated /explain fetches return identical bytes;
+#   5. the CLI leg: `fridge -scenario X -ledger` writes the same ledger as
+#      a session of X, for scenario.json (against s4) and for
+#      scenario_trace.json (against s3, fetched after its profile-swap
+#      what-if, so the detour is invisible to the trace session's ledger
+#      too).
 #
 # Every request/response pair is appended to $OUT/transcript.jsonl (one
 # JSON object per line) so CI can upload the full exchange as an
@@ -139,8 +144,13 @@ req GET "/sessions/s1/explain?t=0" > "$OUT/explain_s1_again.json"
 req GET /sessions/s3/result > "$OUT/result_s3.json"
 req POST /sessions/s3/whatif "$GOLDEN/whatif_swap.json" > "$OUT/whatif_s3.json"
 req GET /sessions/s3/result > "$OUT/result_s3_after.json"
+curl -sS "$BASE/sessions/s3/ledger" > "$OUT/ledger_s3.jsonl"
 
 echo "service_smoke: four sessions completed on $BASE"
+
+# The CLI leg: the same scenarios run locally through the same mapping.
+"$OUT/fridge" -scenario "$GOLDEN/scenario.json" -ledger "$OUT/ledger_cli.jsonl" > /dev/null
+"$OUT/fridge" -scenario "$GOLDEN/scenario_trace.json" -ledger "$OUT/ledger_trace_cli.jsonl" > /dev/null
 
 if [ "$UPDATE" = 1 ]; then
   cp "$OUT/result_s1.json" "$GOLDEN/result.golden.json"
@@ -168,6 +178,12 @@ diff "$OUT/ledger_s1.jsonl" "$OUT/ledger_s2.jsonl" \
   || { echo "service_smoke: /ledger differs between identical sessions" >&2; exit 1; }
 diff "$OUT/ledger_s4.jsonl" "$OUT/ledger_s1.jsonl" \
   || { echo "service_smoke: what-if detours changed the session /ledger" >&2; exit 1; }
+diff "$OUT/ledger_s4.jsonl" "$OUT/ledger_cli.jsonl" \
+  || { echo "service_smoke: fridge -ledger differs from the session /ledger" >&2; exit 1; }
+[ -s "$OUT/ledger_s3.jsonl" ] \
+  || { echo "service_smoke: trace /ledger returned an empty body" >&2; exit 1; }
+diff "$OUT/ledger_s3.jsonl" "$OUT/ledger_trace_cli.jsonl" \
+  || { echo "service_smoke: fridge -ledger differs from the detoured trace session /ledger" >&2; exit 1; }
 diff "$OUT/explain_s1.json" "$OUT/explain_s1_again.json" \
   || { echo "service_smoke: repeated /explain fetches disagree" >&2; exit 1; }
 diff "$GOLDEN/result.golden.json" "$OUT/result_s1.json" \
@@ -183,4 +199,4 @@ diff "$GOLDEN/result_trace.golden.json" "$OUT/result_s3.json" \
 diff "$GOLDEN/whatif_swap.golden.json" "$OUT/whatif_s3.json" \
   || { echo "service_smoke: profile-swap /whatif drifted from the committed golden (run scripts/service_smoke.sh -update)" >&2; exit 1; }
 
-echo "service_smoke: results byte-identical across sessions and goldens"
+echo "service_smoke: results byte-identical across sessions, the CLI and goldens"
