@@ -300,6 +300,24 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineHop measures a Hop+Step cycle with about 32 hops pending
+// in the FIFO lane — the executor's constant network hop, which bypasses
+// the heap. Steady state is allocation-free (gated via bench_gates.json).
+func BenchmarkEngineHop(b *testing.B) {
+	b.ReportAllocs()
+	eng := sim.NewEngine(1)
+	fn := sim.Handler(func() {})
+	eng.Grow(64)
+	for i := 0; i < 32; i++ {
+		eng.Hop(time.Duration(i)*time.Microsecond, fn)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Hop(100*time.Microsecond, fn)
+		eng.Step()
+	}
+}
+
 // benchCollector returns a collector warmed to its allocation-free steady
 // state: stores pre-grown and a finished trace ready for reuse.
 func benchCollector(extra int) *trace.Collector {
@@ -463,6 +481,46 @@ func BenchmarkServerJobChurn(b *testing.B) {
 	b.ResetTimer()
 	srv.Submit(job)
 	eng.Run()
+}
+
+// BenchmarkServerQueueChurn measures job completions on a 6-core server
+// whose queue stays 64 jobs deep: each completion dequeues the head and
+// resubmits the finished job at the tail, recycling the same 70 Jobs.
+// Dequeueing is O(1), so the depth costs nothing per op. Gated
+// allocation-free via bench_gates.json.
+func BenchmarkServerQueueChurn(b *testing.B) {
+	b.ReportAllocs()
+	eng := sim.NewEngine(1)
+	srv := cluster.NewServer(eng, "n1", cluster.RoleNormalWorker, 6)
+	jobs := make([]cluster.Job, 6+64)
+	// One full turn of the queue warms the calendar and the timer
+	// freelist to their steady size before timing starts.
+	done, warm := 0, len(jobs)
+	for i := range jobs {
+		j := &jobs[i]
+		j.Tag = "x"
+		j.Demand = time.Duration(100+i) * time.Microsecond
+		j.OnDone = func() {
+			done++
+			if done <= warm+b.N {
+				srv.Submit(j)
+			}
+		}
+	}
+	for i := range jobs {
+		srv.Submit(&jobs[i])
+	}
+	for done < warm {
+		eng.Step()
+	}
+	b.ResetTimer()
+	for done < warm+b.N {
+		eng.Step()
+	}
+	b.StopTimer()
+	if srv.QueueLen() != 64 {
+		b.Fatalf("queue depth %d, want 64", srv.QueueLen())
+	}
 }
 
 // BenchmarkCounterObserveComplete measures the MCF indegree counters'

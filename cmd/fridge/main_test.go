@@ -169,6 +169,21 @@ func TestRejections(t *testing.T) {
 		{[]string{"-scheme", "NoSuchScheme"}, append([]string{`"NoSuchScheme"`}, schemes.Names()...)},
 		{[]string{"-serve"}, []string{"-serve requires -listen"}},
 	}
+	// A duration past time.Duration's range is an input error naming its
+	// field, not a wrapped negative duration that runs and misreports.
+	for _, spec := range []struct{ body, field string }{
+		{`{"telemetry":{"slo_target_ms":1e13}}`, "telemetry.slo_target_ms"},
+		{`{"warmup_s":9.3e9}`, "warmup_s"},
+	} {
+		path := filepath.Join(t.TempDir(), "overflow.json")
+		if err := os.WriteFile(path, []byte(spec.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, struct {
+			args []string
+			want []string
+		}{[]string{"-scenario", path}, []string{spec.field, "overflows a time.Duration"}})
+	}
 	for _, flag := range []string{"-scenario", "-events", "-traces", "-ledger", "-timeseries", "-profile", "-cpuprofile", "-memprofile"} {
 		cases = append(cases, struct {
 			args []string

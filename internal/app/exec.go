@@ -164,7 +164,7 @@ func (x *Executor) Launch(regionName string, onDone func(*trace.Trace)) {
 	// stages and waits for them (§2.1: upper-level services "not only
 	// perform their own tasks, but also wait for the return of the
 	// lower-level microservices").
-	x.invoke(req, nil, req.tr, r.api, r.APIExec)
+	x.invoke(req, nil, req.tr, r.api, r.APIExec, r.apiExec)
 }
 
 // startStage begins stage idx of the request, issuing every call's initial
@@ -226,21 +226,22 @@ func (cr *callRun) issueNext() {
 		return
 	}
 	cr.issued++
-	cr.x.invoke(nil, cr, cr.req.tr, cr.call.callee, cr.call.Exec)
+	cr.x.invoke(nil, cr, cr.req.tr, cr.call.callee, cr.call.Exec, cr.call.exec)
 }
 
 // invoke starts one invocation of ms with the given mean demand on behalf
-// of req (API layer) or cr (stage call).
-func (x *Executor) invoke(req *request, cr *callRun, tr *trace.Trace, ms *Microservice, meanExec time.Duration) {
+// of req (API layer) or cr (stage call); dist is the demand's jittered
+// distribution (see execDist).
+func (x *Executor) invoke(req *request, cr *callRun, tr *trace.Trace, ms *Microservice, meanExec time.Duration, dist sim.LogNormalDist) {
 	demand := meanExec
 	if ms.Jitter > 0 {
-		demand = time.Duration(x.rng.LogNormal(float64(meanExec), ms.Jitter*float64(meanExec)))
+		demand = time.Duration(x.rng.Draw(dist))
 	}
 	inv := x.acquireInv(ms)
 	inv.req, inv.cr, inv.tr = req, cr, tr
 	inv.ms, inv.demand = ms, demand
 	if x.NetDelay > 0 {
-		x.eng.Schedule(x.NetDelay, inv.submitFn)
+		x.eng.Hop(x.NetDelay, inv.submitFn)
 	} else {
 		inv.submit()
 	}

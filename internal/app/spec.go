@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"servicefridge/internal/cluster"
+	"servicefridge/internal/sim"
 )
 
 // Kind classifies a microservice within the two-layer architecture.
@@ -117,8 +118,11 @@ type Call struct {
 	Concurrency int
 
 	// callee is the resolved Service profile, set by Spec.AddRegion so
-	// the executor never looks a callee up by name.
+	// the executor never looks a callee up by name; exec is the
+	// invocation's execution-time distribution, precomputed there from
+	// Exec and the callee's Jitter.
 	callee *Microservice
+	exec   sim.LogNormalDist
 }
 
 // Weight is the per-request completion time contributed by this edge at
@@ -142,10 +146,12 @@ type Region struct {
 	// Stages execute sequentially per request.
 	Stages []Stage
 
-	// Resolved by Spec.AddRegion: the API service's profile and the
-	// distinct function services the region calls, in first-call order,
-	// as dense service IDs and as names.
+	// Resolved by Spec.AddRegion: the API service's profile, its job's
+	// execution-time distribution, and the distinct function services
+	// the region calls, in first-call order, as dense service IDs and as
+	// names.
 	api          *Microservice
+	apiExec      sim.LogNormalDist
 	serviceIDs   []int
 	serviceNames []string
 }
@@ -257,6 +263,7 @@ func (s *Spec) AddRegion(r Region) *Region {
 	}
 	cp := r
 	cp.api, cp.serviceIDs, cp.serviceNames = api, nil, nil
+	cp.apiExec = execDist(r.APIExec, api)
 	cp.Stages = make([]Stage, len(r.Stages))
 	seen := make([]bool, len(s.byID))
 	for i, st := range r.Stages {
@@ -274,6 +281,7 @@ func (s *Spec) AddRegion(r Region) *Region {
 				panic(fmt.Sprintf("app: region %q call to %q has non-positive times/exec", r.Name, c.Service))
 			}
 			c.callee = callee
+			c.exec = execDist(c.Exec, callee)
 			if id := callee.id; !seen[id] {
 				seen[id] = true
 				cp.serviceIDs = append(cp.serviceIDs, id)
@@ -284,6 +292,12 @@ func (s *Spec) AddRegion(r Region) *Region {
 	s.regions[r.Name] = &cp
 	s.regionOrder = append(s.regionOrder, r.Name)
 	return &cp
+}
+
+// execDist is the distribution of one invocation of ms with mean execution
+// time mean: log-normal with standard deviation ms.Jitter × mean.
+func execDist(mean time.Duration, ms *Microservice) sim.LogNormalDist {
+	return sim.NewLogNormal(float64(mean), ms.Jitter*float64(mean))
 }
 
 // Service returns the profile for name, or nil.

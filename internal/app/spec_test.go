@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"servicefridge/internal/cluster"
+	"servicefridge/internal/sim"
 )
 
 func TestTwoRegionStudyMatchesTable4(t *testing.T) {
@@ -291,5 +292,41 @@ func TestPlacedServicesExcludesDatabases(t *testing.T) {
 	}
 	if len(s.PlacedServices()) != 42-10 {
 		t.Fatalf("placed = %d, want 32", len(s.PlacedServices()))
+	}
+}
+
+// TestExecDistsDrawLikeLogNormal checks the distributions AddRegion
+// precomputes for every API job and call edge of every built-in
+// application: each draw must equal, bit for bit and stream position for
+// stream position, a draw from the log-normal of the edge's mean and
+// jitter, which the executor drew per invocation before the
+// precomputation (sim's TestDrawMatchesLogNormalReference pins that draw
+// to its original body).
+func TestExecDistsDrawLikeLogNormal(t *testing.T) {
+	for _, name := range BuiltinNames() {
+		family, _ := Builtin(name)
+		spec := family.New()
+		for _, rn := range spec.RegionNames() {
+			r := spec.Region(rn)
+			check := func(edge string, ms *Microservice, mean time.Duration, d sim.LogNormalDist) {
+				got, want := sim.NewRNG(7), sim.NewRNG(7)
+				for k := 0; k < 3; k++ {
+					g := got.Draw(d)
+					w := want.Draw(sim.NewLogNormal(float64(mean), ms.Jitter*float64(mean)))
+					if math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("%s/%s %s draw %d: %v, want %v", name, rn, edge, k, g, w)
+					}
+				}
+				if got.CursorDigest() != want.CursorDigest() {
+					t.Fatalf("%s/%s %s: stream cursor diverged", name, rn, edge)
+				}
+			}
+			check("api "+r.API, r.api, r.APIExec, r.apiExec)
+			for _, st := range r.Stages {
+				for _, c := range st {
+					check("call "+c.Service, c.callee, c.Exec, c.exec)
+				}
+			}
+		}
 	}
 }

@@ -67,6 +67,9 @@ type Job struct {
 	busyCell *time.Duration
 	cellSrv  *Server
 	cellTag  string
+	// busyFrom is when the job's core time was last folded into busyCell:
+	// its start, or the server's last per-tag read.
+	busyFrom sim.Time
 }
 
 func (j *Job) complete() { j.srv.complete(j) }
@@ -101,11 +104,15 @@ type Server struct {
 	// fresh calendar sequence numbers, and map iteration would assign them
 	// in a different order every run.
 	running []*Job
-	queue   []*Job
+	// queue holds the jobs waiting for a core.
+	queue sim.FIFO[*Job]
 
 	// busy accounting: cumulative core-busy time, total and per tag. The
 	// per-tag accumulators are boxed so jobs can cache a pointer to their
 	// tag's cell (Job.busyCell); a box, once created, is never replaced.
+	// busyTotal is current as of lastUpdate; a tag's cell lacks the time
+	// its running jobs have accrued since their busyFrom, which
+	// foldRunning adds before any read.
 	busyTotal  time.Duration
 	busyByTag  map[string]*time.Duration
 	lastUpdate sim.Time
@@ -148,7 +155,7 @@ func (s *Server) Freq() GHz { return s.freq }
 func (s *Server) InFlight() int { return len(s.running) }
 
 // QueueLen returns the number of jobs waiting for a core.
-func (s *Server) QueueLen() int { return len(s.queue) }
+func (s *Server) QueueLen() int { return s.queue.Len() }
 
 // Completed returns the count of fully served jobs.
 func (s *Server) Completed() uint64 { return s.completedJobs }
@@ -156,18 +163,32 @@ func (s *Server) Completed() uint64 { return s.completedJobs }
 // FreqChanges returns how many DVFS transitions this server has performed.
 func (s *Server) FreqChanges() uint64 { return s.freqChanges }
 
-// accrueBusy folds elapsed busy-core time into the counters. Must be called
-// before any change to the running set or a sample of the counters.
+// accrueBusy folds elapsed busy-core time into the total. Must be called
+// before any change to the running set or a read of the total. Per-tag
+// time accrues per job instead (see foldRunning), so this is O(1).
 func (s *Server) accrueBusy() {
 	now := s.eng.Now()
-	if now > s.lastUpdate && len(s.running) > 0 {
-		dt := now.Sub(s.lastUpdate)
-		s.busyTotal += dt * time.Duration(len(s.running))
-		for _, j := range s.running {
-			*j.busyCell += dt
-		}
+	if now > s.lastUpdate {
+		s.busyTotal += now.Sub(s.lastUpdate) * time.Duration(len(s.running))
 	}
 	s.lastUpdate = now
+}
+
+// foldBusy adds the core time j has accrued since busyFrom to its tag's
+// cell. The cells are integer sums, so folding per job at completion and
+// at reads gives the same values as folding every job at every event.
+func (j *Job) foldBusy(now sim.Time) {
+	*j.busyCell += now.Sub(j.busyFrom)
+	j.busyFrom = now
+}
+
+// foldRunning brings every tag's cell up to now. Must be called before a
+// read of the per-tag cells.
+func (s *Server) foldRunning() {
+	now := s.eng.Now()
+	for _, j := range s.running {
+		j.foldBusy(now)
+	}
 }
 
 // BusyCoreTime returns cumulative core-busy time since the run started.
@@ -178,7 +199,7 @@ func (s *Server) BusyCoreTime() time.Duration {
 
 // BusyCoreTimeByTag returns cumulative busy time attributed to tag.
 func (s *Server) BusyCoreTimeByTag(tag string) time.Duration {
-	s.accrueBusy()
+	s.foldRunning()
 	if cell := s.busyByTag[tag]; cell != nil {
 		return *cell
 	}
@@ -188,7 +209,6 @@ func (s *Server) BusyCoreTimeByTag(tag string) time.Duration {
 // Tags returns all tags that have accumulated busy time, in no particular
 // order.
 func (s *Server) Tags() []string {
-	s.accrueBusy()
 	out := make([]string, 0, len(s.busyByTag))
 	for t := range s.busyByTag {
 		out = append(out, t)
@@ -209,7 +229,7 @@ func (s *Server) Submit(j *Job) {
 		s.start(j)
 		return
 	}
-	s.queue = append(s.queue, j)
+	s.queue.Push(j)
 }
 
 func (s *Server) start(j *Job) {
@@ -217,6 +237,7 @@ func (s *Server) start(j *Job) {
 	j.remaining = j.Demand
 	j.factor = j.slowdownAt(s.freq)
 	j.since = s.eng.Now()
+	j.busyFrom = j.since
 	if j.cellSrv != s || j.cellTag != j.Tag {
 		cell := s.busyByTag[j.Tag]
 		if cell == nil {
@@ -239,6 +260,7 @@ func (s *Server) scheduleCompletion(j *Job) {
 
 func (s *Server) complete(j *Job) {
 	s.accrueBusy()
+	j.foldBusy(s.eng.Now())
 	for i, r := range s.running {
 		if r == j {
 			copy(s.running[i:], s.running[i+1:])
@@ -251,12 +273,8 @@ func (s *Server) complete(j *Job) {
 	s.completedJobs++
 	// Start the next queued job before the completion callback so that
 	// callbacks observing queue lengths see a settled state.
-	if len(s.queue) > 0 {
-		next := s.queue[0]
-		copy(s.queue, s.queue[1:])
-		s.queue[len(s.queue)-1] = nil
-		s.queue = s.queue[:len(s.queue)-1]
-		s.start(next)
+	if s.queue.Len() > 0 {
+		s.start(s.queue.Pop())
 	}
 	if j.OnDone != nil {
 		j.OnDone()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -331,8 +332,18 @@ func TestClusterSetAllFreq(t *testing.T) {
 }
 
 // Property: total busy time equals the sum of wall-clock service times of
-// all jobs, regardless of queueing order and DVFS changes.
+// all jobs, regardless of queueing order and DVFS changes, and the per-tag
+// times sum to it — also when read mid-run, while jobs of every tag are
+// still in flight.
 func TestBusyTimeConservationProperty(t *testing.T) {
+	tags := []string{"t0", "t1", "t2"}
+	conserved := func(s *Server) bool {
+		var sum time.Duration
+		for _, tag := range tags {
+			sum += s.BusyCoreTimeByTag(tag)
+		}
+		return sum == s.BusyCoreTime()
+	}
 	f := func(seed uint64, nJobs uint8) bool {
 		n := int(nJobs%20) + 1
 		eng := sim.NewEngine(seed)
@@ -341,8 +352,9 @@ func TestBusyTimeConservationProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			d := time.Duration(r.Intn(20)+1) * time.Millisecond
 			at := time.Duration(r.Intn(50)) * time.Millisecond
+			tag := tags[r.Intn(len(tags))]
 			eng.Schedule(at, func() {
-				s.Submit(&Job{Tag: "t", Demand: d})
+				s.Submit(&Job{Tag: tag, Demand: d})
 			})
 		}
 		// Random DVFS changes.
@@ -351,8 +363,13 @@ func TestBusyTimeConservationProperty(t *testing.T) {
 			fi := GHz(1.2 + float64(r.Intn(13))/10)
 			eng.Schedule(at, func() { s.SetFreq(fi) })
 		}
+		ok := true
+		for i := 0; i < 4; i++ {
+			at := time.Duration(r.Intn(80))*time.Millisecond + time.Microsecond
+			eng.Schedule(at, func() { ok = ok && conserved(s) })
+		}
 		eng.Run()
-		return s.Completed() == uint64(n) && s.BusyCoreTime() == s.BusyCoreTimeByTag("t")
+		return ok && s.Completed() == uint64(n) && conserved(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -446,5 +463,70 @@ func TestRecycledJobCompletesOnItsCurrentServer(t *testing.T) {
 	}
 	if done != 1 || eng.Now() != sim.Time(20*time.Millisecond) {
 		t.Fatalf("restored job: done=%d at %v, want 1 at 20ms", done, eng.Now())
+	}
+}
+
+// TestServerSnapshotMidQueue snapshots a server whose queue is partly
+// drained (jobs have left it, others still wait) with jobs in flight,
+// diverges it with more submits and a DVFS change, and restores it. From
+// there it must run exactly like an undiverged twin: the same completion
+// order, queue lengths and total and per-tag busy time.
+func TestServerSnapshotMidQueue(t *testing.T) {
+	tags := []string{"a", "b", "c", "extra"}
+	type rig struct {
+		eng   *sim.Engine
+		s     *Server
+		order []int
+	}
+	build := func() *rig {
+		r := &rig{eng: sim.NewEngine(1)}
+		r.s = NewServer(r.eng, "n1", RoleNormalWorker, 2)
+		for i := 0; i < 12; i++ {
+			i := i
+			j := &Job{Tag: tags[i%3], Demand: time.Duration(3+i%4) * time.Millisecond}
+			j.OnDone = func() { r.order = append(r.order, i) }
+			r.s.Submit(j)
+		}
+		r.eng.RunFor(7 * time.Millisecond)
+		return r
+	}
+	twin, r := build(), build()
+	if r.s.Completed() == 0 || r.s.QueueLen() == 0 || r.s.InFlight() == 0 {
+		t.Fatalf("snapshot point has %d completed, %d queued and %d in flight; want all positive",
+			r.s.Completed(), r.s.QueueLen(), r.s.InFlight())
+	}
+	se, ss, done := r.eng.Snapshot(), r.s.Snapshot(), len(r.order)
+
+	for i := 0; i < 9; i++ {
+		r.s.Submit(&Job{Tag: "extra", Demand: time.Millisecond})
+	}
+	r.s.SetFreq(1.2)
+	r.eng.RunFor(15 * time.Millisecond)
+	if len(r.order) == done {
+		t.Fatal("the detour completed nothing")
+	}
+
+	r.eng.Restore(se)
+	r.s.Restore(ss)
+	r.order = r.order[:done]
+	for step := 0; ; step++ {
+		for _, x := range []*rig{r, twin} {
+			x.eng.RunFor(2 * time.Millisecond)
+		}
+		if r.s.QueueLen() != twin.s.QueueLen() || r.s.BusyCoreTime() != twin.s.BusyCoreTime() {
+			t.Fatalf("step %d: queue %d busy %v, twin queue %d busy %v", step,
+				r.s.QueueLen(), r.s.BusyCoreTime(), twin.s.QueueLen(), twin.s.BusyCoreTime())
+		}
+		for _, tag := range tags {
+			if got, want := r.s.BusyCoreTimeByTag(tag), twin.s.BusyCoreTimeByTag(tag); got != want {
+				t.Fatalf("step %d: tag %s busy %v, twin %v", step, tag, got, want)
+			}
+		}
+		if r.eng.Pending() == 0 && twin.eng.Pending() == 0 {
+			break
+		}
+	}
+	if fmt.Sprint(r.order) != fmt.Sprint(twin.order) || len(r.order) != 12 {
+		t.Fatalf("completion order %v, twin %v", r.order, twin.order)
 	}
 }

@@ -45,8 +45,9 @@ func (s *Server) Snapshot() *ServerState {
 	for i, j := range s.running {
 		snap.running[i] = jobSnap{ptr: j, val: *j}
 	}
-	snap.queue = make([]jobSnap, len(s.queue))
-	for i, j := range s.queue {
+	waiting := s.queue.Pending()
+	snap.queue = make([]jobSnap, len(waiting))
+	for i, j := range waiting {
 		snap.queue[i] = jobSnap{ptr: j, val: *j}
 	}
 	for tag, cell := range s.busyByTag {
@@ -59,7 +60,9 @@ func (s *Server) Snapshot() *ServerState {
 // busy boxes are reset in place (never replaced) so Job.busyCell pointers
 // cached by restored jobs stay valid; boxes created after the snapshot are
 // zeroed, which is invisible to consumers (a tag only surfaces in power
-// samples once it accrues busy time).
+// samples once it accrues busy time). A box holds its tag's time up to the
+// running jobs' busyFrom, which the restored job values carry, so the
+// snapshot needs no fold.
 func (s *Server) Restore(snap *ServerState) {
 	s.freq = snap.freq
 	s.maxFreq = snap.maxFreq
@@ -72,10 +75,10 @@ func (s *Server) Restore(snap *ServerState) {
 		*js.ptr = js.val
 		s.running = append(s.running, js.ptr)
 	}
-	s.queue = s.queue[:0]
+	s.queue.Reset()
 	for _, js := range snap.queue {
 		*js.ptr = js.val
-		s.queue = append(s.queue, js.ptr)
+		s.queue.Push(js.ptr)
 	}
 	for tag, cell := range s.busyByTag {
 		*cell = snap.busyByTag[tag]

@@ -179,6 +179,16 @@ func (s Scenario) normalize(spec *app.Spec) (Scenario, *app.Spec, error) {
 	if s.WarmupS < 0 || s.DurationS < 0 {
 		return s, nil, fmt.Errorf("scenario: warmup_s %v and duration_s %v must not be negative", s.WarmupS, s.DurationS)
 	}
+	if err := fitsDuration("warmup_s", s.WarmupS, 1); err != nil {
+		return s, nil, err
+	}
+	if err := fitsDuration("duration_s", s.DurationS, 1); err != nil {
+		return s, nil, err
+	}
+	if s.Warmup() > math.MaxInt64-s.Duration() {
+		return s, nil, fmt.Errorf("scenario: warmup_s %v + duration_s %v overflows a time.Duration (max %v)",
+			s.WarmupS, s.DurationS, time.Duration(math.MaxInt64))
+	}
 	if s.Workload != nil {
 		w, err := s.Workload.Normalize(s.WarmupS + s.DurationS)
 		if err != nil {
@@ -194,6 +204,9 @@ func (s Scenario) normalize(spec *app.Spec) (Scenario, *app.Spec, error) {
 	}
 	if s.TickMS <= 0 {
 		return s, nil, fmt.Errorf("scenario: tick_ms %v must be positive", s.TickMS)
+	}
+	if err := fitsDuration("tick_ms", s.TickMS, 1000); err != nil {
+		return s, nil, err
 	}
 	tel := ScenarioTelemetry{}
 	if s.Telemetry != nil {
@@ -211,6 +224,12 @@ func (s Scenario) normalize(spec *app.Spec) (Scenario, *app.Spec, error) {
 	if tel.IntervalMS < 0 || tel.WindowTicks < 0 || tel.SLOTargetMS < 0 {
 		return s, nil, fmt.Errorf("scenario: telemetry options must not be negative")
 	}
+	if err := fitsDuration("telemetry.interval_ms", tel.IntervalMS, 1000); err != nil {
+		return s, nil, err
+	}
+	if err := fitsDuration("telemetry.slo_target_ms", tel.SLOTargetMS, 1000); err != nil {
+		return s, nil, err
+	}
 	s.Telemetry = &tel
 	return s, spec, nil
 }
@@ -218,7 +237,19 @@ func (s Scenario) normalize(spec *app.Spec) (Scenario, *app.Spec, error) {
 // secs converts seconds to the nearest nanosecond, so a whole-nanosecond
 // duration survives the round trip through float seconds (cmd/fridge's
 // -warmup 1.001s stays 1.001s; truncation would make it 1.000999999s).
+// Normalize has checked, with fitsDuration, that the result fits.
 func secs(s float64) time.Duration { return time.Duration(math.Round(s * float64(time.Second))) }
+
+// fitsDuration rejects a field whose value v, in units of 1/perSecond
+// seconds, secs cannot convert without wrapping: its nanoseconds must fit
+// an int64 (NaN never does).
+func fitsDuration(field string, v, perSecond float64) error {
+	ns := math.Round(v / perSecond * float64(time.Second))
+	if ns >= math.MinInt64 && ns < math.MaxInt64 {
+		return nil
+	}
+	return fmt.Errorf("scenario: %s %v overflows a time.Duration (max %v)", field, v, time.Duration(math.MaxInt64))
+}
 
 // Warmup and Duration return the normalized phase lengths. They assume a
 // normalized scenario (Warmup returns 0 for the zero scenario).

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"servicefridge/internal/engine"
+	"servicefridge/internal/workload"
 )
 
 // TestScenarioZeroIsTable4 checks that the empty spec normalizes to the
@@ -122,6 +124,47 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if _, err := LoadScenario(strings.NewReader(`{} {}`)); err == nil {
 		t.Error("LoadScenario accepted trailing data")
+	}
+}
+
+// TestScenarioRejectsOverflowingDurations requires every seconds or
+// milliseconds field whose nanoseconds do not fit a time.Duration to be
+// rejected by name, instead of wrapping to a negative duration that
+// misreports later or runs a different scenario.
+func TestScenarioRejectsOverflowingDurations(t *testing.T) {
+	steady := func(horizon float64) *workload.Spec {
+		return &workload.Spec{Profile: "steady", HorizonS: horizon}
+	}
+	cases := []struct {
+		s     Scenario
+		field string
+	}{
+		{Scenario{WarmupS: 9.3e9}, "warmup_s"},
+		{Scenario{DurationS: 1e10}, "duration_s"},
+		{Scenario{DurationS: math.Inf(1)}, "duration_s"},
+		{Scenario{WarmupS: math.NaN()}, "warmup_s"},
+		{Scenario{WarmupS: 5e9, DurationS: 5e9}, "warmup_s 5e+09 + duration_s"},
+		{Scenario{TickMS: 1e13}, "tick_ms"},
+		{Scenario{Telemetry: &ScenarioTelemetry{IntervalMS: 1e13}}, "telemetry.interval_ms"},
+		{Scenario{Telemetry: &ScenarioTelemetry{SLOTargetMS: 1e13}}, "telemetry.slo_target_ms"},
+		{Scenario{Workload: steady(1e10)}, "horizon_s"},
+	}
+	for _, tc := range cases {
+		_, err := tc.s.Normalize()
+		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), "overflows a time.Duration") {
+			t.Errorf("Normalize(%+v) = %v, want an overflow error naming %s", tc.s, err, tc.field)
+		}
+	}
+	// The largest values that still fit are accepted.
+	for _, s := range []Scenario{
+		{WarmupS: 4e9, DurationS: 5e9},
+		{TickMS: 9e12},
+		{Telemetry: &ScenarioTelemetry{IntervalMS: 9e12, SLOTargetMS: 9e12}},
+		{Workload: steady(9e9)},
+	} {
+		if _, err := s.Normalize(); err != nil {
+			t.Errorf("Normalize(%+v): %v", s, err)
+		}
 	}
 }
 

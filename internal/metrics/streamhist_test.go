@@ -25,7 +25,7 @@ func corpora() map[string][]time.Duration {
 	var lognormal []time.Duration
 	for i := 0; i < 5000; i++ {
 		lognormal = append(lognormal,
-			time.Duration(rng.LogNormal(float64(4*time.Millisecond), float64(3*time.Millisecond))))
+			time.Duration(rng.Draw(sim.NewLogNormal(float64(4*time.Millisecond), float64(3*time.Millisecond)))))
 	}
 	out["lognormal"] = lognormal
 	var exponential []time.Duration

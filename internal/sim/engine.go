@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"servicefridge/internal/prof"
@@ -67,11 +69,20 @@ type timerState struct {
 // halves the tree depth of a binary heap, trading a few extra comparisons
 // per level for fewer cache-missing levels — the right trade for the
 // millions of push/pop cycles a full experiment registry performs.
+//
+// Beside the heap runs a FIFO lane for fixed-delay events (Hop). With a
+// constant delay, each hop is due no earlier than the one before it, and
+// its sequence number is larger, so appending keeps the lane sorted in
+// the engine's (time, seq) order at O(1) per event; Step takes whichever
+// of the lane head and the heap root comes first, so the lane changes
+// no event's turn.
 type Engine struct {
 	now    Time
 	seq    uint64
 	events []event
-	rng    *RNG
+	// lane holds the pending Hop events in (time, seq) order.
+	lane FIFO[event]
+	rng  *RNG
 	// processed counts executed events, exposed for tests and for guarding
 	// against runaway feedback loops in controllers.
 	processed uint64
@@ -111,14 +122,12 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // the dispatch phase as self time.
 func (e *Engine) SetProfiler(p *prof.Profiler) { e.prof = p }
 
-// Grow pre-allocates calendar capacity for at least n pending events, so a
-// run with a known event population never reallocates the heap slice.
+// Grow pre-allocates calendar capacity for at least n more pending events
+// in the heap and n more in the hop lane, so a run with a known event
+// population never reallocates either slice.
 func (e *Engine) Grow(n int) {
-	if cap(e.events)-len(e.events) < n {
-		grown := make([]event, len(e.events), len(e.events)+n)
-		copy(grown, e.events)
-		e.events = grown
-	}
+	e.events = slices.Grow(e.events, n)
+	e.lane.Grow(n)
 }
 
 // Schedule runs fn after delay. A negative delay is an error in the caller;
@@ -137,6 +146,24 @@ func (e *Engine) ScheduleAt(at Time, fn Handler) {
 		panic(fmt.Sprintf("sim: ScheduleAt %v is before now %v", at, e.now))
 	}
 	e.push(at, fn, 0)
+}
+
+// Hop runs fn after delay, like Schedule, for the events whose delay is
+// one fixed constant (a network hop): each lands in the FIFO lane in O(1)
+// instead of the heap. A hop due before the lane's tail (the delay got
+// shorter) goes to the heap, so any delay is correct and only the
+// constant one is cheap.
+func (e *Engine) Hop(delay time.Duration, fn Handler) {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: Hop with negative delay %v at t=%v", delay, e.now))
+	}
+	at := e.now.Add(delay)
+	if lane := e.lane.Pending(); len(lane) > 0 && at < lane[len(lane)-1].at {
+		e.push(at, fn, 0)
+		return
+	}
+	e.lane.Push(event{at: at, seq: e.seq, fn: fn})
+	e.seq++
 }
 
 // Timer is a handle to a cancellable scheduled event. The zero Timer is
@@ -288,11 +315,34 @@ func (e *Engine) siftDown(ev event) {
 	e.events[i] = ev
 }
 
+// endOfTime is later than every event: Step's deadline.
+const endOfTime = Time(math.MaxInt64)
+
 // Step executes the single next event. It returns false when the calendar
 // is empty.
-func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := e.popMin()
+func (e *Engine) Step() bool { return e.step(endOfTime) }
+
+// step executes the next event due at or before deadline, discarding the
+// cancelled ones it meets on the way. It returns false when no live event
+// is due by then.
+func (e *Engine) step(deadline Time) bool {
+	for {
+		var ev event
+		switch lane := e.lane.Pending(); {
+		case len(lane) > 0 && (len(e.events) == 0 || lane[0].before(e.events[0])):
+			// The lane's head comes before the heap's root.
+			if lane[0].at > deadline {
+				return false
+			}
+			ev = e.lane.Pop()
+		case len(e.events) > 0:
+			if e.events[0].at > deadline {
+				return false
+			}
+			ev = e.popMin()
+		default:
+			return false
+		}
 		if ev.timer != 0 {
 			slot := ev.timer - 1
 			st := &e.timers[slot]
@@ -314,7 +364,6 @@ func (e *Engine) Step() bool {
 		ev.fn()
 		return true
 	}
-	return false
 }
 
 // Run executes events until the calendar is empty.
@@ -330,8 +379,7 @@ func (e *Engine) Run() {
 // queued, so a run can be resumed.
 func (e *Engine) RunUntil(deadline Time) {
 	e.prof.Enter(prof.Dispatch)
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.Step()
+	for e.step(deadline) {
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -343,5 +391,5 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
 // Pending reports how many events (including cancelled placeholders) remain
-// in the calendar.
-func (e *Engine) Pending() int { return len(e.events) }
+// in the calendar, hop lane included.
+func (e *Engine) Pending() int { return len(e.events) + e.lane.Len() }

@@ -70,6 +70,28 @@ func TestEngineRunUntilStopsAtDeadline(t *testing.T) {
 	}
 }
 
+// TestRunUntilStopsAtDeadlinePastCancelledHead pins RunUntil's contract
+// when the calendar's head is a cancelled timer due before the deadline
+// and the next live event is due after it: the cancelled entry is
+// discarded and the live one waits for the next run.
+func TestRunUntilStopsAtDeadlinePastCancelledHead(t *testing.T) {
+	e := NewEngine(1)
+	ran := false
+	e.After(time.Millisecond, func() {}).Stop()
+	e.Schedule(5*time.Millisecond, func() { ran = true })
+	e.RunUntil(Time(2 * time.Millisecond))
+	if ran || e.Now() != Time(2*time.Millisecond) {
+		t.Fatalf("RunUntil(2ms): ran=%v, clock %v; want the 5ms event pending at 2ms", ran, e.Now())
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1 (the cancelled entry discarded)", e.Pending())
+	}
+	e.Run()
+	if !ran {
+		t.Fatal("resumed run skipped the 5ms event")
+	}
+}
+
 func TestEngineRunForAdvancesRelative(t *testing.T) {
 	e := NewEngine(1)
 	e.RunFor(5 * time.Second)

@@ -146,16 +146,36 @@ func (r *RNG) Norm(mean, stddev float64) float64 {
 	return mean + stddev*u*m
 }
 
-// LogNormal returns a log-normal variate parameterised by the mean and
-// standard deviation OF THE RESULTING distribution (not of the underlying
-// normal), which is the natural way to express "mean service time 5 ms with
-// 20% spread".
-func (r *RNG) LogNormal(mean, stddev float64) float64 {
+// LogNormalDist is a log-normal distribution with its underlying normal's
+// parameters computed once, so a hot path that draws from the same
+// distribution many times (a call edge's execution time) pays for the
+// logarithms and the square root at build time instead of per draw.
+type LogNormalDist struct {
+	mu, sigma float64
+	// positive is false for a non-positive mean: Draw returns 0 without
+	// consuming the stream.
+	positive bool
+}
+
+// NewLogNormal precomputes the log-normal distribution parameterised by the
+// mean and standard deviation OF THE RESULTING variate (not of the
+// underlying normal), which is the natural way to express "mean service
+// time 5 ms with 20% spread".
+func NewLogNormal(mean, stddev float64) LogNormalDist {
 	if mean <= 0 {
-		return 0
+		return LogNormalDist{}
 	}
 	cv2 := (stddev / mean) * (stddev / mean)
 	sigma2 := math.Log(1 + cv2)
 	mu := math.Log(mean) - sigma2/2
-	return math.Exp(r.Norm(mu, math.Sqrt(sigma2)))
+	return LogNormalDist{mu: mu, sigma: math.Sqrt(sigma2), positive: true}
+}
+
+// Draw returns a variate of d: exp of one normal variate, or 0 without
+// consuming the stream when d's mean is not positive.
+func (r *RNG) Draw(d LogNormalDist) float64 {
+	if !d.positive {
+		return 0
+	}
+	return math.Exp(r.Norm(d.mu, d.sigma))
 }

@@ -27,7 +27,7 @@ func TestLogNormalMeanAndSpread(t *testing.T) {
 	n := 200000
 	var sum, sumsq float64
 	for i := 0; i < n; i++ {
-		v := r.LogNormal(float64(20*time.Millisecond), float64(4*time.Millisecond))
+		v := r.Draw(NewLogNormal(float64(20*time.Millisecond), float64(4*time.Millisecond)))
 		if v < 0 {
 			t.Fatal("negative lognormal sample")
 		}
@@ -41,6 +41,55 @@ func TestLogNormalMeanAndSpread(t *testing.T) {
 	}
 	if math.Abs(std-float64(4*time.Millisecond))/float64(4*time.Millisecond) > 0.05 {
 		t.Fatalf("lognormal stddev %.4g, want ~4ms", std)
+	}
+}
+
+// refLogNormal is the log-normal draw as it was before distributions were
+// precomputed: the reference every precomputed draw must reproduce bit
+// for bit, consuming the same stream positions.
+func refLogNormal(r *RNG, mean, stddev float64) float64 {
+	if mean <= 0 {
+		return 0
+	}
+	cv2 := (stddev / mean) * (stddev / mean)
+	sigma2 := math.Log(1 + cv2)
+	mu := math.Log(mean) - sigma2/2
+	return math.Exp(r.Norm(mu, math.Sqrt(sigma2)))
+}
+
+// TestDrawMatchesLogNormalReference requires Draw over a precomputed
+// distribution to return exactly the reference's bits and to leave the
+// stream where the reference leaves it, over random (mean,
+// stddev) pairs plus the edge cases: a non-positive mean draws nothing,
+// and a zero deviation still consumes its normal variate.
+func TestDrawMatchesLogNormalReference(t *testing.T) {
+	type input struct{ mean, stddev float64 }
+	inputs := []input{
+		{0, 1}, {-5e6, 1e5}, {math.Copysign(0, -1), 0}, {1, 0}, {5e6, 0},
+		{1e-300, 1e-300}, {1e300, 1e299}, {2e6, 2e7},
+	}
+	pick := NewRNG(3)
+	for i := 0; i < 2000; i++ {
+		mean := math.Exp(pick.Float64()*40 - 5) // 7e-3 .. 2e15
+		if pick.Intn(8) == 0 {
+			mean = -mean
+		}
+		inputs = append(inputs, input{mean, mean * pick.Float64() * 2})
+	}
+	for i, in := range inputs {
+		seed := uint64(i)
+		got, want := NewRNG(seed), NewRNG(seed)
+		d := NewLogNormal(in.mean, in.stddev)
+		// Three draws, so both halves of a Box-Muller pair are reached.
+		for k := 0; k < 3; k++ {
+			g, w := got.Draw(d), refLogNormal(want, in.mean, in.stddev)
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("LogNormal(%v, %v) draw %d: Draw %v, reference %v", in.mean, in.stddev, k, g, w)
+			}
+		}
+		if got.CursorDigest() != want.CursorDigest() {
+			t.Fatalf("LogNormal(%v, %v): stream cursors diverged from the reference", in.mean, in.stddev)
+		}
 	}
 }
 

@@ -33,12 +33,13 @@ func (r *RNG) SetState(s RNGState) {
 
 // EngineState is a deep copy of an Engine's mutable state: clock, event
 // calendar (heap layout included, so restored pop order is bit-identical),
-// timer table, freelist and root RNG.
+// the pending part of the hop lane, timer table, freelist and root RNG.
 type EngineState struct {
 	now        Time
 	seq        uint64
 	processed  uint64
 	events     []event
+	lane       []event
 	timers     []timerState
 	freeTimers []int32
 	rng        RNGState
@@ -56,6 +57,7 @@ func (e *Engine) Snapshot() *EngineState {
 		seq:        e.seq,
 		processed:  e.processed,
 		events:     append([]event(nil), e.events...),
+		lane:       append([]event(nil), e.lane.Pending()...),
 		timers:     append([]timerState(nil), e.timers...),
 		freeTimers: append([]int32(nil), e.freeTimers...),
 		rng:        e.rng.State(),
@@ -71,6 +73,10 @@ func (e *Engine) Restore(s *EngineState) {
 	e.seq = s.seq
 	e.processed = s.processed
 	e.events = append(e.events[:0], s.events...)
+	e.lane.Reset()
+	for _, ev := range s.lane {
+		e.lane.Push(ev)
+	}
 	e.timers = append(e.timers[:0], s.timers...)
 	e.freeTimers = append(e.freeTimers[:0], s.freeTimers...)
 	e.rng.SetState(s.rng)

@@ -78,6 +78,9 @@ func (s Spec) Normalize(totalS float64) (Spec, error) {
 	if s.HorizonS <= 0 || math.IsNaN(s.HorizonS) || math.IsInf(s.HorizonS, 0) {
 		return s, fmt.Errorf("workload: horizon_s %v must be positive and finite", s.HorizonS)
 	}
+	if s.HorizonS*float64(time.Second) >= math.MaxInt64 {
+		return s, fmt.Errorf("workload: horizon_s %v overflows a time.Duration (max %v)", s.HorizonS, time.Duration(math.MaxInt64))
+	}
 	return s, nil
 }
 
