@@ -363,6 +363,33 @@ func BenchmarkCollectorTraceLifecycle(b *testing.B) {
 	}
 }
 
+// BenchmarkCollectorKeepSpans measures a retained request: StartTrace, 15
+// spans, and FinishTrace copying them into the span slab under KeepSpans.
+// Every 1<<14 requests the collector is rebuilt and re-grown outside the
+// timed region, which bounds the retained spans to about 16 MB.
+func BenchmarkCollectorKeepSpans(b *testing.B) {
+	const batch = 1 << 14
+	b.ReportAllocs()
+	var col *trace.Collector
+	for i := 0; i < b.N; i++ {
+		if i%batch == 0 {
+			b.StopTimer()
+			col = trace.NewCollector()
+			warm := col.StartTrace("A", 0)
+			col.FinishTrace(warm, 1)
+			col.Grow(batch)
+			b.StartTimer()
+		}
+		at := sim.Time(6000 + i)
+		tr := col.StartTrace("A", at)
+		for k := 0; k < 15; k++ {
+			t := at + sim.Time(k)
+			col.AddSpan(tr, trace.Span{Service: "svc", Host: "h", Submit: t, Start: t, End: t + 1})
+		}
+		col.FinishTrace(tr, at+16)
+	}
+}
+
 // BenchmarkCollectorResponseAfter measures the post-warmup latency query —
 // one binary search over the finish-ordered store instead of the old
 // full-scan-and-rebuild.

@@ -70,6 +70,9 @@ type Job struct {
 	// busyFrom is when the job's core time was last folded into busyCell:
 	// its start, or the server's last per-tag read.
 	busyFrom sim.Time
+	// prev and next link the job into its server's running list while it
+	// occupies a core.
+	prev, next *Job
 }
 
 func (j *Job) complete() { j.srv.complete(j) }
@@ -83,6 +86,38 @@ func (j *Job) slowdownAt(f GHz) float64 {
 		s = 1
 	}
 	return s
+}
+
+// jobList is a doubly linked list of jobs threaded through Job.prev/next.
+type jobList struct {
+	head, tail *Job
+	n          int
+}
+
+func (l *jobList) push(j *Job) {
+	j.prev, j.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.next = j
+	} else {
+		l.head = j
+	}
+	l.tail = j
+	l.n++
+}
+
+func (l *jobList) remove(j *Job) {
+	if j.prev != nil {
+		j.prev.next = j.next
+	} else {
+		l.head = j.next
+	}
+	if j.next != nil {
+		j.next.prev = j.prev
+	} else {
+		l.tail = j.prev
+	}
+	j.prev, j.next = nil, nil
+	l.n--
 }
 
 // Server is one physical node: a FIFO-queued pool of cores running at a
@@ -99,11 +134,12 @@ type Server struct {
 	// "frequency clamp" perturbation. Zero means unclamped.
 	maxFreq GHz
 
-	// running holds in-flight jobs in start order. A slice (not a map)
-	// keeps SetFreq's reschedule order deterministic: rescheduling assigns
-	// fresh calendar sequence numbers, and map iteration would assign them
-	// in a different order every run.
-	running []*Job
+	// running lists in-flight jobs in start order, linked through
+	// Job.prev/next so a completion unlinks in O(1). The order is what
+	// keeps SetFreq's reschedule deterministic: rescheduling assigns fresh
+	// calendar sequence numbers, so reordering the list (a swap-remove, or
+	// map iteration) would reorder same-time completions.
+	running jobList
 	// queue holds the jobs waiting for a core.
 	queue sim.FIFO[*Job]
 
@@ -152,7 +188,7 @@ func (s *Server) Cores() int { return s.cores }
 func (s *Server) Freq() GHz { return s.freq }
 
 // InFlight returns the number of jobs currently occupying cores.
-func (s *Server) InFlight() int { return len(s.running) }
+func (s *Server) InFlight() int { return s.running.n }
 
 // QueueLen returns the number of jobs waiting for a core.
 func (s *Server) QueueLen() int { return s.queue.Len() }
@@ -169,7 +205,7 @@ func (s *Server) FreqChanges() uint64 { return s.freqChanges }
 func (s *Server) accrueBusy() {
 	now := s.eng.Now()
 	if now > s.lastUpdate {
-		s.busyTotal += now.Sub(s.lastUpdate) * time.Duration(len(s.running))
+		s.busyTotal += now.Sub(s.lastUpdate) * time.Duration(s.running.n)
 	}
 	s.lastUpdate = now
 }
@@ -186,7 +222,7 @@ func (j *Job) foldBusy(now sim.Time) {
 // read of the per-tag cells.
 func (s *Server) foldRunning() {
 	now := s.eng.Now()
-	for _, j := range s.running {
+	for j := s.running.head; j != nil; j = j.next {
 		j.foldBusy(now)
 	}
 }
@@ -225,7 +261,7 @@ func (s *Server) Submit(j *Job) {
 	if j.fire == nil {
 		j.fire = j.complete
 	}
-	if len(s.running) < s.cores {
+	if s.running.n < s.cores {
 		s.start(j)
 		return
 	}
@@ -246,7 +282,7 @@ func (s *Server) start(j *Job) {
 		}
 		j.busyCell, j.cellSrv, j.cellTag = cell, s, j.Tag
 	}
-	s.running = append(s.running, j)
+	s.running.push(j)
 	if j.OnStart != nil {
 		j.OnStart()
 	}
@@ -261,14 +297,7 @@ func (s *Server) scheduleCompletion(j *Job) {
 func (s *Server) complete(j *Job) {
 	s.accrueBusy()
 	j.foldBusy(s.eng.Now())
-	for i, r := range s.running {
-		if r == j {
-			copy(s.running[i:], s.running[i+1:])
-			s.running[len(s.running)-1] = nil
-			s.running = s.running[:len(s.running)-1]
-			break
-		}
-	}
+	s.running.remove(j)
 	j.remaining = 0
 	s.completedJobs++
 	// Start the next queued job before the completion callback so that
@@ -294,7 +323,7 @@ func (s *Server) SetFreq(f GHz) {
 	}
 	s.accrueBusy()
 	now := s.eng.Now()
-	for _, j := range s.running {
+	for j := s.running.head; j != nil; j = j.next {
 		// Work completed since the last reschedule, in unscaled units.
 		elapsed := now.Sub(j.since)
 		done := time.Duration(float64(elapsed) / j.factor)

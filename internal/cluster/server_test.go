@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -529,4 +530,80 @@ func TestServerSnapshotMidQueue(t *testing.T) {
 	if fmt.Sprint(r.order) != fmt.Sprint(twin.order) || len(r.order) != 12 {
 		t.Fatalf("completion order %v, twin %v", r.order, twin.order)
 	}
+}
+
+// TestRunningKeepsStartOrder pins the running list against a slice kept
+// in start order: jobs leave it from the head, the middle and the tail,
+// others join its tail, and a SetFreq then reschedules every survivor.
+// The survivors all have the same work left, so they complete at one
+// instant in reschedule order, which must be the reference's order. A
+// snapshot taken before the SetFreq must relink the list in that order on
+// Restore.
+func TestRunningKeepsStartOrder(t *testing.T) {
+	const ms = time.Millisecond
+	const long = 20 * ms
+	eng := sim.NewEngine(1)
+	s := NewServer(eng, "n1", RoleNormalWorker, 8)
+	var ref, order []int
+	submit := func(i int, demand time.Duration) {
+		j := &Job{Tag: "svc", Demand: demand}
+		j.OnDone = func() {
+			order = append(order, i)
+			ref = slices.Delete(ref, slices.Index(ref, i), slices.Index(ref, i)+1)
+		}
+		s.Submit(j)
+		ref = append(ref, i)
+	}
+	run := func(d time.Duration) {
+		t.Helper()
+		eng.RunFor(d)
+		if s.InFlight() != len(ref) {
+			t.Fatalf("at %v: %d in flight, reference holds %v", eng.Now(), s.InFlight(), ref)
+		}
+	}
+
+	// Jobs 0, 2 and 5 are the head, a middle job and the tail when they
+	// complete, at 2, 3 and 4 ms; 7 is the tail again at 5.5 ms. Jobs that
+	// join later are sized to have long-6ms left at 6 ms, like the rest.
+	for i, d := range []time.Duration{2 * ms, long, 3 * ms, long, long, 4 * ms} {
+		submit(i, d)
+	}
+	run(4500 * time.Microsecond)
+	submit(6, long-4500*time.Microsecond)
+	submit(7, ms)
+	run(1500 * time.Microsecond)
+	submit(8, long-6*ms)
+	if want := []int{0, 2, 5, 7}; !slices.Equal(order, want) {
+		t.Fatalf("short jobs completed in order %v, want %v", order, want)
+	}
+	want := slices.Clone(ref)
+	if !slices.Equal(want, []int{1, 3, 4, 6, 8}) {
+		t.Fatalf("reference running set %v, want [1 3 4 6 8]", want)
+	}
+	se, ss := eng.Snapshot(), s.Snapshot()
+
+	finish := func(label string) {
+		t.Helper()
+		order = order[:0]
+		s.SetFreq(1.2)
+		end := eng.Now().Add(2 * (long - 6*ms))
+		run(2 * (long - 6*ms))
+		if !slices.Equal(order, want) || eng.Now() != end {
+			t.Fatalf("%s: survivors completed in order %v at %v, want %v at %v", label, order, eng.Now(), want, end)
+		}
+	}
+	finish("live")
+
+	// Diverge before restoring: start another job, change frequency and
+	// run on, completing it.
+	eng.Restore(se)
+	s.Restore(ss)
+	ref = slices.Clone(want)
+	submit(9, ms)
+	s.SetFreq(2.0)
+	run(10 * ms)
+	eng.Restore(se)
+	s.Restore(ss)
+	ref = slices.Clone(want)
+	finish("restored")
 }

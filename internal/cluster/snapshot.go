@@ -41,9 +41,9 @@ func (s *Server) Snapshot() *ServerState {
 		completedJobs: s.completedJobs,
 		freqChanges:   s.freqChanges,
 	}
-	snap.running = make([]jobSnap, len(s.running))
-	for i, j := range s.running {
-		snap.running[i] = jobSnap{ptr: j, val: *j}
+	snap.running = make([]jobSnap, 0, s.running.n)
+	for j := s.running.head; j != nil; j = j.next {
+		snap.running = append(snap.running, jobSnap{ptr: j, val: *j})
 	}
 	waiting := s.queue.Pending()
 	snap.queue = make([]jobSnap, len(waiting))
@@ -70,10 +70,12 @@ func (s *Server) Restore(snap *ServerState) {
 	s.lastUpdate = snap.lastUpdate
 	s.completedJobs = snap.completedJobs
 	s.freqChanges = snap.freqChanges
-	s.running = s.running[:0]
+	// Pushing the restored jobs in their saved order rebuilds the running
+	// list and every job's links.
+	s.running = jobList{}
 	for _, js := range snap.running {
 		*js.ptr = js.val
-		s.running = append(s.running, js.ptr)
+		s.running.push(js.ptr)
 	}
 	s.queue.Reset()
 	for _, js := range snap.queue {

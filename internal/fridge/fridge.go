@@ -540,11 +540,13 @@ func (f *Fridge) assignZones() {
 
 // allocateZoneCounts splits n workers across the zones proportionally to
 // their aggregate MCF demand by largest remainder, with a floor of one
-// server for any zone with demand.
+// server for any zone with demand. The total is summed in the fixed
+// [Cold, Warm, Hot] order: float addition is not associative, so summing
+// in map order could tip an exact share across an integer boundary.
 func allocateZoneCounts(n int, demand map[Zone]float64) map[Zone]int {
 	var total float64
-	for _, d := range demand {
-		total += d
+	for _, z := range []Zone{Cold, Warm, Hot} {
+		total += demand[z]
 	}
 	counts := map[Zone]int{}
 	remaining := n

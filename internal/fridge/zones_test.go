@@ -81,6 +81,26 @@ func TestAllocateZoneCounts(t *testing.T) {
 	}
 }
 
+// TestAllocateZoneCountsIgnoresMapOrder is the regression for a total
+// summed in map iteration order: float addition is not associative, and
+// the exact shares here (1.5, 2.5, 2) tie on their remainders, so the
+// last bit of the total decided whether the spare server went warm or
+// cold. Go starts each iteration of a small map at a random slot, so 200
+// calls saw each order of the sum; every call must give the answer of the
+// fixed [Cold, Warm, Hot] sum.
+func TestAllocateZoneCountsIgnoresMapOrder(t *testing.T) {
+	demand := map[Zone]float64{Cold: 0.15, Warm: 0.25, Hot: 0.2}
+	want := map[Zone]int{Cold: 1, Warm: 3, Hot: 2}
+	seen := map[[3]int]int{}
+	for i := 0; i < 200; i++ {
+		got := allocateZoneCounts(6, demand)
+		seen[[3]int{got[Cold], got[Warm], got[Hot]}]++
+	}
+	if len(seen) != 1 || seen[[3]int{want[Cold], want[Warm], want[Hot]}] != 200 {
+		t.Fatalf("200 calls gave [cold warm hot] counts %v, want only %v", seen, want)
+	}
+}
+
 // TestRepeatedPromotionPastClampSticks is the Algorithm 1 bookkeeping
 // regression: promoting a service once per tick until the ±2 adjustment
 // clamp saturates must not corrupt the recorded base level. The old code

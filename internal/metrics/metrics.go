@@ -9,7 +9,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,7 +57,7 @@ func (s *LatencyStats) Mean() time.Duration {
 
 func (s *LatencyStats) sort() {
 	if !s.sorted {
-		sort.Slice(s.samples, func(i, j int) bool { return s.samples[i] < s.samples[j] })
+		slices.Sort(s.samples)
 		s.sorted = true
 	}
 }

@@ -45,17 +45,25 @@ type pool struct {
 // host round-robins calls across the pool's active instances (swarm's mesh
 // load balancing). Starting-up instances receive no traffic; if nothing is
 // active yet, the oldest stopping/starting instance's node is used so
-// traffic never black-holes during migration.
+// traffic never black-holes during migration. The cursor can exceed the
+// list after a Remove, so it is reduced once; the scan then wraps with a
+// compare, keeping a division off the per-call path.
 func (p *pool) host() *cluster.Server {
 	n := len(p.list)
 	if n == 0 {
 		return nil
 	}
-	start := p.rr
+	i := p.rr
+	if i >= n {
+		i %= n
+	}
 	for k := 0; k < n; k++ {
-		c := p.list[(start+k)%n]
+		c := p.list[i]
+		if i++; i == n {
+			i = 0
+		}
 		if c.active {
-			p.rr = (start + k + 1) % n
+			p.rr = i
 			return c.Node
 		}
 	}

@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -249,5 +250,66 @@ func TestRouteSurvivesRestore(t *testing.T) {
 	}
 	if o.HostFor("late") != nil || len(o.Instances("late")) != 0 {
 		t.Fatal("service placed after the snapshot survived the restore")
+	}
+}
+
+// TestHostMatchesModuloRoundRobin pins the compare-wrapped scan of
+// pool.host to the modulo form it replaced, (rr+k)%n, including a pool
+// shrunk below its cursor by Remove and pools with inactive instances.
+func TestHostMatchesModuloRoundRobin(t *testing.T) {
+	ref := func(list []*Container, rr int) (*cluster.Server, int) {
+		n := len(list)
+		if n == 0 {
+			return nil, rr
+		}
+		for k := 0; k < n; k++ {
+			if c := list[(rr+k)%n]; c.active {
+				return c.Node, (rr + k + 1) % n
+			}
+		}
+		return list[0].Node, rr
+	}
+	check := func(label string, p *pool, calls int) {
+		t.Helper()
+		rr := p.rr
+		for k := 0; k < calls; k++ {
+			want, wantRR := ref(p.list, rr)
+			if got := p.host(); got != want || p.rr != wantRR {
+				t.Fatalf("%s call %d: host %v cursor %d, want %v cursor %d", label, k, got, p.rr, want, wantRR)
+			}
+			rr = wantRR
+		}
+	}
+
+	_, cl := testCluster()
+	o := New(cl)
+	var placed []*Container
+	for _, n := range cl.Workers() {
+		placed = append(placed, o.Place("svc", n, true))
+	}
+	p := o.pools["svc"]
+	for k := 0; k < len(placed)-1; k++ {
+		p.host()
+	}
+	o.Remove(placed[0])
+	o.Remove(placed[2])
+	o.Remove(placed[3])
+	if p.rr < len(p.list) {
+		t.Fatalf("cursor %d is inside the shrunk pool of %d", p.rr, len(p.list))
+	}
+	check("shrunk", p, 7)
+
+	rng := sim.NewRNG(1)
+	nodes := cl.Workers()
+	for trial := 0; trial < 200; trial++ {
+		q := &pool{}
+		for i, n := 0, 1+rng.Intn(6); i < n; i++ {
+			q.list = append(q.list, &Container{Node: nodes[i%len(nodes)], active: rng.Intn(3) > 0})
+		}
+		q.rr = rng.Intn(3 * len(q.list))
+		check(fmt.Sprintf("trial %d", trial), q, 2*len(q.list)+1)
+	}
+	if (&pool{}).host() != nil {
+		t.Fatal("an empty pool returned a host")
 	}
 }

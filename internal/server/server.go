@@ -20,7 +20,7 @@
 //	GET    /sessions/{id}/profile phase-level wall-time profile (live)
 //	POST   /sessions/{id}/whatif  fork, perturb, report the delta
 //	POST   /sessions/{id}/cancel  stop advancing (engine stays warm)
-//	DELETE /sessions/{id}         cancel, forget, free the engine
+//	DELETE /sessions/{id}         cancel, forget, free the engine (replies once freed)
 package server
 
 import (
@@ -414,5 +414,14 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.requestCancel()
 	sess.markGone()
+	// Reply once the session goroutine has returned, so its engine is
+	// garbage when the client sees the 204: a client that deletes and
+	// then creates never has two engines live at once. The goroutine
+	// notices gone within one advance chunk or what-if.
+	select {
+	case <-sess.exited:
+	case <-r.Context().Done():
+		return
+	}
 	w.WriteHeader(http.StatusNoContent)
 }

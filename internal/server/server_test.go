@@ -379,6 +379,68 @@ func TestLRUEvictsOldestFinished(t *testing.T) {
 	}
 }
 
+// blockCmd holds the session goroutine inside a command until released.
+type blockCmd struct{ started, release chan struct{} }
+
+func (c *blockCmd) exec(*session, *engine.Result) {
+	close(c.started)
+	<-c.release
+}
+
+func (c *blockCmd) fail(int, string) { close(c.started) }
+
+// TestDeleteWaitsForSessionExit: DELETE replies only once the session
+// goroutine has returned and dropped its engine, even when the goroutine
+// is busy with a command when the delete arrives.
+func TestDeleteWaitsForSessionExit(t *testing.T) {
+	srv := New(Options{})
+	mux := http.NewServeMux()
+	srv.Register(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	for _, busy := range []bool{false, true} {
+		id := createSession(t, ts, shortScenario)
+		waitState(t, ts, id, StateDone)
+		srv.mu.Lock()
+		sess := srv.sessions[id]
+		srv.mu.Unlock()
+
+		cmd := &blockCmd{started: make(chan struct{}), release: make(chan struct{})}
+		if busy {
+			sess.cmds <- cmd
+			<-cmd.started
+		}
+		deleted := make(chan int, 1)
+		go func() {
+			req, _ := http.NewRequest("DELETE", ts.URL+"/sessions/"+id, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				deleted <- 0
+				return
+			}
+			resp.Body.Close()
+			deleted <- resp.StatusCode
+		}()
+		if busy {
+			select {
+			case code := <-deleted:
+				t.Fatalf("DELETE replied %d while the session goroutine was busy", code)
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(cmd.release)
+		}
+		if code := <-deleted; code != http.StatusNoContent {
+			t.Fatalf("delete (busy=%v): %d", busy, code)
+		}
+		select {
+		case <-sess.exited:
+		default:
+			t.Fatalf("DELETE (busy=%v) replied before the session goroutine returned", busy)
+		}
+	}
+}
+
 // TestWhatIfWorkloadPerturbations covers the traffic-side what-if surface:
 // scaling the live profile, swapping it for another registered shape, and
 // the validation around both.

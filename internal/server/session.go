@@ -87,6 +87,7 @@ type session struct {
 	cancelOnce sync.Once
 	gone       chan struct{} // closed by delete/evict: goroutine exits
 	goneOnce   sync.Once
+	exited     chan struct{} // closed when run returns: the engine is released
 	cmds       chan sessionCmd
 }
 
@@ -101,6 +102,7 @@ func newSession(id string, seq int, sc experiments.Scenario, srv *Server) *sessi
 		state:    StateQueued,
 		cancel:   make(chan struct{}),
 		gone:     make(chan struct{}),
+		exited:   make(chan struct{}),
 		cmds:     make(chan sessionCmd),
 	}
 	prof.Register(s.profiler)
@@ -139,6 +141,7 @@ func (s *session) markGone() {
 // and watching for cancellation between chunks), build the result
 // document, then keep serving what-if commands until deleted.
 func (s *session) run(sem chan struct{}) {
+	defer close(s.exited)
 queued:
 	for {
 		select {

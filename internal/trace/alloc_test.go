@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -64,6 +66,88 @@ func TestTraceLifecycleZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Start+AddSpan+Finish allocated %.3f objects/op, want 0", allocs)
+	}
+}
+
+// TestKeepSpansLifecycleAllocs is the retained-span version of the
+// lifecycle test: under KeepSpans a finished trace's spans are copied into
+// the shared span slab and the recycled trace keeps its buffer, so a
+// request allocates nothing of its own. The slab's one chunk per
+// spanSlabSize spans (four over this loop) averages well under one
+// allocation per request, which AllocsPerRun reads as 0.
+func TestKeepSpansLifecycleAllocs(t *testing.T) {
+	c := NewCollector()
+	warm := c.StartTrace("A", 0)
+	for i := 0; i < 15; i++ {
+		c.AddSpan(warm, span("svc", sim.Time(i)))
+	}
+	c.FinishTrace(warm, 20)
+	c.Grow(4096)
+
+	at := sim.Time(100)
+	allocs := testing.AllocsPerRun(1000, func() {
+		at = at.Add(time.Millisecond)
+		tr := c.StartTrace("A", at)
+		for i := 0; i < 15; i++ {
+			c.AddSpan(tr, span("svc", at.Add(time.Duration(i)*time.Microsecond)))
+		}
+		c.FinishTrace(tr, at.Add(time.Millisecond))
+	})
+	if allocs != 0 {
+		t.Fatalf("Start+15×AddSpan+Finish under KeepSpans allocated %.3f objects/op, want 0", allocs)
+	}
+	if got := len(c.Traces()); got != 1002 {
+		t.Fatalf("retained %d traces, want 1002", got)
+	}
+}
+
+// TestRetainedSpansDoNotAlias guards the span slab's windows: a finished
+// record's spans must not change when its trace object is recycled and
+// refilled, nor when a caller appends to the record's or a neighbour's
+// span list. Windows are cut to their exact length, so an append copies
+// instead of writing into the next record's window.
+func TestRetainedSpansDoNotAlias(t *testing.T) {
+	c := NewCollector()
+	var recs []*Trace
+	var want [][]Span
+	tr := c.StartTrace("A", 0)
+	for k, n := range []int{3, 5, 2, spanSlabSize + 1, 4} {
+		if k > 0 {
+			next := c.StartTrace("A", sim.Time(k))
+			if next != tr {
+				t.Fatalf("request %d: StartTrace did not recycle the finished trace", k)
+			}
+			tr = next
+		}
+		var spans []Span
+		for i := 0; i < n; i++ {
+			s := span(fmt.Sprintf("svc%d-%d", k, i), sim.Time(100*k+i))
+			spans = append(spans, s)
+			c.AddSpan(tr, s)
+		}
+		rec := c.FinishTrace(tr, sim.Time(100*k+n))
+		if rec == tr {
+			t.Fatalf("request %d: FinishTrace returned the working trace, not a record", k)
+		}
+		if len(rec.Spans) != n || cap(rec.Spans) != n {
+			t.Fatalf("request %d: record spans len %d cap %d, want both %d", k, len(rec.Spans), cap(rec.Spans), n)
+		}
+		recs = append(recs, rec)
+		want = append(want, spans)
+	}
+	// Refill the recycled trace past every record's length, then append
+	// through each record's span list.
+	tr = c.StartTrace("B", 1000)
+	for i := 0; i < 8; i++ {
+		c.AddSpan(tr, span("refill", sim.Time(1000+i)))
+	}
+	for _, rec := range recs {
+		_ = append(rec.Spans, span("appended", 2000))
+	}
+	for k, rec := range recs {
+		if !slices.Equal(rec.Spans, want[k]) {
+			t.Fatalf("record %d spans changed after recycling and appends", k)
+		}
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 // snapshot can be restored at any time and in any order — a branch run
 // after one restore never writes into memory another snapshot reads.
 // Completed records themselves are shared by pointer: each is written
-// once into a slab slot that is never handed out again. Open traces are
-// deep-copied with their spans, because Restore revives them in place.
+// once into a slab slot, with its spans in a span-slab window, and neither
+// is ever handed out again. Open traces are deep-copied with their spans,
+// because Restore revives them in place.
 type CollectorState struct {
 	nextID   uint64
 	traces   []*Trace
@@ -69,9 +70,9 @@ func (c *Collector) Snapshot() *CollectorState {
 // Restore rewinds the collector. Open traces are revived in place (the
 // executor's requests hold their pointers) with their saved spans copied
 // into the trace's own buffer; every other trace object returns to the
-// free list. The record slab is not rewound: a slot handed out after the
-// snapshot may be listed by a later one, so records only ever go to fresh
-// slots.
+// free list. The record and span slabs are not rewound: a slot or window
+// handed out after the snapshot may be listed by a later one, so records
+// and their spans only ever go to fresh ones.
 func (c *Collector) Restore(st *CollectorState) {
 	c.nextID = st.nextID
 	c.traces = append(c.traces[:0], st.traces...)
@@ -86,9 +87,9 @@ func (c *Collector) Restore(st *CollectorState) {
 
 	// Every trace object is either open or free. Free them all, revive
 	// the snapshot's open set, then drop the revived ones from the free
-	// list. A trace's span buffer is its own while it is open or free
-	// (the record takes it at finish and the trace starts a fresh one),
-	// so the saved spans can be copied into it.
+	// list. A trace's span buffer is always its own (the record copies
+	// the spans into the span slab at finish), so the saved spans can be
+	// copied into it.
 	c.free = append(c.free, c.openList...)
 	c.openList = c.openList[:0]
 	for i := range st.open {

@@ -125,8 +125,12 @@ func (s *series) after(cut sim.Time) []time.Duration {
 	return out
 }
 
-// recordSlabSize is how many completed records one slab allocation covers.
-const recordSlabSize = 256
+// recordSlabSize is how many completed records one slab allocation covers,
+// and spanSlabSize how many retained spans one span-slab chunk holds.
+const (
+	recordSlabSize = 256
+	spanSlabSize   = 4096
+)
 
 // Collector gathers completed traces, like the Zipkin UI on the manager
 // node. It also maintains finish-ordered response stores so that latency
@@ -136,9 +140,12 @@ const recordSlabSize = 256
 // finished it is recycled for a later request. What survives a request is
 // its response time in the finish-ordered series and, under KeepSpans
 // only, a completed record written once into a record slab and never
-// rewritten — nothing else reads the records, and Count comes from the
-// series. Keeping the two apart is what lets a snapshot list completed
-// records by pointer while Restore revives open traces in place.
+// rewritten, whose spans are copied into an exact-length window of an
+// append-only span slab — nothing else reads the records, and Count comes
+// from the series. Keeping the two apart is what lets a snapshot list
+// completed records by pointer while Restore revives open traces in
+// place, and lets an open trace keep its span buffer from request to
+// request.
 type Collector struct {
 	nextID uint64
 	// traces lists the completed records in completion order (KeepSpans
@@ -161,8 +168,10 @@ type Collector struct {
 	OnSpan   func(s Span)
 	OnFinish func(region string, resp time.Duration)
 
-	// records is the unused tail of the current completed-record slab.
+	// records is the unused tail of the current completed-record slab,
+	// spans that of the current span-slab chunk.
 	records []Trace
+	spans   []Span
 
 	// openList tracks the open traces (index-tracked, swap-removed) so a
 	// snapshot can enumerate (and a restore rewind) in-flight requests;
@@ -186,7 +195,9 @@ func (c *Collector) Presize(services []string, spansPerService int) {}
 
 // Grow pre-allocates storage for about nTraces completed traces, so a run
 // with a known request population never grows the finish-ordered stores
-// (nor, under KeepSpans, the record list and slab).
+// (nor, under KeepSpans, the record list and slab). The span slab is not
+// pre-sized, since spans per request vary by region: it grows one
+// allocation per spanSlabSize retained spans.
 func (c *Collector) Grow(nTraces int) {
 	grow := func(s *series) {
 		s.finish = slices.Grow(s.finish, nTraces)
@@ -256,15 +267,15 @@ func (c *Collector) FinishTrace(t *Trace, at sim.Time) *Trace {
 	c.free = append(c.free, t)
 	rec := t
 	if c.KeepSpans {
-		// The record takes the span buffer; the recycled trace starts
-		// its next request with a fresh one.
+		// The record gets a copy of the spans; the recycled trace keeps
+		// its buffer for its next request.
 		if len(c.records) == 0 {
 			c.records = make([]Trace, recordSlabSize)
 		}
 		rec = &c.records[0]
 		c.records = c.records[1:]
 		*rec = *t
-		t.Spans = nil
+		rec.Spans = c.retain(t.Spans)
 		c.traces = append(c.traces, rec)
 	}
 	resp := rec.Response()
@@ -279,6 +290,27 @@ func (c *Collector) FinishTrace(t *Trace, at sim.Time) *Trace {
 		c.OnFinish(rec.Region, resp)
 	}
 	return rec
+}
+
+// retain copies spans into the next window of the span slab and returns
+// the window, cut to its exact length so no append through it can reach a
+// neighbour. Windows are written once and never handed out again (a
+// snapshot may share them through its records); a trace longer than a
+// chunk gets a chunk of its own, leaving the current one's tail in use.
+func (c *Collector) retain(spans []Span) []Span {
+	n := len(spans)
+	var w []Span
+	if n > spanSlabSize {
+		w = make([]Span, n)
+	} else {
+		if n > len(c.spans) {
+			c.spans = make([]Span, spanSlabSize)
+		}
+		w = c.spans[:n:n]
+		c.spans = c.spans[n:]
+	}
+	copy(w, spans)
+	return w
 }
 
 // Traces returns the retained completed traces in completion order;
