@@ -480,7 +480,7 @@ func BenchmarkTelemetrySample(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := time.Duration(10+i%40) * time.Millisecond
 		tel.ObserveResponse(regions[i%len(regions)], d)
-		tel.ObserveServiceExec(services[i%len(services)], d/8)
+		tel.ObserveExec(i%len(services), d/8)
 		now += sim.Time(time.Second)
 		tel.Sample()
 	}
@@ -564,34 +564,41 @@ func BenchmarkCounterObserveComplete(b *testing.B) {
 }
 
 // BenchmarkMCFCalculation measures one full MCF evaluation over the study
-// graph (the per-tick cost of the MCF Calculator).
+// graph on dense vectors — the per-tick cost of the MCF Calculator. Gated
+// allocation-free via bench_gates.json.
 func BenchmarkMCFCalculation(b *testing.B) {
 	b.ReportAllocs()
-	calc := core.NewCalculator(core.BuildGraph(app.TwoRegionStudy()))
-	load := map[string]float64{"A": 30, "B": 20}
+	spec := app.TwoRegionStudy()
+	g := core.BuildGraph(spec)
+	calc := core.NewCalculator(g)
+	load := make([]float64, g.NumRegions())
+	g.LoadVec(map[string]float64{"A": 30, "B": 20}, load)
+	out := make([]float64, spec.NumServices())
 	b.ResetTimer()
-	var out map[string]float64
 	for i := 0; i < b.N; i++ {
-		out = calc.MCF(load, 1.8)
+		calc.MCFVec(load, 1.8, out)
 	}
-	if len(out) == 0 {
+	if out[spec.Service("ticketinfo").ID()] == 0 {
 		b.Fatal("no MCF computed")
 	}
 }
 
-// BenchmarkMCFClassification measures the three-level classification,
-// which evaluates MCF at two frequencies.
+// BenchmarkMCFClassification measures the three-level classification on
+// dense vectors, which evaluates MCF at two frequencies. Gated
+// allocation-free via bench_gates.json.
 func BenchmarkMCFClassification(b *testing.B) {
 	b.ReportAllocs()
-	calc := core.NewCalculator(core.BuildGraph(app.TwoRegionStudy()))
-	cl := core.NewClassifier(calc)
-	load := map[string]float64{"A": 30, "B": 20}
+	spec := app.TwoRegionStudy()
+	g := core.BuildGraph(spec)
+	cl := core.NewClassifier(core.NewCalculator(g))
+	load := make([]float64, g.NumRegions())
+	g.LoadVec(map[string]float64{"A": 30, "B": 20}, load)
+	out := make([]core.Criticality, spec.NumServices())
 	b.ResetTimer()
-	var out map[string]core.Criticality
 	for i := 0; i < b.N; i++ {
-		out = cl.Classify(load)
+		cl.ClassifyVec(load, out)
 	}
-	if len(out) == 0 {
+	if out[spec.Service("ticketinfo").ID()] != core.High {
 		b.Fatal("no classification")
 	}
 }
@@ -688,12 +695,15 @@ func BenchmarkPhaseScopeDisabled(b *testing.B) {
 }
 
 // BenchmarkFridgeTick measures one control interval of the ServiceFridge
-// controller (classification + zoning + frequency planning) under load.
+// controller (MCF, classification, zoning, placement, Algorithm 1 and
+// frequency planning) under load, without an event recorder. Gated
+// allocation-free via bench_gates.json.
 func BenchmarkFridgeTick(b *testing.B) {
 	b.ReportAllocs()
 	res := engine.Build(ablationConfig(1))
 	res.Engine.RunFor(6 * time.Second) // reach steady state
 	f := res.Fridge
+	f.Tick() // settle placements against the frozen meter readings
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Tick()

@@ -47,6 +47,12 @@ type Executor struct {
 	// invocation is submitted to its host (the paper's services speak
 	// HTTP over a local switch; default 100µs).
 	NetDelay time.Duration
+	// OnExec, when non-nil, receives each finished invocation's service
+	// ID (see Microservice.ID) and execution time — the span's Exec —
+	// right after its span is recorded: the live-telemetry tap, keyed by
+	// ID so it never looks a name up. It must not call back into the
+	// executor.
+	OnExec func(service int, exec time.Duration)
 
 	launched  uint64
 	completed uint64
@@ -271,14 +277,18 @@ func (inv *invocation) onStart() {
 
 func (inv *invocation) onDone() {
 	x := inv.x
+	now := x.eng.Now()
 	x.col.AddSpan(inv.tr, trace.Span{
 		Service: inv.ms.Name,
 		Host:    inv.host.Name(),
 		Submit:  inv.submitted,
 		Start:   inv.started,
-		End:     x.eng.Now(),
+		End:     now,
 		FreqGHz: inv.startGHz,
 	})
+	if x.OnExec != nil {
+		x.OnExec(inv.ms.id, now.Sub(inv.started))
+	}
 	req, cr := inv.req, inv.cr
 	x.releaseInv(inv)
 	if cr != nil {

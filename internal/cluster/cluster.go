@@ -28,6 +28,7 @@ func (c *Cluster) AddServer(name string, role Role, cores int) *Server {
 		panic(fmt.Sprintf("cluster: duplicate server name %q", name))
 	}
 	s := NewServer(c.eng, name, role, cores)
+	s.index = len(c.servers)
 	c.servers = append(c.servers, s)
 	c.byName[name] = s
 	return s

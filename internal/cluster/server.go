@@ -130,6 +130,9 @@ type Server struct {
 	role  Role
 	cores int
 	freq  GHz
+	// index is the server's position in its cluster's Servers(), set by
+	// AddServer (0 for a server built alone).
+	index int
 	// maxFreq, when positive, caps every later SetFreq: the what-if
 	// "frequency clamp" perturbation. Zero means unclamped.
 	maxFreq GHz
@@ -177,6 +180,11 @@ func NewServer(eng *sim.Engine, name string, role Role, cores int) *Server {
 
 // Name returns the node name.
 func (s *Server) Name() string { return s.name }
+
+// Index returns the server's position in its cluster's Servers(), so
+// per-server controller state can live in slices instead of name-keyed
+// maps. A server built with NewServer outside a cluster reads 0.
+func (s *Server) Index() int { return s.index }
 
 // Role returns the node's testbed role.
 func (s *Server) Role() Role { return s.role }

@@ -13,11 +13,23 @@ type Counter struct {
 	// pending[id] is the number of live request-access edges into the
 	// service with dense spec ID id.
 	pending []float64
+	// unique[ri] lists the services only region ri calls, in the region's
+	// call order: RegionLoadInto's first-pass estimators.
+	unique [][]int
 }
 
 // NewCounter creates zeroed counters over the graph's services.
 func NewCounter(g *Graph) *Counter {
-	return &Counter{g: g, pending: make([]float64, g.spec.NumServices())}
+	c := &Counter{g: g, pending: make([]float64, g.spec.NumServices())}
+	c.unique = make([][]int, len(g.regions))
+	for ri, ids := range g.regionSvcs {
+		for _, id := range ids {
+			if len(g.edgesByID[id]) == 1 {
+				c.unique[ri] = append(c.unique[ri], id)
+			}
+		}
+	}
+	return c
 }
 
 // Observe records the arrival of one request to region: every service the
@@ -80,44 +92,43 @@ func (c *Counter) Shares() map[string]float64 {
 	return out
 }
 
-// RegionLoad estimates per-region live request counts from the pending
-// edges, by solving the (overdetermined) counts against region membership
-// greedily: services called by exactly one region attribute their pending
+// RegionLoadInto estimates per-region live request counts from the
+// pending edges into load, indexed by region (see Graph.LoadVec), by
+// solving the (overdetermined) counts against region membership greedily:
+// services called by exactly one region attribute their mean pending
 // count to it. It feeds the MCF calculator's load parameter during
-// operation.
-func (c *Counter) RegionLoad() map[string]float64 {
-	load := map[string]float64{}
-	counts := map[string]int{}
-	for _, rn := range c.g.spec.RegionNames() {
-		r := c.g.spec.Region(rn)
-		var unique []int
-		for _, id := range r.ServiceIDs() {
-			if len(c.g.Edges(c.g.spec.ServiceByID(id).Name)) == 1 {
-				unique = append(unique, id)
-			}
-		}
+// operation and allocates nothing.
+//
+// It reports whether any region has an estimate: true when some region
+// has a service of its own, whose (possibly zero) mean is always an
+// estimate, or when a shared service leaves a positive residual. A false
+// result means no live traffic can be attributed.
+func (c *Counter) RegionLoadInto(load []float64) bool {
+	found := false
+	for ri, unique := range c.unique {
+		load[ri] = 0
 		if len(unique) > 0 {
 			var sum float64
 			for _, id := range unique {
 				sum += c.pending[id]
 			}
-			load[rn] = sum / float64(len(unique))
-			counts[rn] = len(unique)
+			load[ri] = sum / float64(len(unique))
+			found = true
 		}
 	}
 	// Regions with no unique service: attribute the residual of a shared
-	// service evenly.
-	for _, rn := range c.g.spec.RegionNames() {
-		if _, done := load[rn]; done {
+	// service evenly. Earlier regions' estimates, including ones made in
+	// this pass, are already subtracted.
+	for ri, unique := range c.unique {
+		if len(unique) > 0 {
 			continue
 		}
-		r := c.g.spec.Region(rn)
 		var best float64
-		for _, id := range r.ServiceIDs() {
+		for _, id := range c.g.regionSvcs[ri] {
 			residual := c.pending[id]
-			for _, e := range c.g.Edges(c.g.spec.ServiceByID(id).Name) {
-				if e.Region != rn {
-					residual -= load[e.Region]
+			for _, e := range c.g.edgesByID[id] {
+				if e.region != ri {
+					residual -= load[e.region]
 				}
 			}
 			if residual > best {
@@ -125,8 +136,9 @@ func (c *Counter) RegionLoad() map[string]float64 {
 			}
 		}
 		if best > 0 {
-			load[rn] = best
+			load[ri] = best
+			found = true
 		}
 	}
-	return load
+	return found
 }

@@ -52,31 +52,47 @@ type Graph struct {
 	services []string
 	// edges grouped by service, then by region, in stable order.
 	edges map[string][]Edge
+
+	// Dense views of the same graph for the per-tick kernels, which index
+	// regions by their position in spec order and services by spec ID.
+	regions     []string   // region names by index
+	regionEdges []int      // |services(region)| by region index
+	regionSvcs  [][]int    // each region's service IDs (Region.ServiceIDs)
+	serviceIDs  []int      // graph services as spec IDs, in services order
+	edgesByID   [][]idEdge // each spec service's edges, in edges order
+}
+
+// idEdge is one Edge in the dense view: the calling region's index and the
+// static weight call_ts × exec_t as a float64.
+type idEdge struct {
+	region int
+	weight float64
 }
 
 // BuildGraph performs the offline analysis: it walks the spec's regions
 // and materializes the bipartite graph.
 func BuildGraph(spec *app.Spec) *Graph {
 	g := &Graph{
-		spec:  spec,
-		edges: make(map[string][]Edge),
+		spec:      spec,
+		edges:     make(map[string][]Edge),
+		regions:   spec.RegionNames(),
+		edgesByID: make([][]idEdge, spec.NumServices()),
 	}
-	seenSvc := map[string]bool{}
-	for _, rn := range spec.RegionNames() {
+	for ri, rn := range g.regions {
 		r := spec.Region(rn)
 		g.apis = append(g.apis, r.API)
+		g.regionEdges = append(g.regionEdges, len(r.ServiceIDs()))
+		g.regionSvcs = append(g.regionSvcs, r.ServiceIDs())
 		for _, sn := range r.ServiceNames() {
 			c, _ := r.CallTo(sn)
-			g.edges[sn] = append(g.edges[sn], Edge{
-				Region:    rn,
-				Service:   sn,
-				CallTimes: c.Times,
-				Exec:      c.Exec,
-			})
-			if !seenSvc[sn] {
-				seenSvc[sn] = true
+			e := Edge{Region: rn, Service: sn, CallTimes: c.Times, Exec: c.Exec}
+			g.edges[sn] = append(g.edges[sn], e)
+			id := spec.Service(sn).ID()
+			if g.edgesByID[id] == nil {
 				g.services = append(g.services, sn)
+				g.serviceIDs = append(g.serviceIDs, id)
 			}
+			g.edgesByID[id] = append(g.edgesByID[id], idEdge{region: ri, weight: float64(e.Weight())})
 		}
 	}
 	return g
@@ -85,6 +101,22 @@ func BuildGraph(spec *app.Spec) *Graph {
 // Services returns the V_F vertices (function services with at least one
 // edge), in first-seen order.
 func (g *Graph) Services() []string { return append([]string(nil), g.services...) }
+
+// ServiceIDs returns the V_F vertices as spec service IDs, in Services
+// order. The slice is a read-only view, shared by every caller.
+func (g *Graph) ServiceIDs() []int { return g.serviceIDs }
+
+// NumRegions returns the number of regions: the length of a dense load
+// vector, indexed by each region's position in the spec's RegionNames.
+func (g *Graph) NumRegions() int { return len(g.regions) }
+
+// LoadVec writes a region-keyed load into out, indexed by region; regions
+// the map lacks read 0 and keys naming no region are ignored.
+func (g *Graph) LoadVec(load map[string]float64, out []float64) {
+	for i, rn := range g.regions {
+		out[i] = load[rn]
+	}
+}
 
 // APIs returns the V_A vertices in region order.
 func (g *Graph) APIs() []string { return append([]string(nil), g.apis...) }

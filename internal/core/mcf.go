@@ -47,84 +47,55 @@ func (c *Calculator) rtRef() time.Duration {
 // i.e. each region contributes its share of the graph's live edges times
 // that edge's weight, matching Figure 8's indegree definition
 // (In_d = (n+m)/(n+m+l)) combined with per-edge weights.
+//
+// MCF is the name-keyed adapter over MCFVec, for reports and tools; the
+// control tick calls MCFVec directly.
 func (c *Calculator) MCF(load map[string]float64, f cluster.GHz) map[string]float64 {
-	return c.MCFAt(load, func(string) cluster.GHz { return f })
-}
-
-// MCFInto is MCF reusing out as the result map when non-nil: existing
-// keys are overwritten in place, so a caller that holds one map across
-// control ticks computes MCF with zero steady-state allocations. The
-// service set never changes within a run, so stale keys cannot linger.
-func (c *Calculator) MCFInto(load map[string]float64, f cluster.GHz, out map[string]float64) map[string]float64 {
-	if out == nil {
-		return c.MCF(load, f)
-	}
-	var totalEdges float64
-	for rn, l := range load {
-		if l > 0 {
-			totalEdges += l * float64(c.g.EdgeCount(rn))
-		}
-	}
-	if totalEdges == 0 {
-		for _, s := range c.g.services {
-			out[s] = 0
-		}
-		return out
-	}
-	ref := float64(c.rtRef())
-	for _, s := range c.g.services {
-		beta := 1.0
-		if !c.IgnoreBeta {
-			beta = c.g.Beta(s, f)
-		}
-		var mcf float64
-		for _, e := range c.g.Edges(s) {
-			l := load[e.Region]
-			if l <= 0 {
-				continue
-			}
-			in := l / totalEdges
-			mcf += in * float64(e.Weight()) * beta / ref
-		}
-		out[s] = mcf
-	}
-	return out
-}
-
-// MCFAt is MCF with a per-service frequency (services hosted on different
-// zones run at different frequencies — the "timely power supply" input).
-func (c *Calculator) MCFAt(load map[string]float64, freqOf func(service string) cluster.GHz) map[string]float64 {
-	var totalEdges float64
-	for rn, l := range load {
-		if l > 0 {
-			totalEdges += l * float64(c.g.EdgeCount(rn))
-		}
-	}
+	vec := make([]float64, len(c.g.regions))
+	c.g.LoadVec(load, vec)
+	mcf := make([]float64, c.g.spec.NumServices())
+	c.MCFVec(vec, f, mcf)
 	out := make(map[string]float64, len(c.g.services))
-	if totalEdges == 0 {
-		for _, s := range c.g.services {
-			out[s] = 0
+	for i, id := range c.g.serviceIDs {
+		out[c.g.services[i]] = mcf[id]
+	}
+	return out
+}
+
+// MCFVec is MCF on dense vectors: load is indexed by region (see
+// Graph.LoadVec) and out by spec service ID, with services outside the
+// graph reading 0. The edge total is summed in region order, so the
+// result never depends on how the caller built load. It allocates
+// nothing.
+func (c *Calculator) MCFVec(load []float64, f cluster.GHz, out []float64) {
+	g := c.g
+	var totalEdges float64
+	for ri, l := range load {
+		if l > 0 {
+			totalEdges += l * float64(g.regionEdges[ri])
 		}
-		return out
+	}
+	clear(out[:g.spec.NumServices()])
+	if totalEdges == 0 {
+		return
 	}
 	ref := float64(c.rtRef())
-	for _, s := range c.g.services {
+	for _, id := range g.serviceIDs {
 		beta := 1.0
 		if !c.IgnoreBeta {
-			beta = c.g.Beta(s, freqOf(s))
+			beta = g.spec.ServiceByID(id).Beta(f)
 		}
 		var mcf float64
-		for _, e := range c.g.Edges(s) {
-			l := load[e.Region]
+		for _, e := range g.edgesByID[id] {
+			l := load[e.region]
 			if l <= 0 {
 				continue
 			}
 			in := l / totalEdges
-			mcf += in * float64(e.Weight()) * beta / ref
+			mcf += in * e.weight * beta / ref
 		}
-		out[s] = mcf
+		out[id] = mcf
 	}
-	return out
 }
 
 // Rank orders services by descending MCF value, name-ascending on ties.
@@ -179,6 +150,9 @@ func (c Criticality) String() string {
 // absolute scale is not recoverable; Threshold is therefore calibrated to
 // reproduce Figure 11's three-level structure on the study workload and
 // exposed for tuning.
+//
+// A Classifier keeps scratch vectors, so it is not safe for concurrent
+// use.
 type Classifier struct {
 	calc *Calculator
 	// Threshold is the high-criticality cut at the near-maximum
@@ -187,30 +161,53 @@ type Classifier struct {
 	// LowMargin scales the threshold for the low cut at the minimum
 	// frequency.
 	LowMargin float64
+
+	// atNearMax and atMin hold ClassifyVec's two MCF evaluations.
+	atNearMax, atMin []float64
 }
 
 // NewClassifier returns a classifier with the calibrated defaults.
 func NewClassifier(calc *Calculator) *Classifier {
-	return &Classifier{calc: calc, Threshold: 0.25, LowMargin: 0.8}
+	n := calc.g.spec.NumServices()
+	return &Classifier{
+		calc: calc, Threshold: 0.25, LowMargin: 0.8,
+		atNearMax: make([]float64, n), atMin: make([]float64, n),
+	}
 }
 
-// Classify labels every service for the given region load.
+// Classify labels every service for the given region load: the
+// name-keyed adapter over ClassifyVec.
 func (cl *Classifier) Classify(load map[string]float64) map[string]Criticality {
-	nearMax := cluster.StepDown(cluster.FreqMax)
-	atNearMax := cl.calc.MCF(load, nearMax)
-	atMin := cl.calc.MCF(load, cluster.FreqMin)
-	out := make(map[string]Criticality, len(atNearMax))
-	for s := range atNearMax {
-		switch {
-		case atNearMax[s] >= cl.Threshold:
-			out[s] = High
-		case atMin[s] < cl.Threshold*cl.LowMargin:
-			out[s] = Low
-		default:
-			out[s] = Uncertain
-		}
+	g := cl.calc.g
+	vec := make([]float64, len(g.regions))
+	g.LoadVec(load, vec)
+	lv := make([]Criticality, g.spec.NumServices())
+	cl.ClassifyVec(vec, lv)
+	out := make(map[string]Criticality, len(g.services))
+	for i, id := range g.serviceIDs {
+		out[g.services[i]] = lv[id]
 	}
 	return out
+}
+
+// ClassifyVec is Classify on dense vectors: load is indexed by region and
+// out by spec service ID, with services outside the graph reading Low. It
+// allocates nothing.
+func (cl *Classifier) ClassifyVec(load []float64, out []Criticality) {
+	g := cl.calc.g
+	cl.calc.MCFVec(load, cluster.StepDown(cluster.FreqMax), cl.atNearMax)
+	cl.calc.MCFVec(load, cluster.FreqMin, cl.atMin)
+	clear(out[:g.spec.NumServices()])
+	for _, id := range g.serviceIDs {
+		switch {
+		case cl.atNearMax[id] >= cl.Threshold:
+			out[id] = High
+		case cl.atMin[id] < cl.Threshold*cl.LowMargin:
+			out[id] = Low
+		default:
+			out[id] = Uncertain
+		}
+	}
 }
 
 // Levels groups a classification into name lists, each sorted.

@@ -526,11 +526,19 @@ func BuildE(cfg Config) (*Result, error) {
 			b.Controller = res.Fridge
 			b.Alpha, b.Beta = res.Fridge.Alpha, res.Fridge.Beta
 		}
+		// The executor reports spans by service ID, which indexes the
+		// service windows only while Services lists the spec in ID order.
+		for id, s := range b.Services {
+			if cfg.Spec.ServiceByID(id).Name != s {
+				return nil, fmt.Errorf("engine: telemetry service %d is %q, want %q (spec order)",
+					id, s, cfg.Spec.ServiceByID(id).Name)
+			}
+		}
 		if err := tel.Bind(b); err != nil {
 			return nil, err
 		}
 		col.OnFinish = tel.ObserveResponse
-		col.OnSpan = func(s trace.Span) { tel.ObserveServiceExec(s.Service, s.Exec()) }
+		exec.OnExec = tel.ObserveExec
 		// Registered after the control loop so a shared instant samples
 		// post-tick state; telemetry only reads, so the extra calendar
 		// entries shift seq numbers without reordering anything else.

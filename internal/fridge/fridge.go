@@ -15,7 +15,8 @@
 package fridge
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"servicefridge/internal/app"
 	"servicefridge/internal/cluster"
@@ -67,10 +68,15 @@ func zoneOf(c core.Criticality) Zone {
 }
 
 // Fridge is the ServiceFridge controller.
+//
+// Per-service state lives in slices indexed by spec service ID and
+// per-zone state in arrays indexed by Zone, so a control tick allocates
+// nothing but the events it emits.
 type Fridge struct {
 	ctx  *schemes.Context
 	spec *app.Spec
 
+	graph      *core.Graph
 	calc       *core.Calculator
 	classifier *core.Classifier
 	counter    *core.Counter
@@ -87,30 +93,33 @@ type Fridge struct {
 	// benchmarks disable it to isolate the zoning benefit).
 	MigrateServices bool
 
-	// adjust holds Algorithm-1 promotions (+1) and demotions (-1),
-	// keyed by service; adjustBase remembers the classifier level the
-	// adjustment was made against so stale adjustments expire.
-	adjust     map[string]int
-	adjustBase map[string]core.Criticality
-	// baseLevels is the classifier's raw output from the last tick —
-	// the ground truth bump records into adjustBase.
-	baseLevels map[string]core.Criticality
+	// adjust holds Algorithm-1 promotions (+1) and demotions (-1) by
+	// service ID; adjustBase remembers the classifier level each
+	// adjustment was made against (noBase when none is held) so stale
+	// adjustments expire.
+	adjust     []int
+	adjustBase []core.Criticality
+	// baseLevels is the classifier's raw output from the last tick — the
+	// ground truth bump records into adjustBase.
+	baseLevels []core.Criticality
 
-	// zone state from the last tick.
-	zoneServers map[Zone][]*cluster.Server
-	zoneFreq    map[Zone]cluster.GHz
-	levels      map[string]core.Criticality
+	// zone state from the last tick. levels is the criticality after
+	// adjustments; services outside the graph read Low. Both level
+	// slices are meaningful once hasMCF is set.
+	zoneServers [3][]*cluster.Server
+	zoneFreq    [3]cluster.GHz
+	levels      []core.Criticality
 
 	// lastMCF caches this tick's FreqMax MCF (the value servicesAt,
-	// assignZones and migrate all rank by), computed once per Tick into a
-	// reused map. hasMCF is false until the first tick that saw load.
-	lastMCF map[string]float64
+	// assignZones and migrate all rank by), computed once per Tick.
+	// hasMCF is false until the first tick that saw load.
+	lastMCF []float64
 	hasMCF  bool
 
 	// zoneDemand and demandTotal are this tick's per-zone aggregate MCF and
 	// its sum, saved by assignZones so the ZoneReassign/Migration events can
 	// carry the sizing inputs as provenance.
-	zoneDemand  map[Zone]float64
+	zoneDemand  [3]float64
 	demandTotal float64
 
 	ticks      uint64
@@ -122,6 +131,29 @@ type Fridge struct {
 	liveRelays []*relay
 	freeRelays []*relay
 
+	// Orders fixed by the spec, computed once in New: graph services in
+	// name order (byName) with each one's position there (nameRank) and
+	// membership (inGraph), by service ID; function services in name
+	// order (funcByName).
+	byName     []int
+	nameRank   []int
+	inGraph    []bool
+	funcByName []int
+
+	// Scratch reused from tick to tick: the region load, servicesAt's
+	// result, the worker list, one service's nodes and targets,
+	// per-server state indexed by cluster.Server.Index, and
+	// recordMigration's name lists.
+	load           []float64
+	services       []int
+	workers        []*cluster.Server
+	nodes, targets []*cluster.Server
+	assigned       []float64
+	inZone, used   []bool
+	utils, loads   []float64
+	serverZone     []Zone
+	added, removed []string
+
 	// prof, when non-nil, attributes the control tick's wall time to the
 	// tick phase, with the MCF solve/classification and zone assignment
 	// broken out as sub-phases. The profiler reads the wall clock only:
@@ -129,29 +161,51 @@ type Fridge struct {
 	prof *prof.Profiler
 }
 
+// noBase marks an adjustBase entry with no adjustment recorded against it.
+const noBase core.Criticality = -1
+
 // New builds a ServiceFridge over the shared scheme context and the
 // application's offline analysis.
 func New(ctx *schemes.Context, spec *app.Spec) *Fridge {
 	g := core.BuildGraph(spec)
 	calc := core.NewCalculator(g)
+	n := spec.NumServices()
 	f := &Fridge{
 		ctx:             ctx,
 		spec:            spec,
+		graph:           g,
 		calc:            calc,
 		classifier:      core.NewClassifier(calc),
 		counter:         core.NewCounter(g),
 		Alpha:           0.75,
 		Beta:            0.25,
 		MigrateServices: true,
-		adjust:          make(map[string]int),
-		adjustBase:      make(map[string]core.Criticality),
-		baseLevels:      make(map[string]core.Criticality),
-		zoneServers:     make(map[Zone][]*cluster.Server),
-		zoneFreq: map[Zone]cluster.GHz{
-			Hot: cluster.FreqMax, Warm: cluster.FreqMax, Cold: cluster.FreqMax,
-		},
-		levels: make(map[string]core.Criticality),
+		adjust:          make([]int, n),
+		adjustBase:      make([]core.Criticality, n),
+		baseLevels:      make([]core.Criticality, n),
+		zoneFreq:        [3]cluster.GHz{cluster.FreqMax, cluster.FreqMax, cluster.FreqMax},
+		levels:          make([]core.Criticality, n),
+		lastMCF:         make([]float64, n),
+		nameRank:        make([]int, n),
+		inGraph:         make([]bool, n),
+		load:            make([]float64, g.NumRegions()),
 	}
+	for id := range f.adjustBase {
+		f.adjustBase[id] = noBase
+	}
+	byName := func(a, b int) int {
+		return strings.Compare(spec.ServiceByID(a).Name, spec.ServiceByID(b).Name)
+	}
+	f.byName = append([]int(nil), g.ServiceIDs()...)
+	slices.SortFunc(f.byName, byName)
+	for rank, id := range f.byName {
+		f.nameRank[id] = rank
+		f.inGraph[id] = true
+	}
+	for _, name := range spec.FunctionServices() {
+		f.funcByName = append(f.funcByName, spec.Service(name).ID())
+	}
+	slices.SortFunc(f.funcByName, byName)
 	return f
 }
 
@@ -193,11 +247,15 @@ func (f *Fridge) Promotions() uint64 { return f.promotions }
 // Demotions returns the number of Algorithm 1 demotions.
 func (f *Fridge) Demotions() uint64 { return f.demotions }
 
-// Levels returns the current criticality per service (after adjustments).
+// Levels returns the current criticality per service (after adjustments):
+// every graph service once the controller has classified, none before.
 func (f *Fridge) Levels() map[string]core.Criticality {
-	out := make(map[string]core.Criticality, len(f.levels))
-	for s, l := range f.levels {
-		out[s] = l
+	out := make(map[string]core.Criticality, len(f.byName))
+	if !f.hasMCF {
+		return out
+	}
+	for _, id := range f.byName {
+		out[f.spec.ServiceByID(id).Name] = f.levels[id]
 	}
 	return out
 }
@@ -219,9 +277,9 @@ func (f *Fridge) ZonePowerInto(out *[3]float64) bool {
 	if !f.hasMCF {
 		return false
 	}
-	for _, z := range []Zone{Hot, Warm, Cold} {
+	for z, servers := range f.zoneServers {
 		var w float64
-		for _, s := range f.zoneServers[z] {
+		for _, s := range servers {
 			if smp, ok := f.ctx.Meter.LastServer(s.Name()); ok {
 				w += float64(smp.Power)
 			}
@@ -238,8 +296,8 @@ func (f *Fridge) ZoneFreqsInto(out *[3]float64) bool {
 	if !f.hasMCF {
 		return false
 	}
-	for _, z := range []Zone{Hot, Warm, Cold} {
-		out[z] = float64(f.zoneFreq[z])
+	for z, g := range f.zoneFreq {
+		out[z] = float64(g)
 	}
 	return true
 }
@@ -267,14 +325,18 @@ func (f *Fridge) WarmUtilization() (float64, bool) {
 }
 
 // MCFInto writes this tick's cached normalized MCF for each named service
-// into out (out[i] for services[i]); unknown services read 0. It reports
-// false before the first classified tick and never allocates.
+// into out (out[i] for services[i]); services outside the graph, and
+// unknown names, read 0. It reports false before the first classified
+// tick and never allocates.
 func (f *Fridge) MCFInto(services []string, out []float64) bool {
 	if !f.hasMCF || len(out) < len(services) {
 		return false
 	}
 	for i, s := range services {
-		out[i] = f.lastMCF[s]
+		out[i] = 0
+		if ms := f.spec.Service(s); ms != nil {
+			out[i] = f.lastMCF[ms.ID()]
+		}
 	}
 	return true
 }
@@ -344,12 +406,15 @@ func (f *Fridge) releaseRelay(r *relay) {
 	f.freeRelays = append(f.freeRelays, r)
 }
 
-// load returns the region load driving this tick's MCF computation.
-func (f *Fridge) load() map[string]float64 {
+// loadInto writes the region load driving this tick's MCF computation into
+// f.load and reports whether there is any: LoadOverride when set, else the
+// live estimate of the indegree counters.
+func (f *Fridge) loadInto() bool {
 	if f.LoadOverride != nil {
-		return f.LoadOverride
+		f.graph.LoadVec(f.LoadOverride, f.load)
+		return len(f.LoadOverride) > 0
 	}
-	return f.counter.RegionLoad()
+	return f.counter.RegionLoadInto(f.load)
 }
 
 // Tick implements schemes.Scheme: one control interval of the
@@ -358,25 +423,24 @@ func (f *Fridge) Tick() {
 	f.prof.Enter(prof.Tick)
 	defer f.prof.Exit()
 	f.ticks++
-	load := f.load()
-	if len(load) == 0 {
+	if !f.loadInto() {
 		// No live traffic: keep everything at full speed (the budget is
 		// trivially met at idle).
 		f.ctx.Cluster.SetAllFreq(cluster.FreqMax)
 		return
 	}
+	f.sizeServerScratch()
 
 	// The FreqMax MCF every placement decision below ranks by, computed
-	// once per tick into a reused map.
+	// once per tick.
 	f.prof.Enter(prof.MCF)
-	f.lastMCF = f.calc.MCFInto(load, cluster.FreqMax, f.lastMCF)
+	f.calc.MCFVec(f.load, cluster.FreqMax, f.lastMCF)
 	f.hasMCF = true
 
 	// 1. Classify from MCF, then apply Algorithm 1 adjustments.
-	base := f.classifier.Classify(load)
+	f.classifier.ClassifyVec(f.load, f.baseLevels)
 	f.prof.Exit()
-	f.baseLevels = base
-	f.levels = f.applyAdjust(base)
+	f.applyAdjust()
 
 	// 2. Size and assign zones.
 	f.prof.Enter(prof.Zones)
@@ -398,6 +462,23 @@ func (f *Fridge) Tick() {
 	f.recordZonePower()
 }
 
+// sizeServerScratch sizes the per-server scratch to the cluster, once.
+func (f *Fridge) sizeServerScratch() {
+	n := f.ctx.Cluster.Size()
+	if len(f.assigned) == n {
+		return
+	}
+	f.assigned = make([]float64, n)
+	f.inZone = make([]bool, n)
+	f.used = make([]bool, n)
+	f.utils = make([]float64, n)
+	f.loads = make([]float64, n)
+	f.serverZone = make([]Zone, n)
+}
+
+// name returns the name of the service with spec ID id.
+func (f *Fridge) name(id int) string { return f.spec.ServiceByID(id).Name }
+
 // now returns the controller's simulation clock for event timestamps.
 func (f *Fridge) now() sim.Time { return f.ctx.Cluster.Engine().Now() }
 
@@ -408,7 +489,7 @@ func (f *Fridge) recordZones() {
 		return
 	}
 	at := f.now()
-	for _, z := range []Zone{Cold, Warm, Hot} {
+	for _, z := range [...]Zone{Cold, Warm, Hot} {
 		names := make([]string, 0, len(f.zoneServers[z]))
 		for _, s := range f.zoneServers[z] {
 			names = append(names, s.Name())
@@ -428,7 +509,7 @@ func (f *Fridge) recordZonePower() {
 	}
 	at := f.now()
 	budget := float64(f.ctx.Budget.Cap())
-	for _, z := range []Zone{Cold, Warm, Hot} {
+	for _, z := range [...]Zone{Cold, Warm, Hot} {
 		var w float64
 		for _, s := range f.zoneServers[z] {
 			if smp, ok := f.ctx.Meter.LastServer(s.Name()); ok {
@@ -441,50 +522,54 @@ func (f *Fridge) recordZonePower() {
 
 // applyAdjust overlays promotions/demotions on the base classification,
 // expiring adjustments whose base level changed.
-func (f *Fridge) applyAdjust(base map[string]core.Criticality) map[string]core.Criticality {
-	out := make(map[string]core.Criticality, len(base))
-	for s, lvl := range base {
-		if prev, ok := f.adjustBase[s]; ok && prev != lvl {
-			delete(f.adjust, s)
-			delete(f.adjustBase, s)
+func (f *Fridge) applyAdjust() {
+	for _, id := range f.byName {
+		lvl := f.baseLevels[id]
+		if prev := f.adjustBase[id]; prev != noBase && prev != lvl {
+			f.adjust[id] = 0
+			f.adjustBase[id] = noBase
 		}
-		adj := int(lvl) + f.adjust[s]
-		if adj < int(core.Low) {
-			adj = int(core.Low)
-		}
-		if adj > int(core.High) {
-			adj = int(core.High)
-		}
-		out[s] = core.Criticality(adj)
+		f.levels[id] = clampLevel(int(lvl) + f.adjust[id])
 	}
-	return out
+}
+
+// clampLevel bounds an adjusted level to [Low, High].
+func clampLevel(lvl int) core.Criticality {
+	return core.Criticality(max(int(core.Low), min(int(core.High), lvl)))
 }
 
 // servicesAt returns the function services at a level, sorted by
-// descending MCF (this tick's cached FreqMax values) so heavy services
-// spread across zone servers first.
-func (f *Fridge) servicesAt(lvl core.Criticality) []string {
-	mcf := f.lastMCF
-	var out []string
-	for s, l := range f.levels {
-		if l == lvl {
-			out = append(out, s)
+// descending MCF (this tick's cached FreqMax values), then by name, so
+// heavy services spread across zone servers first. The result is scratch,
+// valid until the next call.
+func (f *Fridge) servicesAt(lvl core.Criticality) []int {
+	out := f.services[:0]
+	for _, id := range f.byName {
+		if f.levels[id] == lvl {
+			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if mcf[out[i]] != mcf[out[j]] {
-			return mcf[out[i]] > mcf[out[j]]
-		}
-		return out[i] < out[j]
-	})
+	slices.SortFunc(out, f.byMCF)
+	f.services = out
 	return out
+}
+
+// byMCF orders service IDs by descending lastMCF, then ascending name.
+func (f *Fridge) byMCF(a, b int) int {
+	if ma, mb := f.lastMCF[a], f.lastMCF[b]; ma != mb {
+		if ma > mb {
+			return -1
+		}
+		return 1
+	}
+	return f.nameRank[a] - f.nameRank[b]
 }
 
 // assignZones partitions the worker servers across zones proportionally to
 // each level's aggregate MCF demand (Figure 9's hot/warm/cold server
 // numbers). The manager node always belongs to the cold zone.
 func (f *Fridge) assignZones() {
-	var workers []*cluster.Server
+	workers := f.workers[:0]
 	var manager *cluster.Server
 	for _, s := range f.ctx.Cluster.Servers() {
 		if s.Role() == cluster.RoleManager {
@@ -493,37 +578,33 @@ func (f *Fridge) assignZones() {
 			workers = append(workers, s)
 		}
 	}
+	f.workers = workers
 	n := len(workers)
-	mcf := f.lastMCF
-	// Accumulate in sorted service order: float sums depend on addend
-	// order, and these values are emitted as provenance, so map iteration
-	// order must not leak into them.
-	services := make([]string, 0, len(f.levels))
-	for s := range f.levels {
-		services = append(services, s)
-	}
-	sort.Strings(services)
-	demand := map[Zone]float64{}
-	for _, s := range services {
-		demand[zoneOf(f.levels[s])] += mcf[s]
+	// Accumulate in service name order: float sums depend on addend
+	// order, and these values are emitted as provenance.
+	var demand [3]float64
+	for _, id := range f.byName {
+		demand[zoneOf(f.levels[id])] += f.lastMCF[id]
 	}
 	var total float64
-	for _, z := range []Zone{Cold, Warm, Hot} {
+	for _, z := range [...]Zone{Cold, Warm, Hot} {
 		total += demand[z]
 	}
 	f.zoneDemand = demand
 	f.demandTotal = total
 
-	counts := map[Zone]int{}
+	var counts [3]int
 	if total == 0 || n == 0 {
 		counts[Warm] = n
 	} else {
 		counts = allocateZoneCounts(n, demand)
 	}
 
-	f.zoneServers = map[Zone][]*cluster.Server{}
+	for z := range f.zoneServers {
+		f.zoneServers[z] = f.zoneServers[z][:0]
+	}
 	idx := 0
-	for _, z := range []Zone{Cold, Warm, Hot} {
+	for _, z := range [...]Zone{Cold, Warm, Hot} {
 		for k := 0; k < counts[z] && idx < n; k++ {
 			f.zoneServers[z] = append(f.zoneServers[z], workers[idx])
 			idx++
@@ -540,22 +621,24 @@ func (f *Fridge) assignZones() {
 
 // allocateZoneCounts splits n workers across the zones proportionally to
 // their aggregate MCF demand by largest remainder, with a floor of one
-// server for any zone with demand. The total is summed in the fixed
-// [Cold, Warm, Hot] order: float addition is not associative, so summing
-// in map order could tip an exact share across an integer boundary.
-func allocateZoneCounts(n int, demand map[Zone]float64) map[Zone]int {
+// server for any zone with demand. Both arrays are indexed by Zone. The
+// total is summed in the fixed [Cold, Warm, Hot] order: float addition is
+// not associative, so another order could tip an exact share across an
+// integer boundary.
+func allocateZoneCounts(n int, demand [3]float64) [3]int {
 	var total float64
-	for _, z := range []Zone{Cold, Warm, Hot} {
+	for _, z := range [...]Zone{Cold, Warm, Hot} {
 		total += demand[z]
 	}
-	counts := map[Zone]int{}
+	var counts [3]int
 	remaining := n
 	type frac struct {
 		z Zone
 		f float64
 	}
-	var fracs []frac
-	for _, z := range []Zone{Cold, Warm, Hot} {
+	var fracBuf [3]frac
+	fracs := fracBuf[:0]
+	for _, z := range [...]Zone{Cold, Warm, Hot} {
 		if demand[z] <= 0 {
 			continue
 		}
@@ -571,11 +654,15 @@ func allocateZoneCounts(n int, demand map[Zone]float64) map[Zone]int {
 		// exact share, so it must not also win the remainder pass.
 		fracs = append(fracs, frac{z, exact - float64(c)})
 	}
-	sort.Slice(fracs, func(i, j int) bool {
-		if fracs[i].f != fracs[j].f {
-			return fracs[i].f > fracs[j].f
+	// Largest remainder first, the colder zone on ties.
+	slices.SortFunc(fracs, func(a, b frac) int {
+		if a.f != b.f {
+			if a.f > b.f {
+				return -1
+			}
+			return 1
 		}
-		return fracs[i].z > fracs[j].z
+		return int(b.z) - int(a.z)
 	})
 	for _, fr := range fracs {
 		if remaining <= 0 {
@@ -585,13 +672,13 @@ func allocateZoneCounts(n int, demand map[Zone]float64) map[Zone]int {
 		remaining--
 	}
 	// Over-allocation (floors exceeded n): trim from the hot end.
-	for _, z := range []Zone{Hot, Warm, Cold} {
+	for _, z := range [...]Zone{Hot, Warm, Cold} {
 		for remaining < 0 && counts[z] > 1 {
 			counts[z]--
 			remaining++
 		}
 	}
-	for _, z := range []Zone{Hot, Warm} {
+	for _, z := range [...]Zone{Hot, Warm} {
 		for remaining < 0 && counts[z] > 0 {
 			counts[z]--
 			remaining++
@@ -614,7 +701,9 @@ func (f *Fridge) zoneForPlacement(z Zone) []*cluster.Server {
 	return nil
 }
 
-var placementFallback = map[Zone][]Zone{
+// placementFallback lists, for each zone, the zones whose servers take its
+// services, in preference order.
+var placementFallback = [3][3]Zone{
 	Cold: {Cold, Warm, Hot},
 	Warm: {Warm, Cold, Hot},
 	Hot:  {Hot, Warm, Cold},
@@ -626,47 +715,43 @@ var placementFallback = map[Zone][]Zone{
 // there), so two heavy services never share a node while another idles.
 // A service already on an acceptable server stays put to limit churn.
 func (f *Fridge) migrate() {
-	mcf := f.lastMCF
-	assigned := map[string]float64{} // server -> accumulated MCF
-	for _, lvl := range []core.Criticality{core.High, core.Uncertain, core.Low} {
+	assigned := f.assigned // by server index: accumulated MCF
+	clear(assigned)
+	for _, lvl := range [...]core.Criticality{core.High, core.Uncertain, core.Low} {
 		services := f.servicesAt(lvl)
 		servers := f.zoneForPlacement(zoneOf(lvl))
 		if len(servers) == 0 {
 			continue
 		}
-		inZone := map[string]bool{}
+		clear(f.inZone)
 		for _, s := range servers {
-			inZone[s.Name()] = true
+			f.inZone[s.Index()] = true
 		}
-		for _, svc := range services {
+		for _, id := range services {
+			svc := f.name(id)
 			// Preserve the service's replica count: a scaled-out service
 			// keeps k instances, now on the zone's k least-loaded nodes.
-			k := len(f.ctx.Orch.NodesOf(svc))
-			if k < 1 {
-				k = 1
-			}
-			if k > len(servers) {
-				k = len(servers)
-			}
-			targets := make([]*cluster.Server, 0, k)
-			used := map[string]bool{}
+			f.nodes = f.ctx.Orch.AppendNodesOf(f.nodes[:0], svc)
+			k := min(max(len(f.nodes), 1), len(servers))
+			targets := f.targets[:0]
+			clear(f.used)
 			// Sticky placement first: keep hosts already in the zone.
-			for _, n := range f.ctx.Orch.NodesOf(svc) {
+			for _, n := range f.nodes {
 				if len(targets) == k {
 					break
 				}
-				if inZone[n.Name()] && !used[n.Name()] {
+				if i := n.Index(); f.inZone[i] && !f.used[i] {
 					targets = append(targets, n)
-					used[n.Name()] = true
+					f.used[i] = true
 				}
 			}
 			for len(targets) < k {
 				var target *cluster.Server
 				for _, s := range servers {
-					if used[s.Name()] {
+					if f.used[s.Index()] {
 						continue
 					}
-					if target == nil || assigned[s.Name()] < assigned[target.Name()] {
+					if target == nil || assigned[s.Index()] < assigned[target.Index()] {
 						target = s
 					}
 				}
@@ -674,45 +759,41 @@ func (f *Fridge) migrate() {
 					break
 				}
 				targets = append(targets, target)
-				used[target.Name()] = true
+				f.used[target.Index()] = true
 			}
-			share := mcf[svc] / float64(len(targets))
+			f.targets = targets
+			share := f.lastMCF[id] / float64(len(targets))
 			for _, n := range targets {
-				assigned[n.Name()] += share
+				assigned[n.Index()] += share
 			}
-			f.recordMigration(svc, zoneOf(lvl), targets)
+			f.recordMigration(id, zoneOf(lvl), targets)
 			f.ctx.Orch.MoveService(svc, targets)
 		}
 	}
 }
 
-// recordMigration diffs a service's current active hosts against its new
-// targets and emits one Migration event per changed placement, pairing
-// drained nodes with their replacements.
-func (f *Fridge) recordMigration(svc string, z Zone, targets []*cluster.Server) {
+// recordMigration diffs a service's current active hosts (f.nodes, as
+// migrate fetched them) against its new targets and emits one Migration
+// event per changed placement, pairing drained nodes with their
+// replacements in name order.
+func (f *Fridge) recordMigration(id int, z Zone, targets []*cluster.Server) {
 	if f.ctx.Rec == nil {
 		return
 	}
-	oldSet := map[string]bool{}
-	var removed []string
-	for _, n := range f.ctx.Orch.NodesOf(svc) {
-		oldSet[n.Name()] = true
-	}
-	newSet := map[string]bool{}
-	var added []string
+	added, removed := f.added[:0], f.removed[:0]
 	for _, n := range targets {
-		newSet[n.Name()] = true
-		if !oldSet[n.Name()] {
+		if !slices.Contains(f.nodes, n) {
 			added = append(added, n.Name())
 		}
 	}
-	for n := range oldSet {
-		if !newSet[n] {
-			removed = append(removed, n)
+	for _, n := range f.nodes {
+		if !slices.Contains(targets, n) {
+			removed = append(removed, n.Name())
 		}
 	}
-	sort.Strings(added)
-	sort.Strings(removed)
+	slices.Sort(added)
+	slices.Sort(removed)
+	f.added, f.removed = added, removed
 	at := f.now()
 	for i := 0; i < len(added) || i < len(removed); i++ {
 		var from, to string
@@ -723,8 +804,8 @@ func (f *Fridge) recordMigration(svc string, z Zone, targets []*cluster.Server) 
 			to = added[i]
 		}
 		f.ctx.Rec.Emit(at, obs.Migration{
-			Service: svc, From: from, To: to, Zone: z.String(),
-			Cause: obs.Cause{Signal: "mcf-rank", Value: f.lastMCF[svc], Bound: f.demandTotal},
+			Service: f.name(id), From: from, To: to, Zone: z.String(),
+			Cause: obs.Cause{Signal: "mcf-rank", Value: f.lastMCF[id], Bound: f.demandTotal},
 		})
 	}
 }
@@ -744,20 +825,20 @@ func (f *Fridge) demoteForPower(predicted, capW power.Watts) {
 }
 
 // autoScale is Algorithm 1: when the warm zone runs hot (mean utilization
-// above Alpha), the services on its most-utilized server are promoted;
-// when it idles below Beta, the services on its least-utilized server are
-// demoted.
+// above Alpha), the function services on its most-utilized server are
+// promoted; when it idles below Beta, those on its least-utilized server
+// are demoted. Services are visited in name order.
 func (f *Fridge) autoScale() {
 	warm := f.zoneServers[Warm]
 	if len(warm) == 0 {
 		return
 	}
 	var sum float64
-	utils := make(map[string]float64, len(warm))
 	sampled := 0
 	for _, s := range warm {
+		f.utils[s.Index()] = 0
 		if smp, ok := f.ctx.Meter.LastServer(s.Name()); ok {
-			utils[s.Name()] = smp.Util
+			f.utils[s.Index()] = smp.Util
 			sum += smp.Util
 			sampled++
 		}
@@ -778,80 +859,62 @@ func (f *Fridge) autoScale() {
 		// Promote the criticality of services on the max-utilization node
 		// (§5.3: promotion only when power is abundant).
 		cause := obs.Cause{Signal: "warm-util", Value: mean, Bound: f.Alpha}
-		victim := maxUtilServer(warm, utils)
-		for _, svc := range f.ctx.Orch.ServicesOn(victim) {
-			if f.isFunction(svc) && f.levels[svc] != core.High {
-				f.bump(svc, +1, "warm-util-high", cause)
+		victim := maxUtilServer(warm, f.utils)
+		for _, id := range f.funcByName {
+			if f.ctx.Orch.ActiveOn(f.name(id), victim) && f.levels[id] != core.High {
+				f.bump(id, +1, "warm-util-high", cause)
 				f.promotions++
 			}
 		}
 	case mean < f.Beta:
 		cause := obs.Cause{Signal: "warm-util", Value: mean, Bound: f.Beta}
-		victim := minUtilServer(warm, utils)
-		for _, svc := range f.ctx.Orch.ServicesOn(victim) {
-			if f.isFunction(svc) && f.levels[svc] != core.Low {
-				f.bump(svc, -1, "warm-util-low", cause)
+		victim := minUtilServer(warm, f.utils)
+		for _, id := range f.funcByName {
+			if f.ctx.Orch.ActiveOn(f.name(id), victim) && f.levels[id] != core.Low {
+				f.bump(id, -1, "warm-util-low", cause)
 				f.demotions++
 			}
 		}
 	}
 }
 
-func (f *Fridge) isFunction(svc string) bool {
-	ms := f.spec.Service(svc)
-	return ms != nil && ms.Kind == app.KindFunction
-}
-
-func (f *Fridge) bump(svc string, delta int, reason string, cause obs.Cause) {
-	if _, ok := f.levels[svc]; !ok {
+// bump records an Algorithm 1 adjustment of delta for the service with
+// spec ID id. Services the controller has not classified are ignored.
+func (f *Fridge) bump(id, delta int, reason string, cause obs.Cause) {
+	if !f.hasMCF || !f.inGraph[id] {
 		return
 	}
-	f.adjust[svc] += delta
-	if f.adjust[svc] > 2 {
-		f.adjust[svc] = 2
-	}
-	if f.adjust[svc] < -2 {
-		f.adjust[svc] = -2
-	}
+	f.adjust[id] = max(-2, min(2, f.adjust[id]+delta))
 	// Remember the classifier's base level so the adjustment expires when
 	// the classifier moves the service on its own. The base is tracked
 	// directly (not reconstructed from the clamped effective level, which
 	// records a wrong base once the adjustment saturates).
-	if base, ok := f.baseLevels[svc]; ok {
-		f.adjustBase[svc] = base
-	}
+	f.adjustBase[id] = f.baseLevels[id]
 	if f.ctx.Rec != nil {
 		// The effective level the adjustment produces on the next tick.
-		lvl := int(f.baseLevels[svc]) + f.adjust[svc]
-		if lvl < int(core.Low) {
-			lvl = int(core.Low)
-		}
-		if lvl > int(core.High) {
-			lvl = int(core.High)
-		}
-		level := core.Criticality(lvl).String()
+		level := clampLevel(int(f.baseLevels[id]) + f.adjust[id]).String()
 		if delta > 0 {
-			f.ctx.Rec.Emit(f.now(), obs.Promote{Service: svc, Level: level, Reason: reason, Cause: cause})
+			f.ctx.Rec.Emit(f.now(), obs.Promote{Service: f.name(id), Level: level, Reason: reason, Cause: cause})
 		} else {
-			f.ctx.Rec.Emit(f.now(), obs.Demote{Service: svc, Level: level, Reason: reason, Cause: cause})
+			f.ctx.Rec.Emit(f.now(), obs.Demote{Service: f.name(id), Level: level, Reason: reason, Cause: cause})
 		}
 	}
 }
 
-func maxUtilServer(servers []*cluster.Server, utils map[string]float64) *cluster.Server {
+func maxUtilServer(servers []*cluster.Server, utils []float64) *cluster.Server {
 	best := servers[0]
 	for _, s := range servers[1:] {
-		if utils[s.Name()] > utils[best.Name()] {
+		if utils[s.Index()] > utils[best.Index()] {
 			best = s
 		}
 	}
 	return best
 }
 
-func minUtilServer(servers []*cluster.Server, utils map[string]float64) *cluster.Server {
+func minUtilServer(servers []*cluster.Server, utils []float64) *cluster.Server {
 	best := servers[0]
 	for _, s := range servers[1:] {
-		if utils[s.Name()] < utils[best.Name()] {
+		if utils[s.Index()] < utils[best.Index()] {
 			best = s
 		}
 	}
@@ -862,14 +925,13 @@ func minUtilServer(servers []*cluster.Server, utils map[string]float64) *cluster
 // pinned at FreqMax; the hot zone throttles first and deepest, then the
 // warm zone; with headroom the warm zone recovers first (§5.3).
 func (f *Fridge) setZoneFrequencies() {
-	ctx := f.ctx
-	loads := fridgeServerLoads(ctx)
-	capW := ctx.Budget.Cap()
+	f.serverLoads()
+	capW := f.ctx.Budget.Cap()
 
 	warmF := cluster.FreqMax
 	hotF := cluster.FreqMax
 	predict := func() bool {
-		return f.predictTotal(loads, warmF, hotF) <= capW
+		return f.predictTotal(warmF, hotF) <= capW
 	}
 	for guard := 0; guard < 26 && !predict(); guard++ {
 		if hotF > cluster.FreqMin {
@@ -887,7 +949,7 @@ func (f *Fridge) setZoneFrequencies() {
 	// it as provenance (predicted draw at the chosen frequencies vs cap).
 	fit := obs.Cause{
 		Signal: "budget-fit",
-		Value:  float64(f.predictTotal(loads, warmF, hotF)),
+		Value:  float64(f.predictTotal(warmF, hotF)),
 		Bound:  float64(capW),
 	}
 	// Power shortage even with hot and warm fully throttled: the cold
@@ -929,29 +991,28 @@ func (f *Fridge) guardCritical(s *cluster.Server, want cluster.GHz) cluster.GHz 
 	if want == cluster.FreqMax {
 		return want
 	}
-	for _, svc := range f.ctx.Orch.ServicesOn(s) {
-		if f.levels[svc] == core.High && f.isFunction(svc) {
+	for _, id := range f.byName {
+		if f.levels[id] == core.High && f.ctx.Orch.ActiveOn(f.name(id), s) {
 			return cluster.FreqMax
 		}
 	}
 	return want
 }
 
-func (f *Fridge) predictTotal(loads map[string]float64, warmF, hotF cluster.GHz) (total power.Watts) {
+// predictTotal is the cluster draw the meter's latest utilizations
+// predict with the warm and hot zones at warmF and hotF, summed in
+// server order.
+func (f *Fridge) predictTotal(warmF, hotF cluster.GHz) (total power.Watts) {
 	m := f.ctx.Meter.Model()
-	freqOf := func(s *cluster.Server) cluster.GHz {
-		switch f.zoneOfServer(s) {
+	for i := range f.ctx.Cluster.Servers() {
+		fq := cluster.FreqMax
+		switch f.serverZone[i] {
 		case Warm:
-			return warmF
+			fq = warmF
 		case Hot:
-			return hotF
-		default:
-			return cluster.FreqMax
+			fq = hotF
 		}
-	}
-	for _, s := range f.ctx.Cluster.Servers() {
-		fq := freqOf(s)
-		util := loads[s.Name()] * float64(cluster.FreqMax) / float64(fq)
+		util := f.loads[i] * float64(cluster.FreqMax) / float64(fq)
 		if util > 1 {
 			util = 1
 		}
@@ -960,29 +1021,26 @@ func (f *Fridge) predictTotal(loads map[string]float64, warmF, hotF cluster.GHz)
 	return total
 }
 
-func (f *Fridge) zoneOfServer(s *cluster.Server) Zone {
-	for _, z := range []Zone{Cold, Warm, Hot} {
-		for _, zs := range f.zoneServers[z] {
-			if zs == s {
-				return z
-			}
+// serverLoads fills each server's zone (servers in no zone count as cold)
+// and its frequency-normalized load, by server index.
+func (f *Fridge) serverLoads() {
+	for i := range f.serverZone {
+		f.serverZone[i] = Cold
+	}
+	for _, z := range [...]Zone{Hot, Warm, Cold} {
+		for _, s := range f.zoneServers[z] {
+			f.serverZone[s.Index()] = z
 		}
 	}
-	return Cold
-}
-
-func fridgeServerLoads(ctx *schemes.Context) map[string]float64 {
-	out := make(map[string]float64, ctx.Cluster.Size())
-	for _, s := range ctx.Cluster.Servers() {
-		switch smp, ok := ctx.Meter.LastServer(s.Name()); {
+	for i, s := range f.ctx.Cluster.Servers() {
+		switch smp, ok := f.ctx.Meter.LastServer(s.Name()); {
 		case s.QueueLen() > 0:
 			// Backlogged servers are saturated at any P-state.
-			out[s.Name()] = 1
+			f.loads[i] = 1
 		case ok:
-			out[s.Name()] = smp.Util * float64(smp.Freq) / float64(cluster.FreqMax)
+			f.loads[i] = smp.Util * float64(smp.Freq) / float64(cluster.FreqMax)
 		default:
-			out[s.Name()] = 1
+			f.loads[i] = 1
 		}
 	}
-	return out
 }

@@ -281,7 +281,7 @@ func TestPromotionAdjustmentExpiresWhenBaseChanges(t *testing.T) {
 	eng.RunFor(time.Second)
 	f.Tick()
 	// Manually promote a low service.
-	f.bump("route", +1, "test", obs.Cause{})
+	f.bump(f.spec.Service("route").ID(), +1, "test", obs.Cause{})
 	feed(f, 30, 0)
 	f.Tick()
 	if f.Levels()["route"] != core.Uncertain {
@@ -341,3 +341,24 @@ func TestZoneStringAndName(t *testing.T) {
 type launcherFunc func(region string, onDone func(*trace.Trace))
 
 func (fn launcherFunc) Launch(region string, onDone func(*trace.Trace)) { fn(region, onDone) }
+
+// TestFridgeTickZeroAllocs: once placements and Algorithm 1 adjustments
+// settle under steady load, a control tick without an event recorder
+// allocates nothing — MCF, classification, zoning, placement queries,
+// Algorithm 1 and frequency planning all run on reused scratch.
+func TestFridgeTickZeroAllocs(t *testing.T) {
+	eng, f, ctx := harness(t, 0.8)
+	feed(f, 30, 20)
+	eng.RunFor(time.Second)
+	for i := 0; i < 10; i++ {
+		f.Tick()
+	}
+	migrations := ctx.Orch.Migrations()
+	allocs := testing.AllocsPerRun(100, f.Tick)
+	if allocs != 0 {
+		t.Fatalf("Tick allocated %.3f objects/op, want 0", allocs)
+	}
+	if ctx.Orch.Migrations() != migrations {
+		t.Fatalf("placements still moving in steady state (%d -> %d migrations)", migrations, ctx.Orch.Migrations())
+	}
+}

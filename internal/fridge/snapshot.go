@@ -1,6 +1,8 @@
 package fridge
 
 import (
+	"slices"
+
 	"servicefridge/internal/cluster"
 	"servicefridge/internal/core"
 	"servicefridge/internal/trace"
@@ -8,21 +10,21 @@ import (
 
 // State is a deep copy of the controller's mutable state: the Algorithm-1
 // adjustments, last-tick zone assignment and frequencies, the cached MCF
-// map (reused in place every tick, so it must be copied), the indegree
+// (reused in place every tick, so it must be copied), the indegree
 // counters and the live request-completion relays.
 type State struct {
 	alpha, beta     float64
 	loadOverride    map[string]float64
 	migrateServices bool
-	adjust          map[string]int
-	adjustBase      map[string]core.Criticality
-	baseLevels      map[string]core.Criticality
-	zoneServers     map[Zone][]*cluster.Server
-	zoneFreq        map[Zone]cluster.GHz
-	levels          map[string]core.Criticality
-	lastMCF         map[string]float64
+	adjust          []int
+	adjustBase      []core.Criticality
+	baseLevels      []core.Criticality
+	zoneServers     [3][]*cluster.Server
+	zoneFreq        [3]cluster.GHz
+	levels          []core.Criticality
+	lastMCF         []float64
 	hasMCF          bool
-	zoneDemand      map[Zone]float64
+	zoneDemand      [3]float64
 	demandTotal     float64
 	ticks           uint64
 	promotions      uint64
@@ -44,15 +46,14 @@ func (f *Fridge) Snapshot() *State {
 		beta:            f.Beta,
 		loadOverride:    f.LoadOverride,
 		migrateServices: f.MigrateServices,
-		adjust:          make(map[string]int, len(f.adjust)),
-		adjustBase:      make(map[string]core.Criticality, len(f.adjustBase)),
-		baseLevels:      make(map[string]core.Criticality, len(f.baseLevels)),
-		zoneServers:     make(map[Zone][]*cluster.Server, len(f.zoneServers)),
-		zoneFreq:        make(map[Zone]cluster.GHz, len(f.zoneFreq)),
-		levels:          make(map[string]core.Criticality, len(f.levels)),
-		lastMCF:         make(map[string]float64, len(f.lastMCF)),
+		adjust:          slices.Clone(f.adjust),
+		adjustBase:      slices.Clone(f.adjustBase),
+		baseLevels:      slices.Clone(f.baseLevels),
+		zoneFreq:        f.zoneFreq,
+		levels:          slices.Clone(f.levels),
+		lastMCF:         slices.Clone(f.lastMCF),
 		hasMCF:          f.hasMCF,
-		zoneDemand:      make(map[Zone]float64, len(f.zoneDemand)),
+		zoneDemand:      f.zoneDemand,
 		demandTotal:     f.demandTotal,
 		ticks:           f.ticks,
 		promotions:      f.promotions,
@@ -63,29 +64,8 @@ func (f *Fridge) Snapshot() *State {
 	for i, r := range f.liveRelays {
 		s.relays[i] = relaySnap{ptr: r, onDone: r.onDone}
 	}
-	for k, v := range f.adjust {
-		s.adjust[k] = v
-	}
-	for k, v := range f.adjustBase {
-		s.adjustBase[k] = v
-	}
-	for k, v := range f.baseLevels {
-		s.baseLevels[k] = v
-	}
 	for z, list := range f.zoneServers {
-		s.zoneServers[z] = append([]*cluster.Server(nil), list...)
-	}
-	for z, g := range f.zoneFreq {
-		s.zoneFreq[z] = g
-	}
-	for k, v := range f.levels {
-		s.levels[k] = v
-	}
-	for k, v := range f.lastMCF {
-		s.lastMCF[k] = v
-	}
-	for z, d := range f.zoneDemand {
-		s.zoneDemand[z] = d
+		s.zoneServers[z] = slices.Clone(list)
 	}
 	return s
 }
@@ -99,41 +79,17 @@ func (f *Fridge) Restore(s *State) {
 	f.Alpha, f.Beta = s.alpha, s.beta
 	f.LoadOverride = s.loadOverride
 	f.MigrateServices = s.migrateServices
-	clear(f.adjust)
-	for k, v := range s.adjust {
-		f.adjust[k] = v
-	}
-	clear(f.adjustBase)
-	for k, v := range s.adjustBase {
-		f.adjustBase[k] = v
-	}
-	f.baseLevels = make(map[string]core.Criticality, len(s.baseLevels))
-	for k, v := range s.baseLevels {
-		f.baseLevels[k] = v
-	}
-	f.zoneServers = make(map[Zone][]*cluster.Server, len(s.zoneServers))
+	copy(f.adjust, s.adjust)
+	copy(f.adjustBase, s.adjustBase)
+	copy(f.baseLevels, s.baseLevels)
 	for z, list := range s.zoneServers {
-		f.zoneServers[z] = append([]*cluster.Server(nil), list...)
+		f.zoneServers[z] = append(f.zoneServers[z][:0], list...)
 	}
-	for z, g := range s.zoneFreq {
-		f.zoneFreq[z] = g
-	}
-	f.levels = make(map[string]core.Criticality, len(s.levels))
-	for k, v := range s.levels {
-		f.levels[k] = v
-	}
-	clear(f.lastMCF)
-	if f.lastMCF == nil && len(s.lastMCF) > 0 {
-		f.lastMCF = make(map[string]float64, len(s.lastMCF))
-	}
-	for k, v := range s.lastMCF {
-		f.lastMCF[k] = v
-	}
+	f.zoneFreq = s.zoneFreq
+	copy(f.levels, s.levels)
+	copy(f.lastMCF, s.lastMCF)
 	f.hasMCF = s.hasMCF
-	f.zoneDemand = make(map[Zone]float64, len(s.zoneDemand))
-	for z, d := range s.zoneDemand {
-		f.zoneDemand[z] = d
-	}
+	f.zoneDemand = s.zoneDemand
 	f.demandTotal = s.demandTotal
 	f.ticks = s.ticks
 	f.promotions = s.promotions

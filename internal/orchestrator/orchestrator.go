@@ -9,6 +9,7 @@ package orchestrator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -206,17 +207,34 @@ func (o *Orchestrator) pool(service string) *pool {
 	return p
 }
 
-// NodesOf returns the distinct nodes hosting active instances of service.
+// NodesOf returns the distinct nodes hosting active instances of service,
+// in the creation order of each node's first active instance.
 func (o *Orchestrator) NodesOf(service string) []*cluster.Server {
-	seen := map[string]bool{}
-	var out []*cluster.Server
+	return o.AppendNodesOf(nil, service)
+}
+
+// AppendNodesOf is NodesOf appending to dst, so a caller that reuses one
+// buffer lists placements without allocating. Nodes are deduplicated by
+// pointer, which is deduplication by name: server names are unique.
+func (o *Orchestrator) AppendNodesOf(dst []*cluster.Server, service string) []*cluster.Server {
+	start := len(dst)
 	for _, c := range o.Instances(service) {
-		if c.active && !seen[c.Node.Name()] {
-			seen[c.Node.Name()] = true
-			out = append(out, c.Node)
+		if c.active && !slices.Contains(dst[start:], c.Node) {
+			dst = append(dst, c.Node)
 		}
 	}
-	return out
+	return dst
+}
+
+// ActiveOn reports whether service has an active instance on node — the
+// membership test of ServicesOn, without building the list.
+func (o *Orchestrator) ActiveOn(service string, node *cluster.Server) bool {
+	for _, c := range o.Instances(service) {
+		if c.active && c.Node == node {
+			return true
+		}
+	}
+	return false
 }
 
 // ServicesOn returns the distinct services with active instances on node,
@@ -273,31 +291,23 @@ func (o *Orchestrator) MoveService(service string, targets []*cluster.Server) {
 	if len(targets) == 0 {
 		panic(fmt.Sprintf("orchestrator: MoveService %q with no targets", service))
 	}
-	want := map[string]*cluster.Server{}
-	for _, n := range targets {
-		want[n.Name()] = n
-	}
+	// The service's instances before any replacement is placed: Place
+	// appends to the pool, so this view keeps its length.
+	insts := o.Instances(service)
 	var toKill []*Container
-	have := map[string]bool{}
-	for _, c := range o.Instances(service) {
-		if c.stopping {
-			continue
-		}
-		if _, ok := want[c.Node.Name()]; ok {
-			have[c.Node.Name()] = true
-		} else {
+	for _, c := range insts {
+		if !c.stopping && !slices.Contains(targets, c.Node) {
 			toKill = append(toKill, c)
 		}
 	}
-	var fresh []*Container
-	placed := map[string]bool{}
-	for _, n := range targets {
-		if !have[n.Name()] && !placed[n.Name()] {
-			placed[n.Name()] = true
-			fresh = append(fresh, o.Place(service, n, o.StartupDelay == 0))
+	fresh := 0
+	for i, n := range targets {
+		if !hasLiveOn(insts, n) && !slices.Contains(targets[:i], n) {
+			o.Place(service, n, o.StartupDelay == 0)
+			fresh++
 		}
 	}
-	if len(fresh) == 0 && len(toKill) == 0 {
+	if fresh == 0 && len(toKill) == 0 {
 		return
 	}
 	o.migrations++
@@ -309,10 +319,21 @@ func (o *Orchestrator) MoveService(service string, targets []*cluster.Server) {
 			o.Remove(c)
 		}
 	}
-	if o.StartupDelay == 0 || len(fresh) == 0 {
+	if o.StartupDelay == 0 || fresh == 0 {
 		kill()
 		return
 	}
 	// Old instances serve until the replacements are up.
 	o.eng.Schedule(o.StartupDelay, kill)
+}
+
+// hasLiveOn reports whether insts holds a container on node that is not
+// being stopped (active or still starting).
+func hasLiveOn(insts []*Container, node *cluster.Server) bool {
+	for _, c := range insts {
+		if !c.stopping && c.Node == node {
+			return true
+		}
+	}
+	return false
 }

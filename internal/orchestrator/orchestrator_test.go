@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -311,5 +312,71 @@ func TestHostMatchesModuloRoundRobin(t *testing.T) {
 	}
 	if (&pool{}).host() != nil {
 		t.Fatal("an empty pool returned a host")
+	}
+}
+
+// TestActiveOnMatchesServicesOn: ActiveOn is the membership test of
+// ServicesOn at every stage of a migration — starting replicas do not
+// count, stopping ones still serving do.
+func TestActiveOnMatchesServicesOn(t *testing.T) {
+	eng, cl := testCluster()
+	o := New(cl)
+	o.DeployRoundRobin([]string{"s1", "s2", "s3", "s4", "s5", "s6"})
+	check := func(stage string) {
+		t.Helper()
+		for _, n := range cl.Servers() {
+			on := o.ServicesOn(n)
+			for _, svc := range []string{"s1", "s2", "s3", "s4", "s5", "s6", "ghost"} {
+				want := false
+				for _, s := range on {
+					want = want || s == svc
+				}
+				if got := o.ActiveOn(svc, n); got != want {
+					t.Fatalf("%s: ActiveOn(%s, %s) = %v, ServicesOn lists %v", stage, svc, n.Name(), got, on)
+				}
+			}
+		}
+	}
+	check("deployed")
+	o.MoveService("s1", []*cluster.Server{cl.Server("serverC3")})
+	o.MoveService("s2", []*cluster.Server{cl.Server("serverC1"), cl.Server("serverC3")})
+	if o.ActiveOn("s1", cl.Server("serverC3")) {
+		t.Fatal("a starting replica counts as active")
+	}
+	if !o.ActiveOn("s1", cl.Server("serverB")) {
+		t.Fatal("a stopping replica still serving does not count as active")
+	}
+	check("migrating")
+	eng.RunFor(time.Second)
+	check("migrated")
+}
+
+// TestAppendNodesOf: NodesOf's appending form lists the same nodes after
+// whatever dst holds, dedups within what it appends, and allocates
+// nothing into a buffer with room.
+func TestAppendNodesOf(t *testing.T) {
+	eng, cl := testCluster()
+	o := New(cl)
+	c1, c2 := cl.Server("serverC1"), cl.Server("serverC2")
+	o.Place("svc", c1, true)
+	o.Place("svc", c2, true)
+	o.Place("svc", c1, true)  // a second replica on C1
+	o.Place("svc", c2, false) // starting: not listed
+	o.Place("other", cl.Server("serverB"), true)
+	eng.RunFor(time.Millisecond)
+	buf := o.AppendNodesOf(make([]*cluster.Server, 0, 8), "other")
+	buf = o.AppendNodesOf(buf, "svc")
+	want := []*cluster.Server{cl.Server("serverB"), c1, c2}
+	if !slices.Equal(buf, want) {
+		t.Fatalf("AppendNodesOf = %v, want %v", buf, want)
+	}
+	if got := o.NodesOf("svc"); !slices.Equal(got, want[1:]) {
+		t.Fatalf("NodesOf = %v, want %v", got, want[1:])
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = o.AppendNodesOf(buf[:0], "svc")
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendNodesOf into a reused buffer allocated %.3f objects/op, want 0", allocs)
 	}
 }

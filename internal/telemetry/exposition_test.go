@@ -138,7 +138,7 @@ func TestPrometheusExpositionConformance(t *testing.T) {
 	h.ok, h.power, h.util = true, 251.375, 0.8125
 	for i := 0; i < 20; i++ {
 		h.tel.ObserveResponse("A", 150*time.Millisecond)
-		h.tel.ObserveServiceExec("route", 2*time.Millisecond)
+		h.tel.ObserveExec(0, 2*time.Millisecond)
 	}
 	h.tick()
 

@@ -148,7 +148,9 @@ type Bindings struct {
 	// Scheme names the power-management policy of the run.
 	Scheme string
 	// Regions and Services fix the per-series layout; Sample.Regions[i]
-	// corresponds to Regions[i]. Order must be deterministic.
+	// corresponds to Regions[i]. Order must be deterministic. Services
+	// must list the application's services in spec order, so that
+	// Services[i] is the service with ID i that ObserveExec receives.
 	Regions  []string
 	Services []string
 	// Cluster returns the latest whole-cluster meter reading: draw and
@@ -227,11 +229,10 @@ type Telemetry struct {
 	b     Bindings
 	bound bool
 
-	all        *metrics.WindowedHistogram
-	regions    []*metrics.WindowedHistogram
-	services   []*metrics.WindowedHistogram
-	regionIdx  map[string]int
-	serviceIdx map[string]int
+	all       *metrics.WindowedHistogram
+	regions   []*metrics.WindowedHistogram
+	services  []*metrics.WindowedHistogram
+	regionIdx map[string]int
 
 	samples []Sample
 	start   int
@@ -303,10 +304,8 @@ func (t *Telemetry) Bind(b Bindings) error {
 		t.regionIdx[r] = i
 	}
 	t.services = make([]*metrics.WindowedHistogram, len(b.Services))
-	t.serviceIdx = make(map[string]int, len(b.Services))
-	for i, s := range b.Services {
+	for i := range b.Services {
 		t.services[i] = metrics.NewWindowedHistogram(w)
-		t.serviceIdx[s] = i
 	}
 
 	t.samples = make([]Sample, t.opt.Capacity)
@@ -336,12 +335,14 @@ func (t *Telemetry) ObserveResponse(region string, resp time.Duration) {
 	}
 }
 
-// ObserveServiceExec feeds one span's execution time into its service's
-// latency window (wired to trace.Collector.OnSpan).
-func (t *Telemetry) ObserveServiceExec(service string, exec time.Duration) {
+// ObserveExec feeds one span's execution time into the latency window
+// of the service with ID service, the index of its name in
+// Bindings.Services (wired to app.Executor.OnExec). IDs outside the bound
+// services count as spans but feed no window.
+func (t *Telemetry) ObserveExec(service int, exec time.Duration) {
 	t.totalSpans++
-	if i, ok := t.serviceIdx[service]; ok {
-		t.services[i].Add(exec)
+	if uint(service) < uint(len(t.services)) {
+		t.services[service].Add(exec)
 	}
 }
 

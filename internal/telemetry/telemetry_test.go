@@ -129,8 +129,8 @@ func TestSampleCapturesSeriesAndControllerState(t *testing.T) {
 		h.tel.ObserveResponse("A", 40*time.Millisecond)
 	}
 	h.tel.ObserveResponse("B", 10*time.Millisecond)
-	h.tel.ObserveServiceExec("route", 2*time.Millisecond)
-	h.tel.ObserveServiceExec("unknown", time.Millisecond) // silently ignored
+	h.tel.ObserveExec(0, 2*time.Millisecond)
+	h.tel.ObserveExec(7, time.Millisecond) // no such service: a span, but no window
 	h.tick()
 
 	if h.tel.Len() != 1 {
@@ -300,7 +300,7 @@ func TestSampleZeroAllocs(t *testing.T) {
 		d += 731 * time.Microsecond
 		h.tel.ObserveResponse("A", d)
 		h.tel.ObserveResponse("B", d/2)
-		h.tel.ObserveServiceExec("route", d/4)
+		h.tel.ObserveExec(0, d/4)
 		h.tick()
 	})
 	if allocs != 0 {
@@ -321,7 +321,7 @@ func TestCSVDeterministicAndParsable(t *testing.T) {
 				h.ok, h.power, h.util = true, 251.375, 0.8125
 			}
 			h.tel.ObserveResponse("A", time.Duration(30+i)*time.Millisecond)
-			h.tel.ObserveServiceExec("route", time.Millisecond)
+			h.tel.ObserveExec(0, time.Millisecond)
 			h.tick()
 		}
 		var buf bytes.Buffer
@@ -440,7 +440,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		h.tel.ObserveResponse("A", 150*time.Millisecond)
 		h.tel.ObserveResponse("B", 10*time.Millisecond)
-		h.tel.ObserveServiceExec("route", 2*time.Millisecond)
+		h.tel.ObserveExec(0, 2*time.Millisecond)
 	}
 	h.tick()
 

@@ -155,17 +155,15 @@ type Collector struct {
 	// records, with their span lists, retained. Long experiments that
 	// only need response times disable it to bound memory: the collector
 	// then keeps only the finish-ordered response series, and AddSpan
-	// only feeds OnSpan.
+	// does nothing.
 	KeepSpans bool
 
 	all      series
 	byRegion map[string]*series
 
-	// OnSpan and OnFinish, when non-nil, are invoked synchronously from
-	// AddSpan and FinishTrace respectively — the live-telemetry taps. They
-	// observe the same values the collector records and must not call back
-	// into the collector.
-	OnSpan   func(s Span)
+	// OnFinish, when non-nil, is invoked synchronously from FinishTrace —
+	// the live-telemetry tap of response times. It observes the value the
+	// collector records and must not call back into the collector.
 	OnFinish func(region string, resp time.Duration)
 
 	// records is the unused tail of the current completed-record slab,
@@ -242,9 +240,6 @@ func (c *Collector) AddSpan(t *Trace, s Span) {
 	}
 	if c.KeepSpans {
 		t.Spans = append(t.Spans, s)
-	}
-	if c.OnSpan != nil {
-		c.OnSpan(s)
 	}
 }
 

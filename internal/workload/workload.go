@@ -181,22 +181,31 @@ func (o *OpenLoop) SetRate(perSecond float64) {
 	o.running = false
 	if o.rate > 0 {
 		o.running = true
-		o.scheduleNext(o.epoch)
+		// One handler per rate epoch: each arrival draws its region, then
+		// schedules the same handler after an exponential gap, so steady
+		// arrivals allocate nothing. A handler outliving its epoch (the
+		// rate changed or the generator paused) drops out.
+		epoch := o.epoch
+		var arrive sim.Handler
+		arrive = func() {
+			if epoch != o.epoch || !o.running {
+				return
+			}
+			region := o.mix.Pick(o.rng)
+			o.launched++
+			o.launcher.Launch(region, nil)
+			o.scheduleAfterGap(arrive)
+		}
+		o.scheduleAfterGap(arrive)
 	}
 }
 
-func (o *OpenLoop) scheduleNext(epoch int) {
+// scheduleAfterGap schedules h after an exponential inter-arrival gap at
+// the current rate.
+func (o *OpenLoop) scheduleAfterGap(h sim.Handler) {
 	mean := time.Duration(float64(time.Second) / o.rate)
 	gap := time.Duration(o.rng.Exp(float64(mean)))
-	o.eng.Schedule(gap, func() {
-		if epoch != o.epoch || !o.running {
-			return
-		}
-		region := o.mix.Pick(o.rng)
-		o.launched++
-		o.launcher.Launch(region, nil)
-		o.scheduleNext(epoch)
-	})
+	o.eng.Schedule(gap, h)
 }
 
 // Phase is one step of a traffic schedule.

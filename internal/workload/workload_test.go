@@ -251,3 +251,83 @@ func TestScheduleMixSwitch(t *testing.T) {
 		t.Fatal("phase 2 launched no B requests")
 	}
 }
+
+// nopLauncher drops every request.
+type nopLauncher struct{}
+
+func (nopLauncher) Launch(string, func(*trace.Trace)) {}
+
+// recordingLauncher notes each launch's region and time.
+type recordingLauncher struct {
+	eng  *sim.Engine
+	at   []sim.Time
+	regs []string
+}
+
+func (l *recordingLauncher) Launch(region string, _ func(*trace.Trace)) {
+	l.at = append(l.at, l.eng.Now())
+	l.regs = append(l.regs, region)
+}
+
+// TestOpenLoopArrivalsZeroAllocs: one arrival handler serves a whole rate
+// epoch, so steady arrivals allocate nothing.
+func TestOpenLoopArrivalsZeroAllocs(t *testing.T) {
+	eng := sim.NewEngine(9)
+	ol := NewOpenLoop(eng, nopLauncher{}, eng.RNG().Stream("w"), Ratio(1, 1))
+	ol.SetRate(1000)
+	for i := 0; i < 100; i++ {
+		eng.Step()
+	}
+	allocs := testing.AllocsPerRun(1000, func() { eng.Step() })
+	if allocs != 0 {
+		t.Fatalf("an arrival allocated %.3f objects, want 0", allocs)
+	}
+	if ol.Launched() < 1100 {
+		t.Fatalf("launched %d, want every step an arrival", ol.Launched())
+	}
+}
+
+// TestOpenLoopDrawOrder pins the generator's draws: the first gap, then
+// per arrival the region pick followed by the next gap, across a rate
+// change.
+func TestOpenLoopDrawOrder(t *testing.T) {
+	eng := sim.NewEngine(9)
+	l := &recordingLauncher{eng: eng}
+	mix := Ratio(1, 2)
+	ol := NewOpenLoop(eng, l, eng.RNG().Stream("w"), mix)
+	ol.SetRate(100)
+	eng.RunUntil(sim.Time(time.Second))
+	ol.SetRate(300)
+	eng.RunUntil(sim.Time(2 * time.Second))
+
+	ref := sim.NewEngine(9).RNG().Stream("w")
+	var at sim.Time
+	gap := func(rate float64) {
+		mean := time.Duration(float64(time.Second) / rate)
+		at += sim.Time(time.Duration(ref.Exp(float64(mean))))
+	}
+	var wantAt []sim.Time
+	var wantRegs []string
+	for _, phase := range []struct {
+		rate float64
+		end  sim.Time
+	}{{100, sim.Time(time.Second)}, {300, sim.Time(2 * time.Second)}} {
+		if phase.rate == 300 {
+			at = sim.Time(time.Second)
+		}
+		gap(phase.rate)
+		for at <= phase.end {
+			wantAt = append(wantAt, at)
+			wantRegs = append(wantRegs, mix.Pick(ref))
+			gap(phase.rate)
+		}
+	}
+	if len(l.at) != len(wantAt) {
+		t.Fatalf("%d arrivals, replay gives %d", len(l.at), len(wantAt))
+	}
+	for i := range wantAt {
+		if l.at[i] != wantAt[i] || l.regs[i] != wantRegs[i] {
+			t.Fatalf("arrival %d: %v %s, replay %v %s", i, l.at[i], l.regs[i], wantAt[i], wantRegs[i])
+		}
+	}
+}
