@@ -124,11 +124,6 @@ func TestEmitBenchTrajectory(t *testing.T) {
 	if os.Getenv("BENCH_TRAJECTORY") == "" {
 		t.Skip("set BENCH_TRAJECTORY=1 to measure and append to BENCH_experiments.json")
 	}
-	// Measure under warm-started sweeps — the recommended execution mode
-	// (output is byte-identical to cold, so only wall-clock differs) —
-	// and record the mode in the entry.
-	experiments.SetWarmStart(true)
-	defer experiments.SetWarmStart(false)
 	// Phase-profile the sequential pass so per-phase seconds land in the
 	// trajectory and phase-level drift is visible across PRs. Profiling
 	// stays off for the parallel pass (its overhead gate lives in
@@ -161,6 +156,8 @@ func TestEmitBenchTrajectory(t *testing.T) {
 	if raw, err := os.ReadFile("BENCH_experiments.json"); err == nil {
 		_ = json.Unmarshal(raw, &trajectory)
 	}
+	// Every budget sweep forks a warmed run, so each entry records
+	// warmstart and stays comparable with the earlier warm-started ones.
 	trajectory = append(trajectory, entry{
 		Benchmark:         "experiments-registry",
 		GoMaxProcs:        runtime.GOMAXPROCS(0),
@@ -207,9 +204,12 @@ func runAblation(b *testing.B, tune func(*fridge.Fridge), startup time.Duration)
 	var meanA, meanB float64
 	for i := 0; i < b.N; i++ {
 		cfg := ablationConfig(1)
-		cfg.Tune = tune
 		cfg.StartupDelay = startup
-		res := engine.Run(cfg)
+		res := engine.Build(cfg)
+		if tune != nil {
+			tune(res.Fridge)
+		}
+		res.Finish()
 		meanA = metrics.Ms(res.Summary("A").Mean)
 		meanB = metrics.Ms(res.Summary("B").Mean)
 	}

@@ -8,7 +8,6 @@
 //	experiments -run all,ext     # paper plus the extension studies
 //	experiments -seed 7 -run fig6
 //	experiments -run all -parallel 8
-//	experiments -run fig15 -warmstart
 //	experiments -run all -events events.jsonl
 //	experiments -run all -ledger run.ledger.jsonl
 //	experiments -run ext-slo -timeseries telemetry.csv
@@ -22,19 +21,19 @@
 // across experiments and across within-figure cells; tables print in
 // paper order and are byte-identical to a sequential (-parallel 1) run
 // for the same seed. Timing lines go to stderr so stdout stays
-// deterministic. -warmstart makes the budget-sweep figures (fig14, fig15,
-// ext-slo) run their shared warmup once per cell group and fork each sweep
-// cell from an in-memory snapshot; output stays byte-identical to a cold
-// run at the same seed. -events additionally executes the canonical
-// instrumented run (see internal/experiments.ExportEventsJSONL) and
-// writes its controller event stream as JSONL; -traces executes the
-// canonical study run and writes its request traces as Zipkin v2 JSON,
-// deterministically sampled at -trace-sample; -timeseries executes the
-// same canonical scenario with telemetry bound and writes the sampled
-// time series as CSV; -ledger executes it with a run ledger attached and
-// writes the hash-chained tick digests as JSONL (localize any divergence
-// with cmd/simdiff). All exports are byte-identical across -parallel
-// widths. -cpuprofile/-memprofile write pprof profiles of the
+// deterministic. The budget-sweep figures (fig14, fig15, ext-slo) run
+// their shared warmup once per cell group and fork each sweep cell from
+// an in-memory snapshot (engine.ForkEach). -events additionally executes
+// the canonical instrumented run (see
+// internal/experiments.ExportEventsJSONL) and writes its controller event
+// stream as JSONL; -traces executes the canonical study run and writes
+// its request traces as Zipkin v2 JSON, deterministically sampled at
+// -trace-sample; -timeseries executes the same canonical scenario with
+// telemetry bound and writes the sampled time series as CSV; -ledger
+// executes it with a run ledger attached and writes the hash-chained tick
+// digests as JSONL (localize any divergence with cmd/simdiff). All
+// exports are byte-identical across -parallel widths. -format is table
+// or csv. -cpuprofile/-memprofile write pprof profiles of the
 // regeneration itself; -profile writes the simulator's own per-phase
 // wall-time breakdown (build/dispatch/exec/tick/mcf/...) as JSON,
 // aggregated per figure, with a sorted table on stderr. Phase profiling
@@ -64,8 +63,6 @@ func run() int {
 		format   = flag.String("format", "table", "output format: table or csv")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"max concurrent simulation runs (1 = sequential)")
-		warmstart = flag.Bool("warmstart", false,
-			"fork budget-sweep cells from one warmed-up snapshot per group (byte-identical output, less wall clock)")
 		exports   cliutil.ExportFlags
 		telFlags  cliutil.TelemetryFlags
 		profFlags cliutil.ProfileFlags
@@ -74,6 +71,10 @@ func run() int {
 	telFlags.Bind(flag.CommandLine)
 	profFlags.Bind(flag.CommandLine)
 	flag.Parse()
+	if *format != "table" && *format != "csv" {
+		fmt.Fprintf(os.Stderr, "unknown -format %q; known: table, csv\n", *format)
+		return 2
+	}
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -116,7 +117,6 @@ func run() int {
 	}
 
 	experiments.SetParallelism(*parallel)
-	experiments.SetWarmStart(*warmstart)
 	start := time.Now()
 	failed := false
 	experiments.RunAll(todo, *seed, func(r experiments.RunResult) {

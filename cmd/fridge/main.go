@@ -12,7 +12,7 @@
 //	fridge -trace testdata/traces/diurnal_day.csv             # replay a recorded t,region,rate trace
 //	fridge -scheme ServiceFridge -budget 0.8 -listen :8080   # live /metrics + control plane
 //	fridge -serve -listen :8080                              # control plane only, no local run
-//	fridge -scheme ServiceFridge -sweep 1.0,0.9,0.8,0.75 -warmstart
+//	fridge -scheme ServiceFridge -sweep 1.0,0.9,0.8,0.75
 //
 // Every run is an experiments.Scenario: the command starts from the
 // -scenario file (or the zero scenario), overrides the fields whose flags
@@ -34,17 +34,17 @@
 // output flag.
 //
 // With -sweep the command runs one cell per budget fraction and prints a
-// compact comparison table instead of the single-run report. Adding
-// -warmstart simulates the shared warmup once, snapshots the engine at the
-// budget-independence barrier, and forks every cell from that snapshot —
-// the numbers are byte-identical to cold runs, only the wall clock drops.
+// compact comparison table instead of the single-run report. It simulates
+// the shared warmup once, snapshots the engine at the budget-independence
+// barrier, and forks every cell from that snapshot (engine.ForkEach):
+// each row equals the report of a single run at that -budget.
 //
 // -profile writes the simulator's own per-phase wall-time breakdown
 // (build/dispatch/exec/tick/mcf/...) as JSON with a sorted table on
-// stderr; it combines with every mode, including -sweep (one label per
-// cold cell), because phase profiling is passive — all simulation
-// outputs are byte-identical with it on. -cpuprofile/-memprofile write
-// Go pprof profiles of the process itself.
+// stderr; it combines with every mode, including -sweep (one label for
+// the whole sweep, whose cells share one engine), because phase profiling
+// is passive — all simulation outputs are byte-identical with it on.
+// -cpuprofile/-memprofile write Go pprof profiles of the process itself.
 //
 // All flag and configuration validation happens before any socket is
 // bound, so a bad spec can never leave a half-started listener behind.
@@ -97,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warmup    = fs.Duration("warmup", 5*time.Second, "warmup duration (discarded)")
 		seed      = fs.Uint64("seed", 1, "random seed (0 = 1)")
 		sweep     = fs.String("sweep", "", "comma-separated budget fractions to sweep (overrides -budget); prints one row per cell")
-		warm      = fs.Bool("warmstart", false, "with -sweep: simulate warmup once and fork each cell from a snapshot (byte-identical results)")
 		serve     = fs.Bool("serve", false, "with -listen: serve the control plane only, without a local run")
 		wl        cliutil.WorkloadFlags
 		exports   cliutil.ExportFlags
@@ -201,7 +200,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Everything below validates before any listener binds: a bad sweep
 	// spec, flag combination or export path must not leak a socket.
 	// Profiling flags do combine with -sweep: phase profiling is passive,
-	// so a sweep profiles fine (one label per cell).
+	// so a sweep profiles fine (under one label).
 	if *sweep != "" {
 		if exports.Events != "" || exports.Traces != "" || exports.Ledger != "" || telFlags.Timeseries != "" || telFlags.Listen != "" {
 			fmt.Fprintln(stderr, "fridge: -sweep does not combine with exports or -listen")
@@ -220,7 +219,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "fridge: %v\n", err)
 			return 1
 		}
-		if err := runSweep(stdout, cfg, fracs, *warm); err != nil {
+		if err := runSweep(stdout, cfg, fracs); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -354,10 +353,10 @@ func awaitSignal() {
 }
 
 // runSweep executes one cell per budget fraction and prints a comparison
-// table. Warm start simulates the shared warmup once, snapshots at the
-// budget-independence barrier, and replays each cell as restore → retarget
-// → finish; cold runs each cell from scratch. Both produce identical rows.
-func runSweep(w io.Writer, cfg engine.Config, fracs []float64, warm bool) error {
+// table. It simulates the shared warmup once and forks each cell from the
+// snapshot at the budget-independence barrier: restore → retarget →
+// finish.
+func runSweep(w io.Writer, cfg engine.Config, fracs []float64) error {
 	regions := cfg.Spec.RegionNames()
 	cols := []string{"budget", "cap"}
 	for _, r := range regions {
@@ -366,47 +365,27 @@ func runSweep(w io.Writer, cfg engine.Config, fracs []float64, warm bool) error 
 	cols = append(cols, "violations", "migrations")
 	tb := metrics.NewTable(fmt.Sprintf("Budget sweep (%s, %d workers)", cfg.Scheme, cfg.Workers), cols...)
 
-	row := func(res *engine.Result, frac float64) {
-		vals := []any{fmt.Sprintf("%.0f%%", frac*100), fmt.Sprintf("%.1fW", float64(res.Budget.Cap()))}
-		for _, r := range regions {
-			vals = append(vals, res.Summary(r).P95)
-		}
-		over, samples := res.BudgetViolations()
-		vals = append(vals, fmt.Sprintf("%d/%d", over, samples), res.Orch.Migrations())
-		tb.Rowf(vals...)
+	// The donor engine serves every cell, so the phase profile carries a
+	// single label.
+	cfg.ProfLabel = "sweep"
+	donor, err := engine.BuildE(cfg)
+	if err != nil {
+		return err
 	}
-
-	if warm {
-		// The donor engine serves every cell, so the phase profile carries
-		// a single label: per-cell attribution needs a cold sweep.
-		cfg.ProfLabel = "sweep-warm"
-		donor, err := engine.BuildE(cfg)
-		if err != nil {
-			return err
-		}
-		donor.Engine.RunUntil(donor.WarmBarrier())
-		snap := donor.Snapshot()
-		for _, frac := range fracs {
-			donor.Restore(snap)
-			donor.SetBudgetFraction(frac)
-			donor.Finish()
-			row(donor, frac)
-		}
-	} else {
-		for _, frac := range fracs {
-			c := cfg
-			c.BudgetFraction = frac
-			c.ProfLabel = fmt.Sprintf("sweep[%.0f%%]", frac*100)
-			var res *engine.Result
-			var err error
-			pprof.Do(context.Background(), pprof.Labels("cell", c.ProfLabel), func(context.Context) {
-				res, err = engine.RunE(c)
+	var rows [][]any
+	pprof.Do(context.Background(), pprof.Labels("run", "sweep"), func(context.Context) {
+		rows = engine.ForkEach(donor, fracs,
+			func(res *engine.Result, frac float64) []any {
+				vals := []any{fmt.Sprintf("%.0f%%", frac*100), fmt.Sprintf("%.1fW", float64(res.Budget.Cap()))}
+				for _, r := range regions {
+					vals = append(vals, res.Summary(r).P95)
+				}
+				over, samples := res.BudgetViolations()
+				return append(vals, fmt.Sprintf("%d/%d", over, samples), res.Orch.Migrations())
 			})
-			if err != nil {
-				return err
-			}
-			row(res, frac)
-		}
+	})
+	for _, row := range rows {
+		tb.Rowf(row...)
 	}
 	fmt.Fprintln(w, tb)
 	return nil

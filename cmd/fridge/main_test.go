@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -169,20 +168,38 @@ func TestRejections(t *testing.T) {
 		{[]string{"-scheme", "NoSuchScheme"}, append([]string{`"NoSuchScheme"`}, schemes.Names()...)},
 		{[]string{"-serve"}, []string{"-serve requires -listen"}},
 	}
-	// A duration past time.Duration's range is an input error naming its
-	// field, not a wrapped negative duration that runs and misreports.
-	for _, spec := range []struct{ body, field string }{
-		{`{"telemetry":{"slo_target_ms":1e13}}`, "telemetry.slo_target_ms"},
-		{`{"warmup_s":9.3e9}`, "warmup_s"},
+	// Non-finite values pass plain range checks, so each is named
+	// explicitly: none may run (a NaN cap, a mix that sends every request
+	// to one region).
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-budget", "NaN", "budget NaN must be in (0, 1]"},
+		{"-sweep", "NaN", "-sweep fraction NaN must be in (0, 1]"},
+		{"-mixA", "NaN", "mixA NaN and mixB 1 must be finite"},
+		{"-mixA", "Inf", "mixA +Inf and mixB 1 must be finite"},
 	} {
-		path := filepath.Join(t.TempDir(), "overflow.json")
+		cases = append(cases, struct {
+			args []string
+			want []string
+		}{[]string{tc.flag, tc.value}, []string{tc.want}})
+	}
+	// A duration past time.Duration's range is an input error naming its
+	// field, not a wrapped negative duration that runs and misreports; so
+	// are a mix whose total overflows and a trace naming a region the
+	// application lacks.
+	for _, spec := range []struct{ body, field string }{
+		{`{"telemetry":{"slo_target_ms":1e13}}`, "telemetry.slo_target_ms 1e+13 overflows a time.Duration"},
+		{`{"warmup_s":9.3e9}`, "warmup_s 9.3e+09 overflows a time.Duration"},
+		{`{"mix":{"A":1e308,"B":1e308}}`, "mix weights sum to +Inf"},
+		{`{"workload":{"trace":"t_s,region,rate\n0,Z,1"}}`, `trace region "Z" is not in the application`},
+	} {
+		path := filepath.Join(t.TempDir(), "bad.json")
 		if err := os.WriteFile(path, []byte(spec.body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		cases = append(cases, struct {
 			args []string
 			want []string
-		}{[]string{"-scenario", path}, []string{spec.field, "overflows a time.Duration"}})
+		}{[]string{"-scenario", path}, []string{spec.field}})
 	}
 	for _, flag := range []string{"-scenario", "-events", "-traces", "-ledger", "-timeseries", "-profile", "-cpuprofile", "-memprofile"} {
 		cases = append(cases, struct {
@@ -197,9 +214,9 @@ func TestRejections(t *testing.T) {
 		}
 		// A serve-mode case that slips through binds a listener and waits
 		// for a signal: fail it instead of hanging.
-		var stderr bytes.Buffer
+		var stdout, stderr bytes.Buffer
 		exit := make(chan int, 1)
-		go func() { exit <- run(tc.args, io.Discard, &stderr) }()
+		go func() { exit <- run(tc.args, &stdout, &stderr) }()
 		var code int
 		select {
 		case code = <-exit:
@@ -218,5 +235,95 @@ func TestRejections(t *testing.T) {
 		if data, _ := os.ReadFile(out); string(data) != "keep" {
 			t.Errorf("fridge %v rewrote %s", tc.args, out)
 		}
+		if stdout.Len() > 0 {
+			t.Errorf("fridge %v ran before refusing: stdout %q", tc.args, stdout.String())
+		}
 	}
+}
+
+// TestSweepMatchesSingleRuns: -sweep forks every row from one warmed run,
+// and each row must report what a single run at that -budget reports —
+// its cap, per-region p95, budget violations and migrations.
+func TestSweepMatchesSingleRuns(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		sweep string
+	}{
+		// The cap binds below 100% here: 3/15 violations at 70%, 10/15
+		// at 50%.
+		{[]string{"-scheme", "ServiceFridge", "-duration", "10s"}, "1.0,0.7,0.5"},
+		{[]string{"-trace", "../../testdata/traces/diurnal_day.csv", "-scheme", "ServiceFridge"}, "1.0,0.9,0.8"},
+	} {
+		rows := sweepRows(t, fridge(t, append(tc.args, "-sweep", tc.sweep)...))
+		fracs := strings.Split(tc.sweep, ",")
+		if len(rows) != len(fracs) {
+			t.Fatalf("fridge %v -sweep %s: %d rows, want %d", tc.args, tc.sweep, len(rows), len(fracs))
+		}
+		for i, frac := range fracs {
+			if want := reportRow(t, fridge(t, append(tc.args, "-budget", frac)...)); rows[i] != want {
+				t.Errorf("fridge %v: sweep row at %s is\n  %s\nbut a single run reports\n  %s", tc.args, frac, rows[i], want)
+			}
+		}
+	}
+}
+
+// sweepRows renders each row of a -sweep table as the line reportRow
+// makes of a single-run report.
+func sweepRows(t *testing.T, out string) []string {
+	t.Helper()
+	lines := strings.Split(out, "\n")
+	if len(lines) < 4 {
+		t.Fatalf("sweep output too short:\n%s", out)
+	}
+	header := strings.Fields(lines[1]) // budget cap p95 A p95 B ... violations migrations
+	var regions []string
+	for i := 2; i+1 < len(header); i += 2 {
+		if header[i] == "p95" {
+			regions = append(regions, header[i+1])
+		}
+	}
+	var rows []string
+	for _, line := range lines[3:] {
+		f := strings.Fields(line)
+		if len(f) == 0 {
+			break
+		}
+		if len(f) != 4+len(regions) {
+			t.Fatalf("sweep row %q: want %d fields", line, 4+len(regions))
+		}
+		row := "cap=" + f[1]
+		for i, r := range regions {
+			row += " p95[" + r + "]=" + f[2+i]
+		}
+		rows = append(rows, row+" violations="+f[len(f)-2]+" migrations="+f[len(f)-1])
+	}
+	return rows
+}
+
+// reportRow extracts from a single-run report what a sweep row shows.
+func reportRow(t *testing.T, report string) string {
+	t.Helper()
+	var capW, p95s, violations, migrations string
+	inTable := false
+	for _, line := range strings.Split(report, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "region "):
+			inTable = true
+		case inTable && len(f) == 0:
+			inTable = false
+		case inTable && len(f) == 6:
+			p95s += " p95[" + f[0] + "]=" + f[4]
+		case strings.HasPrefix(line, "power: cap="):
+			capW = strings.TrimPrefix(f[1], "cap=")
+		case strings.HasPrefix(line, "budget violations: "):
+			violations = f[2] + "/" + f[4]
+		case strings.HasPrefix(line, "migrations: "):
+			migrations = f[1]
+		}
+	}
+	if capW == "" || p95s == "" || violations == "" || migrations == "" {
+		t.Fatalf("report lacks a sweep column:\n%s", report)
+	}
+	return "cap=" + capW + p95s + " violations=" + violations + " migrations=" + migrations
 }

@@ -13,7 +13,6 @@ import (
 	"servicefridge/internal/app"
 	"servicefridge/internal/core"
 	"servicefridge/internal/engine"
-	"servicefridge/internal/fridge"
 	"servicefridge/internal/metrics"
 	"servicefridge/internal/orchestrator"
 	"servicefridge/internal/workload"
@@ -44,12 +43,12 @@ func main() {
 		Mix:            mix,
 		Warmup:         5 * time.Second,
 		Duration:       25 * time.Second,
-		// The classifier threshold is calibrated per deployment: the full
-		// graph spreads indegree over six regions, so the cut sits lower
-		// than the two-region study default.
-		Tune: func(f *fridge.Fridge) { f.Classifier().Threshold = 0.12 },
 	}
 	res := engine.Build(cfg)
+	// The classifier threshold is calibrated per deployment: the full
+	// graph spreads indegree over six regions, so the cut sits lower than
+	// the two-region study default.
+	res.Fridge.Classifier().Threshold = 0.12
 
 	// Resilience: crash the order container at t=15s; swarm restarts it.
 	res.Orch.SetFailurePolicy(orchestrator.FailurePolicy{

@@ -201,7 +201,7 @@ func ParseSweep(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad -sweep fraction %q: %v", part, err)
 		}
-		if f <= 0 || f > 1 {
+		if !(f > 0 && f <= 1) {
 			return nil, fmt.Errorf("-sweep fraction %v must be in (0, 1]", f)
 		}
 		if seen[f] {

@@ -75,6 +75,9 @@ func TestParseSweep(t *testing.T) {
 		"0.9,0",       // zero fraction
 		"-0.5",        // negative
 		"1.5",         // above full budget
+		"NaN",         // not a number
+		"1.0,nan",     // ditto, any case
+		"Inf",         // infinite
 	}
 	for _, in := range bad {
 		if got, err := ParseSweep(in); err == nil {

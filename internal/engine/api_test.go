@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,6 +30,7 @@ func TestValidate(t *testing.T) {
 		{"unknown scheme", Config{Scheme: "Nonsense"}, `unknown scheme "Nonsense" (known: Baseline, Capping`},
 		{"negative budget", Config{BudgetFraction: -0.5}, "BudgetFraction"},
 		{"budget above one", Config{BudgetFraction: 1.5}, "BudgetFraction 1.5 must be in (0, 1]"},
+		{"NaN budget", Config{BudgetFraction: math.NaN()}, "BudgetFraction NaN must be in (0, 1]"},
 		{"negative max required", Config{MaxRequired: -1}, "MaxRequired"},
 		{"negative workers", Config{Workers: -1}, "Workers"},
 		{"negative extra workers", Config{ExtraWorkers: -2}, "ExtraWorkers"},

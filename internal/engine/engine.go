@@ -119,9 +119,6 @@ type Config struct {
 	// TrackFreqOf records the host frequency of these services at every
 	// meter interval (Figure 13's frequency traces).
 	TrackFreqOf []string
-	// Tune, if set, adjusts the constructed Fridge before the run (e.g.
-	// Figure 14's LoadOverride); ignored for other schemes.
-	Tune func(*fridge.Fridge)
 	// StartupDelay overrides the orchestrator's container startup time
 	// when positive (migration-cost sensitivity studies).
 	StartupDelay time.Duration
@@ -196,7 +193,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: unknown scheme %q (known: %s)",
 			c.Scheme, strings.Join(schemes.Names(), ", "))
 	}
-	if c.BudgetFraction <= 0 || c.BudgetFraction > 1 {
+	if !(c.BudgetFraction > 0 && c.BudgetFraction <= 1) {
 		return fmt.Errorf("engine: BudgetFraction %v must be in (0, 1]", c.BudgetFraction)
 	}
 	if c.MaxRequired < 0 {
@@ -454,9 +451,6 @@ func BuildE(cfg Config) (*Result, error) {
 	built := reg.New(schemes.BuildInput{Ctx: ctx, Spec: cfg.Spec})
 	scheme := built.Scheme
 	if f, ok := scheme.(*fridge.Fridge); ok {
-		if cfg.Tune != nil {
-			cfg.Tune(f)
-		}
 		f.SetProfiler(pr)
 		res.Fridge = f
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"servicefridge/internal/cluster"
-	"servicefridge/internal/fridge"
 	"servicefridge/internal/power"
 	"servicefridge/internal/workload"
 )
@@ -179,20 +178,6 @@ func TestTrackFreqOfRecordsSeries(t *testing.T) {
 	}))
 	if len(res.FreqSeries["ticketinfo"]) == 0 || len(res.FreqSeries["config"]) == 0 {
 		t.Fatal("frequency series not recorded")
-	}
-}
-
-func TestTuneReachesFridge(t *testing.T) {
-	touched := false
-	Run(quick(Config{
-		Seed: 1, Scheme: ServiceFridge,
-		Tune: func(f *fridge.Fridge) {
-			touched = true
-			f.LoadOverride = map[string]float64{"B": 30}
-		},
-	}))
-	if !touched {
-		t.Fatal("Tune hook not invoked")
 	}
 }
 

@@ -39,6 +39,25 @@ func (r *Result) Total() sim.Time {
 	return sim.Time(total)
 }
 
+// ForkEach is the budget-sweep loop: it warms donor to its
+// budget-independence barrier (WarmBarrier), snapshots, and forks one
+// cell per fraction — restore, SetBudgetFraction, Finish, collect. Every
+// fork replays exactly the events a run built at that fraction would, so
+// each result equals that single run's. Cells run in order on the donor's
+// object graph; callers fan independent donors out instead.
+func ForkEach[R any](donor *Result, fractions []float64, collect func(*Result, float64) R) []R {
+	donor.Engine.RunUntil(donor.WarmBarrier())
+	snap := donor.Snapshot()
+	out := make([]R, len(fractions))
+	for i, frac := range fractions {
+		donor.Restore(snap)
+		donor.SetBudgetFraction(frac)
+		donor.Finish()
+		out[i] = collect(donor, frac)
+	}
+	return out
+}
+
 // ReplayTo rewinds the run to base and replays it forward to at. base must
 // have been taken from this Result at a time <= at.
 func (r *Result) ReplayTo(base *RunState, at sim.Time) error {

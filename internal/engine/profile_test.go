@@ -107,27 +107,22 @@ func TestProfileClosedSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestProfileWarmSweepByteIdentical is the -warmstart acceptance bar under
-// time-varying traffic: forking sweep cells from one warmed-up snapshot
-// must be byte-identical to cold runs for every registered shape.
+// TestProfileWarmSweepByteIdentical is the budget-sweep loop under
+// time-varying traffic: every cell ForkEach forks from one warmed-up
+// snapshot must be byte-identical to a single run, for every registered
+// shape.
 func TestProfileWarmSweepByteIdentical(t *testing.T) {
 	fractions := []float64{1.0, 0.8}
 	for _, shape := range workload.Names() {
 		shape := shape
 		t.Run(shape, func(t *testing.T) {
-			donor := Build(profileConfig(t, shape, false))
-			donor.Engine.RunUntil(donor.WarmBarrier())
-			snap := donor.Snapshot()
-			for _, frac := range fractions {
-				donor.Restore(snap)
-				donor.SetBudgetFraction(frac)
-				donor.Finish()
-				warm := fingerprint(t, donor)
-
+			forks := ForkEach(Build(profileConfig(t, shape, false)), fractions,
+				func(res *Result, _ float64) string { return fingerprint(t, res) })
+			for i, frac := range fractions {
 				cfg := profileConfig(t, shape, false)
 				cfg.BudgetFraction = frac
-				if got := fingerprint(t, Run(cfg)); got != warm {
-					t.Fatalf("budget %v: warm fork diverged from cold run", frac)
+				if got := fingerprint(t, Run(cfg)); got != forks[i] {
+					t.Fatalf("budget %v: forked cell diverged from a single run", frac)
 				}
 			}
 		})

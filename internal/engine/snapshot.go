@@ -25,10 +25,10 @@ import (
 // reads it, copying saved stores back into the run's own buffers — so
 // any RunState of a run can be restored at any time and in any order,
 // however the run was perturbed in between. One warmed-up run can be
-// forked any number of times: snapshot after warmup, then for each sweep
-// cell restore, retune (e.g. SetBudgetFraction) and Finish. Every fork
-// replays exactly the events a cold run with the same configuration would
-// execute, byte-identical outputs included.
+// forked any number of times: ForkEach snapshots after warmup, then for
+// each sweep cell restores, sets its budget fraction and Finishes.
+// Every fork replays exactly the events a run built with the same
+// configuration would execute, byte-identical outputs included.
 type RunState struct {
 	// owner is the Result the state was taken from: the only one it can
 	// be restored into.
@@ -154,8 +154,8 @@ func (r *Result) Restore(s *RunState) {
 // SetBudgetFraction retargets the run's power budget in place. The scheme
 // context, the meter's budget recording and the telemetry bindings all read
 // the shared Budget instance, so the new cap takes effect on the next
-// control tick. Warm-started sweeps call this between Restore and Finish to
-// turn one warmed-up run into one sweep cell per fraction.
+// control tick. Budget sweeps call this between Restore and Finish to
+// turn one warmed-up run into one sweep cell per fraction (ForkEach).
 func (r *Result) SetBudgetFraction(fraction float64) {
 	r.Budget.SetFraction(fraction)
 	r.Config.BudgetFraction = r.Budget.Fraction
@@ -183,5 +183,5 @@ func (r *Result) WarmBarrier() sim.Time {
 // Finish executes a built (or restored) run to completion: the clock
 // advances to Warmup+Duration (or the phase schedule's end, if longer) and
 // the generators stop. It is the second half of Build+Finish == Run, and
-// the replay step of a warm-started fork.
+// the replay step of a fork.
 func (r *Result) Finish() { finish(r) }

@@ -263,10 +263,10 @@ func TestRestoreForeignRunStatePanics(t *testing.T) {
 	b.Restore(snap)
 }
 
-// TestSnapshotWarmBudgetSweep is the warm-start use case end to end: warm
-// up once to the budget-independence barrier, then fork one cell per
-// budget fraction and demand byte-identical results to cold runs at the
-// same fractions.
+// TestSnapshotWarmBudgetSweep drives the budget-sweep loop end to end:
+// ForkEach warms up once to the budget-independence barrier and forks one
+// cell per budget fraction, and every cell must be byte-identical to a
+// single run at its fraction.
 func TestSnapshotWarmBudgetSweep(t *testing.T) {
 	fractions := []float64{1.0, 0.9, 0.8, 0.75}
 	base := func(frac float64) Config {
@@ -276,22 +276,14 @@ func TestSnapshotWarmBudgetSweep(t *testing.T) {
 	}
 
 	donor := Build(base(fractions[0]))
-	barrier := donor.WarmBarrier()
-	if barrier <= 0 || barrier >= sim.Time(time.Second) {
+	if barrier := donor.WarmBarrier(); barrier <= 0 || barrier >= sim.Time(time.Second) {
 		t.Fatalf("warm barrier %v outside (0, ControlInterval)", barrier)
 	}
-	donor.Engine.RunUntil(barrier)
-	snap := donor.Snapshot()
-
-	for _, frac := range fractions {
-		cold := Run(base(frac))
-		want := fingerprint(t, cold)
-
-		donor.Restore(snap)
-		donor.SetBudgetFraction(frac)
-		donor.Finish()
-		if got := fingerprint(t, donor); got != want {
-			t.Fatalf("warm cell at fraction %v diverged from cold run", frac)
+	forks := ForkEach(donor, fractions,
+		func(res *Result, _ float64) string { return fingerprint(t, res) })
+	for i, frac := range fractions {
+		if want := fingerprint(t, Run(base(frac))); forks[i] != want {
+			t.Fatalf("forked cell at fraction %v diverged from a single run", frac)
 		}
 	}
 }

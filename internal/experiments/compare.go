@@ -35,52 +35,32 @@ func compareRun(label string, seed uint64, scheme engine.SchemeName, budget floa
 // Figure15 reproduces the headline comparison: mean and tail response
 // times, normalized to the unthrottled execution time, for P-first,
 // T-first, ServiceFridge and Capping as the power budget falls from 100%
-// to 75% of the maximum required power. The unthrottled baseline and all
-// scheme×budget cells are independent runs and execute on the worker
-// pool; the tables are assembled in paper order afterwards.
+// to 75% of the maximum required power. The unthrottled baseline and one
+// donor per scheme run on the worker pool; each scheme's budget cells fork
+// off its donor's warmed snapshot, and the tables are assembled in paper
+// order afterwards.
 func Figure15(seed uint64) []*metrics.Table {
-	type cell struct {
-		scheme engine.SchemeName
-		budget float64
+	type group struct {
+		scheme  engine.SchemeName
+		budgets []float64
 	}
-	cells := []cell{{engine.Baseline, 1.0}}
+	groups := []group{{engine.Baseline, []float64{1.0}}}
 	for _, scheme := range engine.AllSchemes() {
-		for _, b := range fig15Budgets {
-			cells = append(cells, cell{scheme, b})
-		}
+		groups = append(groups, group{scheme, fig15Budgets})
 	}
-	regionSummaries := func(res *engine.Result) map[string]metrics.Summary {
-		return map[string]metrics.Summary{
-			"A": res.Summary("A"),
-			"B": res.Summary("B"),
-		}
-	}
+	perGroup := parMap(groups, func(g group) []map[string]metrics.Summary {
+		donor := engine.Build(compareConfig("fig15", seed, g.scheme, g.budgets[0], false))
+		return engine.ForkEach(donor, g.budgets,
+			func(res *engine.Result, _ float64) map[string]metrics.Summary {
+				return map[string]metrics.Summary{
+					"A": res.Summary("A"),
+					"B": res.Summary("B"),
+				}
+			})
+	})
 	var summaries []map[string]metrics.Summary
-	if WarmStart() {
-		// One donor per scheme; the budget cells fork off its snapshot.
-		type group struct {
-			scheme  engine.SchemeName
-			budgets []float64
-		}
-		groups := []group{{engine.Baseline, []float64{1.0}}}
-		for _, scheme := range engine.AllSchemes() {
-			groups = append(groups, group{scheme, fig15Budgets})
-		}
-		perGroup := parMap(groups, func(g group) []map[string]metrics.Summary {
-			donor := engine.Build(compareConfig("fig15", seed, g.scheme, g.budgets[0], false))
-			return forkEach(donor, g.budgets,
-				func(res *engine.Result, b float64) { res.SetBudgetFraction(b) },
-				func(res *engine.Result, _ float64) map[string]metrics.Summary {
-					return regionSummaries(res)
-				})
-		})
-		for _, gs := range perGroup {
-			summaries = append(summaries, gs...)
-		}
-	} else {
-		summaries = parMap(cells, func(c cell) map[string]metrics.Summary {
-			return regionSummaries(compareRun("fig15", seed, c.scheme, c.budget, false))
-		})
+	for _, gs := range perGroup {
+		summaries = append(summaries, gs...)
 	}
 	base := summaries[0]
 

@@ -6,7 +6,6 @@ import (
 
 	"servicefridge/internal/app"
 	"servicefridge/internal/engine"
-	"servicefridge/internal/fridge"
 	"servicefridge/internal/metrics"
 	"servicefridge/internal/sim"
 	"servicefridge/internal/workload"
@@ -135,78 +134,36 @@ func Figure14(seed uint64) []*metrics.Table {
 	maxReq := calibrated(seed)
 	budgets := []float64{1.0, 0.95, 0.90, 0.85, 0.80, 0.75}
 
-	// Every (scenario, budget, correct/mis-computed) cell is an
-	// independent run; fan all 24 out and assemble the two tables after.
-	type cell struct {
+	// Four budget sweeps: each traffic mix under a correctly computed
+	// and a mis-computed MCF, each forking its budget cells from one
+	// warmed donor. The override is set before the warmup, which never
+	// reads it: only control ticks do.
+	type sweep struct {
 		a, b     float64
 		override map[string]float64
-		budget   float64
 		region   string
 	}
-	var cells []cell
-	for _, bud := range budgets {
-		cells = append(cells,
-			cell{30, 0, nil, bud, "A"},
-			cell{30, 0, map[string]float64{"B": 30}, bud, "A"},
-			cell{0, 30, nil, bud, "B"},
-			cell{0, 30, map[string]float64{"A": 30}, bud, "B"},
-		)
+	sweeps := []sweep{
+		{30, 0, nil, "A"},
+		{30, 0, map[string]float64{"B": 30}, "A"},
+		{0, 30, nil, "B"},
+		{0, 30, map[string]float64{"A": 30}, "B"},
 	}
-	cellConfig := func(c cell) engine.Config {
-		return engine.Config{
+	perSweep := parMap(sweeps, func(sw sweep) []metrics.Summary {
+		donor := engine.Build(engine.Config{
 			Seed:           seed,
 			Scheme:         engine.ServiceFridge,
-			BudgetFraction: c.budget,
+			BudgetFraction: budgets[0],
 			MaxRequired:    maxReq,
-			PoolWorkers:    mixPools(c.a, c.b),
+			PoolWorkers:    mixPools(sw.a, sw.b),
 			Warmup:         5 * time.Second,
 			Duration:       20 * time.Second,
 			ProfLabel:      "fig14",
-		}
-	}
-	var summaries []metrics.Summary
-	if WarmStart() {
-		// The 24 cells share only two warmup prefixes (one per traffic
-		// mix): one donor each, with the budget and the controller's
-		// LoadOverride retargeted per fork. The override is applied after
-		// Restore — it is only read at control ticks, all of which replay
-		// after the barrier — so each fork matches its cold Tune'd run.
-		type group struct{ a, b float64 }
-		groups := []group{{30, 0}, {0, 30}}
-		perGroup := parMap(groups, func(g group) []metrics.Summary {
-			var gcells []cell
-			for _, c := range cells {
-				if c.a == g.a && c.b == g.b {
-					gcells = append(gcells, c)
-				}
-			}
-			donor := engine.Build(cellConfig(gcells[0]))
-			return forkEach(donor, gcells,
-				func(res *engine.Result, c cell) {
-					res.SetBudgetFraction(c.budget)
-					res.Fridge.LoadOverride = c.override
-				},
-				func(res *engine.Result, c cell) metrics.Summary {
-					return res.Summary(c.region)
-				})
 		})
-		summaries = make([]metrics.Summary, len(cells))
-		var taken [2]int
-		for i, c := range cells {
-			k := 0
-			if c.a == 0 {
-				k = 1
-			}
-			summaries[i] = perGroup[k][taken[k]]
-			taken[k]++
-		}
-	} else {
-		summaries = parMap(cells, func(c cell) metrics.Summary {
-			cfg := cellConfig(c)
-			cfg.Tune = func(f *fridge.Fridge) { f.LoadOverride = c.override }
-			return engine.Run(cfg).Summary(c.region)
-		})
-	}
+		donor.Fridge.LoadOverride = sw.override
+		return engine.ForkEach(donor, budgets,
+			func(res *engine.Result, _ float64) metrics.Summary { return res.Summary(sw.region) })
+	})
 
 	// (a) Real traffic 30:0; the mis-computed controller believes 0:30
 	// (over-estimates how light the situation is).
@@ -217,8 +174,8 @@ func Figure14(seed uint64) []*metrics.Table {
 	tbl := metrics.NewTable("Figure 14 (b): A:B=0:30, MCF mis-computed as 30:0 (region B QoS)",
 		"budget", "mean (correct)", "mean (mis-computed)", "p99 (correct)", "p99 (mis-computed)")
 	for bi, bud := range budgets {
-		goodA, badA := summaries[4*bi], summaries[4*bi+1]
-		goodB, badB := summaries[4*bi+2], summaries[4*bi+3]
+		goodA, badA := perSweep[0][bi], perSweep[1][bi]
+		goodB, badB := perSweep[2][bi], perSweep[3][bi]
 		ta.Rowf(pct(bud), goodA.Mean, badA.Mean, goodA.P99, badA.P99)
 		tbl.Rowf(pct(bud), goodB.Mean, badB.Mean, goodB.P99, badB.P99)
 	}

@@ -93,7 +93,7 @@ func (s Scenario) normalize(spec *app.Spec) (Scenario, *app.Spec, error) {
 	if s.Budget == 0 {
 		s.Budget = 1.0
 	}
-	if s.Budget <= 0 || s.Budget > 1 {
+	if !(s.Budget > 0 && s.Budget <= 1) {
 		return s, nil, fmt.Errorf("scenario: budget %v must be in (0, 1]", s.Budget)
 	}
 	if s.Workers == 0 && s.Workload == nil {
@@ -123,6 +123,9 @@ func (s Scenario) normalize(spec *app.Spec) (Scenario, *app.Spec, error) {
 		}
 		clean := make(map[string]float64, len(s.Mix))
 		for region, w := range s.Mix {
+			if !finite(w) {
+				return s, nil, fmt.Errorf("scenario: mix weight %v for region %q must be finite", w, region)
+			}
 			if w < 0 {
 				return s, nil, fmt.Errorf("scenario: mix weight %v for region %q must not be negative", w, region)
 			}
@@ -150,6 +153,9 @@ func (s Scenario) normalize(spec *app.Spec) (Scenario, *app.Spec, error) {
 		if s.MixB != nil {
 			b = *s.MixB
 		}
+		if !finite(a) || !finite(b) {
+			return s, nil, fmt.Errorf("scenario: mixA %v and mixB %v must be finite", a, b)
+		}
 		if a < 0 || b < 0 {
 			return s, nil, fmt.Errorf("scenario: mixA %v and mixB %v must not be negative", a, b)
 		}
@@ -170,6 +176,15 @@ func (s Scenario) normalize(spec *app.Spec) (Scenario, *app.Spec, error) {
 		}
 	}
 	s.MixA, s.MixB = nil, nil
+	// The weights are summed in region order, as workload.NewMix sums
+	// them: an infinite total would send every request to the last region.
+	total := 0.0
+	for _, region := range spec.RegionNames() {
+		total += s.Mix[region]
+	}
+	if !finite(total) {
+		return s, nil, fmt.Errorf("scenario: mix weights sum to %v; the total must be finite", total)
+	}
 	if s.WarmupS == 0 {
 		s.WarmupS = 5
 	}
@@ -190,7 +205,7 @@ func (s Scenario) normalize(spec *app.Spec) (Scenario, *app.Spec, error) {
 			s.WarmupS, s.DurationS, time.Duration(math.MaxInt64))
 	}
 	if s.Workload != nil {
-		w, err := s.Workload.Normalize(s.WarmupS + s.DurationS)
+		w, err := s.Workload.Normalize(s.WarmupS+s.DurationS, spec.RegionNames())
 		if err != nil {
 			return s, nil, fmt.Errorf("scenario: %v", err)
 		}
@@ -233,6 +248,9 @@ func (s Scenario) normalize(spec *app.Spec) (Scenario, *app.Spec, error) {
 	s.Telemetry = &tel
 	return s, spec, nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // secs converts seconds to the nearest nanosecond, so a whole-nanosecond
 // duration survives the round trip through float seconds (cmd/fridge's

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strings"
@@ -119,6 +120,26 @@ func TestScenarioValidation(t *testing.T) {
 			t.Errorf("case %d: Normalize accepted invalid scenario %+v", i, s)
 		}
 	}
+	// Non-finite values slip past plain range checks; each is rejected by
+	// the name of its field, before it can steer a run.
+	named := []struct {
+		s     Scenario
+		field string
+	}{
+		{Scenario{Budget: math.NaN()}, "budget NaN"},
+		{Scenario{Mix: map[string]float64{"A": math.NaN()}}, `mix weight NaN for region "A"`},
+		{Scenario{Mix: map[string]float64{"A": 1, "B": math.Inf(1)}}, `mix weight +Inf for region "B"`},
+		{Scenario{Mix: map[string]float64{"A": 1e308, "B": 1e308}}, "mix weights sum to +Inf"},
+		{Scenario{MixA: ptr(math.NaN())}, "mixA NaN"},
+		{Scenario{MixA: ptr(math.Inf(1))}, "mixA +Inf"},
+		{Scenario{MixA: ptr(1e308), MixB: ptr(1e308)}, "mix weights sum to +Inf"},
+		{Scenario{Workload: &workload.Spec{Trace: workload.TraceHeader + "\n0,Z,1\n"}}, `trace region "Z"`},
+	}
+	for _, tc := range named {
+		if _, err := tc.s.Normalize(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Normalize(%+v) = %v, want an error naming %s", tc.s, err, tc.field)
+		}
+	}
 	if _, err := LoadScenario(strings.NewReader(`{"schem":"Baseline"}`)); err == nil {
 		t.Error("LoadScenario accepted an unknown field")
 	}
@@ -169,3 +190,40 @@ func TestScenarioRejectsOverflowingDurations(t *testing.T) {
 }
 
 func ptr(f float64) *float64 { return &f }
+
+// FuzzScenario feeds arbitrary bytes to the scenario parser. Its seed
+// corpus (testdata/fuzz/FuzzScenario) holds every committed scenario and
+// the inputs that once slipped through normalization. An accepted
+// scenario must be canonical — re-loading its JSON gives the same bytes —
+// and must be runnable: Config succeeds, and the mix total the request
+// generator draws against is finite.
+func FuzzScenario(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := LoadScenario(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		canon, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", s, err)
+		}
+		again, err := LoadScenario(bytes.NewReader(canon))
+		if err != nil {
+			t.Fatalf("canonical form %s rejected: %v", canon, err)
+		}
+		if b, _ := json.Marshal(again); !bytes.Equal(b, canon) {
+			t.Fatalf("re-loading is not the identity:\n%s\n%s", canon, b)
+		}
+		cfg, err := s.Config()
+		if err != nil {
+			t.Fatalf("accepted scenario %s has no config: %v", canon, err)
+		}
+		total := 0.0
+		for _, region := range cfg.Spec.RegionNames() {
+			total += s.Mix[region]
+		}
+		if math.IsNaN(total) || math.IsInf(total, 0) || total <= 0 {
+			t.Fatalf("accepted scenario %s has mix total %v", canon, total)
+		}
+	})
+}

@@ -11,7 +11,6 @@ import (
 	"servicefridge/internal/app"
 	"servicefridge/internal/cluster"
 	"servicefridge/internal/engine"
-	"servicefridge/internal/fridge"
 	"servicefridge/internal/metrics"
 )
 
@@ -93,7 +92,7 @@ func TestShapeMisEstimationHurts(t *testing.T) {
 		t.Skip("simulation test")
 	}
 	run := func(override map[string]float64) metrics.Summary {
-		return engine.Run(engine.Config{
+		res := engine.Build(engine.Config{
 			Seed:           shapeSeed,
 			Scheme:         engine.ServiceFridge,
 			BudgetFraction: 0.85,
@@ -101,8 +100,10 @@ func TestShapeMisEstimationHurts(t *testing.T) {
 			PoolWorkers:    map[string]int{"A": 50},
 			Warmup:         5 * time.Second,
 			Duration:       15 * time.Second,
-			Tune:           func(f *fridge.Fridge) { f.LoadOverride = override },
-		}).Summary("A")
+		})
+		res.Fridge.LoadOverride = override
+		res.Finish()
+		return res.Summary("A")
 	}
 	good := run(nil)
 	bad := run(map[string]float64{"B": 30})

@@ -39,37 +39,8 @@ func ExtSLO(seed uint64) []*metrics.Table {
 	// base is an uncapped Baseline run, so cal is the calibration run.
 	maxReq := cal.PeakDraw()
 
-	type combo struct {
-		scheme engine.SchemeName
-		budget float64
-	}
-	var combos []combo
 	budgets := []float64{1.0, 0.9, 0.85, 0.8, 0.75}
-	for _, s := range engine.AllSchemes() {
-		for _, b := range budgets {
-			combos = append(combos, combo{s, b})
-		}
-	}
-
-	comboConfig := func(c combo, tel *telemetry.Telemetry) engine.Config {
-		return engine.Config{
-			Seed:           seed,
-			Scheme:         c.scheme,
-			BudgetFraction: c.budget,
-			MaxRequired:    maxReq,
-			OpenLoopRate:   map[string]float64{"A": rateA, "B": rateB},
-			Warmup:         warmup,
-			Duration:       duration,
-			Telemetry:      tel,
-			ProfLabel:      "ext-slo",
-		}
-	}
-	newTel := func() *telemetry.Telemetry {
-		return telemetry.New(telemetry.Options{
-			SLO: telemetry.SLOOptions{Target: target, Grace: warmup},
-		})
-	}
-	report := func(tel *telemetry.Telemetry, c combo) []any {
+	report := func(tel *telemetry.Telemetry, scheme engine.SchemeName, budget float64) []any {
 		all := tel.SLOReport()[0]
 		first, headroom := "never", "-"
 		violation := "0.0%"
@@ -82,43 +53,38 @@ func ExtSLO(seed uint64) []*metrics.Table {
 		if all.EvalTicks > 0 {
 			violation = pct(float64(all.ViolationTicks) / float64(all.EvalTicks))
 		}
-		return []any{string(c.scheme), pct(c.budget), first, violation, headroom}
+		return []any{string(scheme), pct(budget), first, violation, headroom}
 	}
 
 	tb := metrics.NewTable(
 		fmt.Sprintf("Extension: SLO violations (all-regions p95 > %v) vs power budget, open-loop A %.1f/s B %.1f/s",
 			target, rateA, rateB),
 		"scheme", "budget", "first violation", "violation time", "headroom then")
-	var rows [][]any
-	if WarmStart() {
-		// One donor (and one bound telemetry instance) per scheme; each
-		// budget fork restores the telemetry alongside the simulation, so
-		// its report reads exactly like a cold run's.
-		perScheme := parMap(engine.AllSchemes(), func(s engine.SchemeName) [][]any {
-			var sc []combo
-			for _, c := range combos {
-				if c.scheme == s {
-					sc = append(sc, c)
-				}
-			}
-			tel := newTel()
-			donor := engine.Build(comboConfig(sc[0], tel))
-			return forkEach(donor, sc,
-				func(res *engine.Result, c combo) { res.SetBudgetFraction(c.budget) },
-				func(res *engine.Result, c combo) []any { return report(tel, c) })
+	// One donor (and one bound telemetry instance) per scheme; each budget
+	// fork restores the telemetry alongside the simulation, so its report
+	// reads exactly like a single run's.
+	perScheme := parMap(engine.AllSchemes(), func(s engine.SchemeName) [][]any {
+		tel := telemetry.New(telemetry.Options{
+			SLO: telemetry.SLOOptions{Target: target, Grace: warmup},
 		})
-		for _, rs := range perScheme {
-			rows = append(rows, rs...)
+		donor := engine.Build(engine.Config{
+			Seed:           seed,
+			Scheme:         s,
+			BudgetFraction: budgets[0],
+			MaxRequired:    maxReq,
+			OpenLoopRate:   map[string]float64{"A": rateA, "B": rateB},
+			Warmup:         warmup,
+			Duration:       duration,
+			Telemetry:      tel,
+			ProfLabel:      "ext-slo",
+		})
+		return engine.ForkEach(donor, budgets,
+			func(_ *engine.Result, b float64) []any { return report(tel, s, b) })
+	})
+	for _, rows := range perScheme {
+		for _, row := range rows {
+			tb.Rowf(row...)
 		}
-	} else {
-		rows = parMap(combos, func(c combo) []any {
-			tel := newTel()
-			engine.Run(comboConfig(c, tel))
-			return report(tel, c)
-		})
-	}
-	for _, row := range rows {
-		tb.Rowf(row...)
 	}
 	return []*metrics.Table{tb}
 }

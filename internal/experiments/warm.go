@@ -1,45 +1,12 @@
 package experiments
 
-import (
-	"sync/atomic"
+// Budget sweeps fork a warmed run. A sweep's cells share everything up to
+// the first budget-dependent event (the first control tick), so Figure14,
+// Figure15 and ExtSLO build one donor run per cell group and fork every
+// cell from it with engine.ForkEach: the prefix is simulated once per
+// group, and each cell's output equals a run built from scratch at its
+// budget.
 
-	"servicefridge/internal/engine"
-)
-
-// Warm-started sweeps. A budget sweep's cells share everything up to the
-// first budget-dependent event (the first control tick), so instead of
-// replaying the identical prefix once per cell, a warm sweep builds one
-// donor run per cell group, advances it to the budget-independence barrier
-// (engine.Result.WarmBarrier), snapshots, and then forks: restore,
-// retarget, finish — once per cell. Outputs are byte-identical to the cold
-// path (pinned by internal/engine's snapshot property tests and the CI
-// determinism leg), so warm start is purely a wall-clock optimization and
-// stays opt-in behind the CLIs' -warmstart flag.
-
-// warmStart gates the warm-started sweep paths of Figure14, Figure15 and
-// ExtSLO; everything else always runs cold.
-var warmStart atomic.Bool
-
-// SetWarmStart toggles warm-started sweeps for subsequent experiment runs.
-func SetWarmStart(on bool) { warmStart.Store(on) }
-
-// WarmStart reports whether warm-started sweeps are enabled.
-func WarmStart() bool { return warmStart.Load() }
-
-// forkEach warms donor to its budget-independence barrier, snapshots, and
-// replays one fork per cell: restore, prep (retarget the budget and any
-// per-cell tuning), finish, collect. Cells run sequentially — they share
-// the donor's object graph — but independent donor groups fan out in
-// parallel like cold cells do.
-func forkEach[C, R any](donor *engine.Result, cells []C, prep func(*engine.Result, C), collect func(*engine.Result, C) R) []R {
-	donor.Engine.RunUntil(donor.WarmBarrier())
-	snap := donor.Snapshot()
-	out := make([]R, len(cells))
-	for i, c := range cells {
-		donor.Restore(snap)
-		prep(donor, c)
-		donor.Finish()
-		out[i] = collect(donor, c)
-	}
-	return out
-}
+// SetWarmStart does nothing: every budget sweep forks a warmed run. It is
+// kept for callers written when forking was opt-in.
+func SetWarmStart(bool) {}

@@ -344,9 +344,17 @@ func TestQueueCancelAndErrors(t *testing.T) {
 		t.Errorf("deleted session still listed")
 	}
 
-	// Error surface.
-	if code, _ := doReq(t, "POST", ts.URL+"/sessions", `{"scheme":"NoSuch"}`); code != http.StatusBadRequest {
-		t.Errorf("bad scenario accepted: %d", code)
+	// Error surface. A scenario the session could not build, or would
+	// run wrongly, is a 400 at POST — not a 201 followed by a failed
+	// session or a skewed run.
+	for _, tc := range []struct{ body, want string }{
+		{`{"scheme":"NoSuch"}`, `unknown scheme \"NoSuch\"`},
+		{`{"workload":{"trace":"t_s,region,rate\n0,Z,1"}}`, `trace region \"Z\" is not in the application`},
+		{`{"mix":{"A":1e308,"B":1e308}}`, "mix weights sum to +Inf"},
+	} {
+		if code, body := doReq(t, "POST", ts.URL+"/sessions", tc.body); code != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("POST %s: %d %s, want 400 naming %s", tc.body, code, body, tc.want)
+		}
 	}
 	if code, _ := doReq(t, "GET", ts.URL+"/sessions/nope/status", ""); code != http.StatusNotFound {
 		t.Errorf("unknown session status: %d", code)

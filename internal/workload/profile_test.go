@@ -152,14 +152,14 @@ func TestGeneratorsProduceValidProfiles(t *testing.T) {
 }
 
 func TestSpecNormalize(t *testing.T) {
-	s, err := (&Spec{}).Normalize(35)
+	s, err := (&Spec{}).Normalize(35, []string{"A", "B"})
 	if err != nil {
 		t.Fatalf("zero spec: %v", err)
 	}
 	if s.Profile != "steady" || s.Rate != DefaultRate || s.HorizonS != 35 {
 		t.Fatalf("unexpected zero-spec defaults: %+v", s)
 	}
-	s, err = (&Spec{Closed: true}).Normalize(35)
+	s, err = (&Spec{Closed: true}).Normalize(35, []string{"A", "B"})
 	if err != nil {
 		t.Fatalf("closed spec: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestSpecNormalize(t *testing.T) {
 	}
 
 	trace := TraceHeader + "\n0,A,10\n1,A,20\n"
-	s, err = (&Spec{Trace: trace}).Normalize(35)
+	s, err = (&Spec{Trace: trace}).Normalize(35, []string{"A", "B"})
 	if err != nil {
 		t.Fatalf("trace spec: %v", err)
 	}
@@ -190,13 +190,15 @@ func TestSpecNormalize(t *testing.T) {
 		{Trace: trace, Rate: 10},              // a trace carries its own schedule
 		{Trace: trace, HorizonS: 5},           // ditto
 		{Trace: "bogus"},                      // malformed trace
+		{Trace: TraceHeader + "\n0,Z,1\n"},    // a region the application lacks
 		{Profile: "steady", Rate: -1},         // negative rate
 		{Profile: "steady", Rate: math.NaN()}, // non-finite rate
 		{Profile: "steady", HorizonS: -2},     // negative horizon
 		{Profile: "steady", HorizonS: math.Inf(1)},
+		{Profile: "steady", HorizonS: 1e-10}, // rounds to a zero horizon
 	}
 	for i, ws := range bad {
-		if _, err := ws.Normalize(35); err == nil {
+		if _, err := ws.Normalize(35, []string{"A", "B"}); err == nil {
 			t.Errorf("case %d: Normalize accepted invalid spec %+v", i, ws)
 		}
 	}
@@ -338,7 +340,7 @@ func TestSpecNormalizeTraceNameConflict(t *testing.T) {
 	// the named profile is the reserved trace name spelled explicitly
 	// with extras.
 	tr := strings.Join([]string{TraceHeader, "0,A,1"}, "\n")
-	if _, err := (&Spec{Profile: "steady", Trace: tr}).Normalize(10); err == nil {
+	if _, err := (&Spec{Profile: "steady", Trace: tr}).Normalize(10, []string{"A", "B"}); err == nil {
 		t.Fatal("Normalize accepted profile+trace")
 	}
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 )
@@ -37,9 +38,10 @@ type Spec struct {
 }
 
 // Normalize validates s and returns a copy with every default explicit,
-// given the run's warmup+duration in seconds (the horizon default). Like
+// given the run's warmup+duration in seconds (the horizon default) and
+// the application's regions, the only ones a trace may name. Like
 // scenario normalization, equal workloads normalize to equal bytes.
-func (s Spec) Normalize(totalS float64) (Spec, error) {
+func (s Spec) Normalize(totalS float64, regions []string) (Spec, error) {
 	if s.Trace != "" {
 		if s.Profile != "" && s.Profile != TraceProfile {
 			return s, fmt.Errorf("workload: profile %q conflicts with an inline trace", s.Profile)
@@ -47,8 +49,15 @@ func (s Spec) Normalize(totalS float64) (Spec, error) {
 		if s.Rate != 0 || s.HorizonS != 0 {
 			return s, fmt.Errorf("workload: a trace carries its own schedule; rate and horizon_s do not apply")
 		}
-		if _, err := ParseTrace(strings.NewReader(s.Trace)); err != nil {
+		p, err := ParseTrace(strings.NewReader(s.Trace))
+		if err != nil {
 			return s, err
+		}
+		for _, region := range p.Regions() {
+			if !slices.Contains(regions, region) {
+				return s, fmt.Errorf("workload: trace region %q is not in the application (regions: %s)",
+					region, strings.Join(regions, ", "))
+			}
 		}
 		s.Profile = TraceProfile
 		return s, nil
@@ -80,6 +89,9 @@ func (s Spec) Normalize(totalS float64) (Spec, error) {
 	}
 	if s.HorizonS*float64(time.Second) >= math.MaxInt64 {
 		return s, fmt.Errorf("workload: horizon_s %v overflows a time.Duration (max %v)", s.HorizonS, time.Duration(math.MaxInt64))
+	}
+	if s.Horizon() <= 0 {
+		return s, fmt.Errorf("workload: horizon_s %v is shorter than a nanosecond", s.HorizonS)
 	}
 	return s, nil
 }

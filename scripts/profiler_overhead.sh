@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Gate the phase profiler's overhead on a real workload.
 #
-# Regenerates fig15 (the heaviest single figure: a 25-cell budget sweep)
-# with phase profiling off and on, alternating the two modes so clock
-# drift on a shared runner hits both equally, and takes the minimum wall
-# time of each mode across ITERS pairs. The ratio must stay within the
+# Regenerates fig15 (the anchor figure: 25 budget cells forked from five
+# warmed donors) with phase profiling off and on, alternating the two
+# modes so clock drift on a shared runner hits both equally, and takes
+# the minimum wall time of each mode across ITERS pairs. The ratio must stay within the
 # budget enforced by `benchgate -overhead` (default 1.03 = 3%).
 #
 # The profiler's true cost is far below the gate: scope pairs run only
