@@ -26,6 +26,7 @@ import (
 	"servicefridge/internal/obs"
 	"servicefridge/internal/orchestrator"
 	"servicefridge/internal/prof"
+	"servicefridge/internal/schemes"
 	"servicefridge/internal/sim"
 	"servicefridge/internal/telemetry"
 	"servicefridge/internal/trace"
@@ -708,4 +709,37 @@ func BenchmarkFridgeTick(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.Tick()
 	}
+}
+
+// benchmarkSchemeTick measures one control interval of a comparator
+// scheme: the study app runs under it at a 0.75 budget for 6 s, then a
+// fresh instance built on that run's context (without an event recorder)
+// ticks against the frozen meter readings. Gated allocation-free via
+// bench_gates.json.
+func benchmarkSchemeTick(b *testing.B, name engine.SchemeName, mk func(*schemes.Context, *app.Spec) schemes.Scheme) {
+	b.ReportAllocs()
+	cfg := ablationConfig(1)
+	cfg.Scheme = name
+	cfg.BudgetFraction = 0.75
+	res := engine.Build(cfg)
+	res.Engine.RunFor(6 * time.Second)
+	ctx := &schemes.Context{Cluster: res.Cluster, Meter: res.Meter, Budget: res.Budget, Orch: res.Orch}
+	s := mk(ctx, res.Config.Spec)
+	s.Tick()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Tick()
+	}
+}
+
+func BenchmarkCappingTick(b *testing.B) {
+	benchmarkSchemeTick(b, engine.Capping, func(c *schemes.Context, _ *app.Spec) schemes.Scheme { return schemes.NewCapping(c) })
+}
+
+func BenchmarkPFirstTick(b *testing.B) {
+	benchmarkSchemeTick(b, engine.PFirst, func(c *schemes.Context, _ *app.Spec) schemes.Scheme { return schemes.NewPFirst(c) })
+}
+
+func BenchmarkTFirstTick(b *testing.B) {
+	benchmarkSchemeTick(b, engine.TFirst, func(c *schemes.Context, spec *app.Spec) schemes.Scheme { return schemes.NewTFirst(c, spec) })
 }

@@ -184,11 +184,17 @@ func TestRejections(t *testing.T) {
 	}
 	// A duration past time.Duration's range is an input error naming its
 	// field, not a wrapped negative duration that runs and misreports; so
-	// are a mix whose total overflows and a trace naming a region the
-	// application lacks.
+	// is a positive duration that rounds to 0 ns (the engine would run its
+	// default instead), a mix whose total overflows and a trace naming a
+	// region the application lacks.
 	for _, spec := range []struct{ body, field string }{
 		{`{"telemetry":{"slo_target_ms":1e13}}`, "telemetry.slo_target_ms 1e+13 overflows a time.Duration"},
 		{`{"warmup_s":9.3e9}`, "warmup_s 9.3e+09 overflows a time.Duration"},
+		{`{"warmup_s":1e-12,"duration_s":2}`, "warmup_s 1e-12 is shorter than a nanosecond"},
+		{`{"duration_s":1e-12}`, "duration_s 1e-12 is shorter than a nanosecond"},
+		{`{"tick_ms":1e-7}`, "tick_ms 1e-07 is shorter than a nanosecond"},
+		{`{"telemetry":{"interval_ms":1e-7}}`, "telemetry.interval_ms 1e-07 is shorter than a nanosecond"},
+		{`{"telemetry":{"slo_target_ms":1e-7}}`, "telemetry.slo_target_ms 1e-07 is shorter than a nanosecond"},
 		{`{"mix":{"A":1e308,"B":1e308}}`, "mix weights sum to +Inf"},
 		{`{"workload":{"trace":"t_s,region,rate\n0,Z,1"}}`, `trace region "Z" is not in the application`},
 	} {

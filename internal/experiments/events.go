@@ -63,11 +63,7 @@ func canonicalRun(seed uint64, tel *telemetry.Telemetry, led *obs.Ledger) (*engi
 			break
 		}
 	})
-	res.Engine.RunFor(60 * time.Second)
-	res.Gen.Stop()
-	for _, p := range res.Pools {
-		p.Stop()
-	}
+	res.Finish()
 	return res, rec
 }
 

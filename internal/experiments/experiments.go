@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"servicefridge/internal/app"
 	"servicefridge/internal/engine"
 	"servicefridge/internal/metrics"
 	"servicefridge/internal/power"
@@ -79,38 +80,102 @@ func IDs() []string {
 // studyPools is the §6.4 load: 25 parallel workers on each region.
 func studyPools() map[string]int { return map[string]int{"A": 25, "B": 25} }
 
-// calibrated returns the measured maximum required power for the standard
-// study workload, memoized per seed (several figures share it). The map is
+// memo computes one value per key at most once. The map is
 // mutex-guarded and each entry carries a sync.Once, so concurrent callers
-// singleflight on one calibration run per seed instead of racing or
-// duplicating it.
-type calibEntry struct {
-	once sync.Once
-	w    power.Watts
+// singleflight on one calibration run per key instead of racing or
+// duplicating it; several experiments share each run this way.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*memoEntry[V]
 }
 
-var (
-	calibMu    sync.Mutex
-	calibCache = map[uint64]*calibEntry{}
-)
+type memoEntry[V any] struct {
+	once sync.Once
+	v    V
+}
 
-func calibrated(seed uint64) power.Watts {
-	calibMu.Lock()
-	e := calibCache[seed]
-	if e == nil {
-		e = &calibEntry{}
-		calibCache[seed] = e
+func (c *memo[K, V]) get(k K, compute func() V) V {
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = map[K]*memoEntry[V]{}
 	}
-	calibMu.Unlock()
-	e.once.Do(func() {
-		e.w = engine.CalibrateMaxRequired(engine.Config{
+	e := c.m[k]
+	if e == nil {
+		e = &memoEntry[V]{}
+		c.m[k] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v = compute() })
+	return e.v
+}
+
+var maxRequired memo[uint64, power.Watts]
+
+// calibrated returns the measured maximum required power for the standard
+// study workload, memoized per seed.
+func calibrated(seed uint64) power.Watts {
+	return maxRequired.get(seed, func() power.Watts {
+		return engine.CalibrateMaxRequired(engine.Config{
 			Seed:        seed,
 			PoolWorkers: studyPools(),
 			Duration:    20 * time.Second,
 			ProfLabel:   "calibrate",
 		})
 	})
-	return e.w
+}
+
+// closedLoop is what the open-loop experiments derive their offered rates
+// and budget base from: an uncapped Baseline closed-loop run's
+// post-warmup completions per region, its measurement window in seconds,
+// and its peak draw.
+type closedLoop struct {
+	count  map[string]int
+	window float64
+	peak   power.Watts
+}
+
+// rate offers frac of region's measured closed-loop throughput.
+func (c closedLoop) rate(frac float64, region string) float64 {
+	return frac * float64(c.count[region]) / c.window
+}
+
+type closedLoopKey struct {
+	seed   uint64
+	family string
+	pool   int
+}
+
+var closedLoops memo[closedLoopKey, closedLoop]
+
+// calibratedClosedLoop runs, once per (seed, app family, pool), the
+// calibration ext-openloop, ext-slo and ext-scenarios share: Baseline with
+// pool closed-loop workers on every region, 5 s warmup plus 15 s measured.
+func calibratedClosedLoop(seed uint64, family string, pool int) closedLoop {
+	return closedLoops.get(closedLoopKey{seed, family, pool}, func() closedLoop {
+		fam, _ := app.Builtin(family)
+		spec := fam.New()
+		pools := make(map[string]int, len(spec.RegionNames()))
+		for _, r := range spec.RegionNames() {
+			pools[r] = pool
+		}
+		cal := engine.Run(engine.Config{
+			Seed:        seed,
+			Spec:        spec,
+			PoolWorkers: pools,
+			Warmup:      5 * time.Second,
+			Duration:    15 * time.Second,
+			ProfLabel:   "calibrate",
+		})
+		c := closedLoop{
+			count:  make(map[string]int, len(pools)),
+			window: cal.Engine.Now().Sub(cal.WarmupEnd).Seconds(),
+			peak:   cal.PeakDraw(),
+		}
+		for r := range pools {
+			c.count[r] = cal.Summary(r).Count
+		}
+		return c
+	})
 }
 
 // ghzCol formats a frequency column header.

@@ -58,12 +58,7 @@ func ExtScaleOut(seed uint64) []*metrics.Table {
 					res.Orch.Scale(svc, replicas, res.Cluster.Workers())
 				}
 			}
-			total := cfg.Warmup + cfg.Duration
-			res.Engine.RunFor(total)
-			res.Gen.Stop()
-			for _, p := range res.Pools {
-				p.Stop()
-			}
+			res.Finish()
 			return res
 		}
 		calCfg := base
@@ -93,22 +88,12 @@ func ExtScaleOut(seed uint64) []*metrics.Table {
 // regardless of completions, so a scheme that starves the critical path
 // accumulates queue, unlike in the self-limiting closed-loop runs.
 func ExtOpenLoop(seed uint64) []*metrics.Table {
-	// Calibrate: measure baseline closed-loop throughput, then offer 60%
+	// Calibrate: measure baseline closed-loop throughput, then offer 80%
 	// of it open-loop so the uncapped system is stable but capping below
 	// requirement visibly bites.
-	base := engine.Config{
-		Seed:        seed,
-		PoolWorkers: studyPools(),
-		Warmup:      5 * time.Second,
-		Duration:    15 * time.Second,
-		ProfLabel:   "ext-openloop",
-	}
-	cal := engine.Run(base)
-	window := cal.Engine.Now().Sub(cal.WarmupEnd).Seconds()
-	rateA := 0.8 * float64(cal.Summary("A").Count) / window
-	rateB := 0.8 * float64(cal.Summary("B").Count) / window
-	// base is an uncapped Baseline run, so cal is the calibration run.
-	maxReq := cal.PeakDraw()
+	cal := calibratedClosedLoop(seed, "study", 25)
+	rateA, rateB := cal.rate(0.8, "A"), cal.rate(0.8, "B")
+	maxReq := cal.peak
 
 	tb := metrics.NewTable(
 		fmt.Sprintf("Extension: open-loop (A %.1f req/s, B %.1f req/s) at 80%% budget", rateA, rateB),

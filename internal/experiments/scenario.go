@@ -259,14 +259,18 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 func secs(s float64) time.Duration { return time.Duration(math.Round(s * float64(time.Second))) }
 
 // fitsDuration rejects a field whose value v, in units of 1/perSecond
-// seconds, secs cannot convert without wrapping: its nanoseconds must fit
-// an int64 (NaN never does).
+// seconds, secs cannot convert faithfully: its nanoseconds must fit an
+// int64 (NaN never does), and a positive value must not round to 0 ns,
+// which the engine and telemetry would replace with their defaults.
 func fitsDuration(field string, v, perSecond float64) error {
 	ns := math.Round(v / perSecond * float64(time.Second))
-	if ns >= math.MinInt64 && ns < math.MaxInt64 {
-		return nil
+	if !(ns >= math.MinInt64 && ns < math.MaxInt64) {
+		return fmt.Errorf("scenario: %s %v overflows a time.Duration (max %v)", field, v, time.Duration(math.MaxInt64))
 	}
-	return fmt.Errorf("scenario: %s %v overflows a time.Duration (max %v)", field, v, time.Duration(math.MaxInt64))
+	if v > 0 && ns == 0 {
+		return fmt.Errorf("scenario: %s %v is shorter than a nanosecond", field, v)
+	}
+	return nil
 }
 
 // Warmup and Duration return the normalized phase lengths. They assume a

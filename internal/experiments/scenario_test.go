@@ -189,14 +189,64 @@ func TestScenarioRejectsOverflowingDurations(t *testing.T) {
 	}
 }
 
+// TestScenarioRejectsSubNanosecondDurations requires every positive
+// seconds or milliseconds field that rounds to 0 ns to be rejected by
+// name: the engine and telemetry read a zero duration as "use the
+// default", so such a scenario would run for 5 s of warmup, 30 s, or 1 s
+// ticks instead of what it says.
+func TestScenarioRejectsSubNanosecondDurations(t *testing.T) {
+	cases := []struct {
+		s     Scenario
+		field string
+	}{
+		{Scenario{WarmupS: 1e-12, DurationS: 2}, "warmup_s"},
+		{Scenario{DurationS: 1e-12}, "duration_s"},
+		{Scenario{TickMS: 1e-7}, "tick_ms"},
+		{Scenario{Telemetry: &ScenarioTelemetry{IntervalMS: 1e-7}}, "telemetry.interval_ms"},
+		{Scenario{Telemetry: &ScenarioTelemetry{SLOTargetMS: 1e-7}}, "telemetry.slo_target_ms"},
+	}
+	for _, tc := range cases {
+		_, err := tc.s.Normalize()
+		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), "shorter than a nanosecond") {
+			t.Errorf("Normalize(%+v) = %v, want a sub-nanosecond error naming %s", tc.s, err, tc.field)
+		}
+	}
+	// Exactly one nanosecond is accepted and converts to 1 ns.
+	s, err := Scenario{
+		WarmupS: 1e-9, DurationS: 1e-9, TickMS: 1e-6,
+		Telemetry: &ScenarioTelemetry{IntervalMS: 1e-6, SLOTargetMS: 1e-6},
+	}.Normalize()
+	if err != nil {
+		t.Fatalf("one nanosecond rejected: %v", err)
+	}
+	for name, d := range scenarioDurations(s) {
+		if d != time.Nanosecond {
+			t.Errorf("%s = %v, want 1ns", name, d)
+		}
+	}
+}
+
+// scenarioDurations lists every duration a normalized scenario converts
+// to, by field.
+func scenarioDurations(s Scenario) map[string]time.Duration {
+	return map[string]time.Duration{
+		"warmup_s":                s.Warmup(),
+		"duration_s":              s.Duration(),
+		"tick_ms":                 secs(s.TickMS / 1000),
+		"telemetry.interval_ms":   secs(s.Telemetry.IntervalMS / 1000),
+		"telemetry.slo_target_ms": s.SLOTarget(),
+	}
+}
+
 func ptr(f float64) *float64 { return &f }
 
 // FuzzScenario feeds arbitrary bytes to the scenario parser. Its seed
 // corpus (testdata/fuzz/FuzzScenario) holds every committed scenario and
 // the inputs that once slipped through normalization. An accepted
 // scenario must be canonical — re-loading its JSON gives the same bytes —
-// and must be runnable: Config succeeds, and the mix total the request
-// generator draws against is finite.
+// and must be runnable: Config succeeds, every duration converts to at
+// least 1 ns (the engine would replace a zero with its default), and the
+// mix total the request generator draws against is finite.
 func FuzzScenario(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := LoadScenario(bytes.NewReader(data))
@@ -217,6 +267,11 @@ func FuzzScenario(f *testing.F) {
 		cfg, err := s.Config()
 		if err != nil {
 			t.Fatalf("accepted scenario %s has no config: %v", canon, err)
+		}
+		for name, d := range scenarioDurations(s) {
+			if d < time.Nanosecond {
+				t.Fatalf("accepted scenario %s converts %s to %v", canon, name, d)
+			}
 		}
 		total := 0.0
 		for _, region := range cfg.Spec.RegionNames() {

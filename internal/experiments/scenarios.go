@@ -36,29 +36,15 @@ func ExtScenarios(seed uint64) []*metrics.Table {
 	// spawns fresh goroutines per call, so the nesting cannot deadlock.
 	tables := parMap(apps, func(a appCase) *metrics.Table {
 		regions := a.build().RegionNames()
-		pools := make(map[string]int, len(regions))
-		for _, r := range regions {
-			pools[r] = a.pool
-		}
-		base := engine.Config{
-			Seed:        seed,
-			Spec:        a.build(),
-			PoolWorkers: pools,
-			Warmup:      warmup,
-			Duration:    measure,
-			ProfLabel:   "ext-scenarios",
-		}
 		// Calibrate: offer 60% of the closed-loop throughput open-loop,
 		// so the uncapped system is stable but an 80% budget visibly
 		// bites, and anchor the budget to the measured peak draw.
-		cal := engine.Run(base)
-		window := cal.Engine.Now().Sub(cal.WarmupEnd).Seconds()
+		cal := calibratedClosedLoop(seed, a.name, a.pool)
 		rates := make(map[string]float64, len(regions))
 		for _, r := range regions {
-			rates[r] = 0.6 * float64(cal.Summary(r).Count) / window
+			rates[r] = cal.rate(0.6, r)
 		}
-		// base is an uncapped Baseline run, so cal is the calibration run.
-		maxReq := cal.PeakDraw()
+		maxReq := cal.peak
 
 		in := workload.GenInput{Regions: regions, Rates: rates, Horizon: warmup + measure, Seed: seed}
 		profiles := map[string]*workload.Profile{}

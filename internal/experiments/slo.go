@@ -25,19 +25,9 @@ func ExtSLO(seed uint64) []*metrics.Table {
 	// Calibrate like ext-openloop: offer 80% of the baseline closed-loop
 	// throughput, so the uncapped system is comfortably stable and any
 	// violation is attributable to the budget, not the load.
-	base := engine.Config{
-		Seed:        seed,
-		PoolWorkers: studyPools(),
-		Warmup:      warmup,
-		Duration:    15 * time.Second,
-		ProfLabel:   "ext-slo",
-	}
-	cal := engine.Run(base)
-	window := cal.Engine.Now().Sub(cal.WarmupEnd).Seconds()
-	rateA := 0.8 * float64(cal.Summary("A").Count) / window
-	rateB := 0.8 * float64(cal.Summary("B").Count) / window
-	// base is an uncapped Baseline run, so cal is the calibration run.
-	maxReq := cal.PeakDraw()
+	cal := calibratedClosedLoop(seed, "study", 25)
+	rateA, rateB := cal.rate(0.8, "A"), cal.rate(0.8, "B")
+	maxReq := cal.peak
 
 	budgets := []float64{1.0, 0.9, 0.85, 0.8, 0.75}
 	report := func(tel *telemetry.Telemetry, scheme engine.SchemeName, budget float64) []any {

@@ -280,7 +280,7 @@ func (f *Fridge) ZonePowerInto(out *[3]float64) bool {
 	for z, servers := range f.zoneServers {
 		var w float64
 		for _, s := range servers {
-			if smp, ok := f.ctx.Meter.LastServer(s.Name()); ok {
+			if smp, ok := f.ctx.Meter.LastServer(s.Index()); ok {
 				w += float64(smp.Power)
 			}
 		}
@@ -313,7 +313,7 @@ func (f *Fridge) WarmUtilization() (float64, bool) {
 	var sum float64
 	sampled := 0
 	for _, s := range warm {
-		if smp, ok := f.ctx.Meter.LastServer(s.Name()); ok {
+		if smp, ok := f.ctx.Meter.LastServer(s.Index()); ok {
 			sum += smp.Util
 			sampled++
 		}
@@ -324,20 +324,14 @@ func (f *Fridge) WarmUtilization() (float64, bool) {
 	return sum / float64(sampled), true
 }
 
-// MCFInto writes this tick's cached normalized MCF for each named service
-// into out (out[i] for services[i]); services outside the graph, and
-// unknown names, read 0. It reports false before the first classified
-// tick and never allocates.
-func (f *Fridge) MCFInto(services []string, out []float64) bool {
-	if !f.hasMCF || len(out) < len(services) {
+// MCFInto writes this tick's cached normalized MCF into out, indexed by
+// service ID; services outside the graph read 0. It reports false before
+// the first classified tick and never allocates.
+func (f *Fridge) MCFInto(out []float64) bool {
+	if !f.hasMCF {
 		return false
 	}
-	for i, s := range services {
-		out[i] = 0
-		if ms := f.spec.Service(s); ms != nil {
-			out[i] = f.lastMCF[ms.ID()]
-		}
-	}
+	copy(out, f.lastMCF)
 	return true
 }
 
@@ -512,7 +506,7 @@ func (f *Fridge) recordZonePower() {
 	for _, z := range [...]Zone{Cold, Warm, Hot} {
 		var w float64
 		for _, s := range f.zoneServers[z] {
-			if smp, ok := f.ctx.Meter.LastServer(s.Name()); ok {
+			if smp, ok := f.ctx.Meter.LastServer(s.Index()); ok {
 				w += float64(smp.Power)
 			}
 		}
@@ -837,7 +831,7 @@ func (f *Fridge) autoScale() {
 	sampled := 0
 	for _, s := range warm {
 		f.utils[s.Index()] = 0
-		if smp, ok := f.ctx.Meter.LastServer(s.Name()); ok {
+		if smp, ok := f.ctx.Meter.LastServer(s.Index()); ok {
 			f.utils[s.Index()] = smp.Util
 			sum += smp.Util
 			sampled++
@@ -999,30 +993,25 @@ func (f *Fridge) guardCritical(s *cluster.Server, want cluster.GHz) cluster.GHz 
 	return want
 }
 
-// predictTotal is the cluster draw the meter's latest utilizations
-// predict with the warm and hot zones at warmF and hotF, summed in
-// server order.
+// predictTotal is the cluster draw the meter's latest loads predict with
+// the warm and hot zones at warmF and hotF, summed in server order.
 func (f *Fridge) predictTotal(warmF, hotF cluster.GHz) (total power.Watts) {
 	m := f.ctx.Meter.Model()
-	for i := range f.ctx.Cluster.Servers() {
+	for i, z := range f.serverZone {
 		fq := cluster.FreqMax
-		switch f.serverZone[i] {
+		switch z {
 		case Warm:
 			fq = warmF
 		case Hot:
 			fq = hotF
 		}
-		util := f.loads[i] * float64(cluster.FreqMax) / float64(fq)
-		if util > 1 {
-			util = 1
-		}
-		total += m.Power(fq, util)
+		total += m.Predict(f.loads[i], fq)
 	}
 	return total
 }
 
 // serverLoads fills each server's zone (servers in no zone count as cold)
-// and its frequency-normalized load, by server index.
+// and reads its load from the meter, by server index.
 func (f *Fridge) serverLoads() {
 	for i := range f.serverZone {
 		f.serverZone[i] = Cold
@@ -1032,15 +1021,5 @@ func (f *Fridge) serverLoads() {
 			f.serverZone[s.Index()] = z
 		}
 	}
-	for i, s := range f.ctx.Cluster.Servers() {
-		switch smp, ok := f.ctx.Meter.LastServer(s.Name()); {
-		case s.QueueLen() > 0:
-			// Backlogged servers are saturated at any P-state.
-			f.loads[i] = 1
-		case ok:
-			f.loads[i] = smp.Util * float64(smp.Freq) / float64(cluster.FreqMax)
-		default:
-			f.loads[i] = 1
-		}
-	}
+	f.ctx.Meter.LoadsInto(f.loads)
 }

@@ -45,13 +45,15 @@ type Meter struct {
 	Rec      *obs.Recorder
 	BudgetFn func() Watts
 
-	lastBusy    map[string]time.Duration
-	lastBusyTag map[string]map[string]time.Duration
+	// Per-server state by cluster.Server.Index, sized in Start: the busy
+	// and per-tag busy cursors of the open window, and the latest sample.
+	lastBusy    []time.Duration
+	lastBusyTag []map[string]time.Duration
+	last        []Sample
 	lastAt      sim.Time
 
 	samples []Sample
 	totals  []ClusterSample
-	last    map[string]Sample
 	timer   sim.Timer
 	started bool
 }
@@ -61,32 +63,29 @@ func NewMeter(cl *cluster.Cluster, model Model, interval time.Duration) *Meter {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	return &Meter{
-		eng:         cl.Engine(),
-		cl:          cl,
-		model:       model,
-		interval:    interval,
-		lastBusy:    make(map[string]time.Duration),
-		lastBusyTag: make(map[string]map[string]time.Duration),
-		last:        make(map[string]Sample),
-	}
+	return &Meter{eng: cl.Engine(), cl: cl, model: model, interval: interval}
 }
 
 // Model returns the power model in use.
 func (m *Meter) Model() Model { return m.model }
 
-// Start begins periodic sampling. Calling Start twice is a no-op.
+// Start begins periodic sampling over the cluster's servers, which must
+// all have been added by then. Calling Start twice is a no-op.
 func (m *Meter) Start() {
 	if m.started {
 		return
 	}
 	m.started = true
 	m.lastAt = m.eng.Now()
-	for _, s := range m.cl.Servers() {
-		m.lastBusy[s.Name()] = s.BusyCoreTime()
-		m.lastBusyTag[s.Name()] = map[string]time.Duration{}
+	n := m.cl.Size()
+	m.lastBusy = make([]time.Duration, n)
+	m.lastBusyTag = make([]map[string]time.Duration, n)
+	m.last = make([]Sample, n)
+	for i, s := range m.cl.Servers() {
+		m.lastBusy[i] = s.BusyCoreTime()
+		m.lastBusyTag[i] = map[string]time.Duration{}
 		for _, tag := range s.Tags() {
-			m.lastBusyTag[s.Name()][tag] = s.BusyCoreTimeByTag(tag)
+			m.lastBusyTag[i][tag] = s.BusyCoreTimeByTag(tag)
 		}
 	}
 	m.timer = m.eng.Every(m.interval, m.sample)
@@ -109,21 +108,16 @@ func (m *Meter) sample() {
 	var total, dynamic Watts
 	var utilSum float64
 	var coreSum int
-	for _, s := range m.cl.Servers() {
-		name := s.Name()
+	for i, s := range m.cl.Servers() {
 		busy := s.BusyCoreTime()
-		delta := busy - m.lastBusy[name]
-		m.lastBusy[name] = busy
+		delta := busy - m.lastBusy[i]
+		m.lastBusy[i] = busy
 		u := cluster.Utilization(delta, s.Cores(), window)
 		p := m.model.Power(s.Freq(), u)
 		dyn := p - m.model.Idle
 
 		byTag := map[string]Watts{}
-		prevTags := m.lastBusyTag[name]
-		if prevTags == nil {
-			prevTags = map[string]time.Duration{}
-			m.lastBusyTag[name] = prevTags
-		}
+		prevTags := m.lastBusyTag[i]
 		if delta > 0 && dyn > 0 {
 			for _, tag := range s.Tags() {
 				cum := s.BusyCoreTimeByTag(tag)
@@ -140,10 +134,10 @@ func (m *Meter) sample() {
 		}
 
 		sample := Sample{
-			At: now, Server: name, Freq: s.Freq(), Util: u, Power: p, ByTag: byTag,
+			At: now, Server: s.Name(), Freq: s.Freq(), Util: u, Power: p, ByTag: byTag,
 		}
 		m.samples = append(m.samples, sample)
-		m.last[name] = sample
+		m.last[i] = sample
 		total += p
 		dynamic += dyn
 		utilSum += u * float64(s.Cores())
@@ -181,11 +175,34 @@ func (m *Meter) LastCluster() (ClusterSample, bool) {
 	return m.totals[len(m.totals)-1], true
 }
 
-// LastServer returns the most recent reading for the named server and
-// true, or a zero sample and false before the first window closes.
-func (m *Meter) LastServer(name string) (Sample, bool) {
-	s, ok := m.last[name]
-	return s, ok
+// LastServer returns the most recent reading for the server with
+// cluster.Server.Index i and true, or a zero sample and false before the
+// first window closes. Every window samples every server.
+func (m *Meter) LastServer(i int) (Sample, bool) {
+	if len(m.totals) == 0 {
+		return Sample{}, false
+	}
+	return m.last[i], true
+}
+
+// LoadsInto writes each server's load in FreqMax-core units into loads,
+// by cluster.Server.Index: the latest window's utilization at frequency f
+// carries util·f/FreqMax of the work a core does at FreqMax. A backlogged
+// server (non-empty queue) reads 1, since it would absorb all offered
+// capacity at any P-state, and so does a server not sampled yet, the
+// conservative choice for a peak-shaving controller. Model.Predict turns a
+// load back into a draw at any frequency.
+func (m *Meter) LoadsInto(loads []float64) {
+	for i, s := range m.cl.Servers() {
+		switch smp, ok := m.LastServer(i); {
+		case s.QueueLen() > 0:
+			loads[i] = 1
+		case ok:
+			loads[i] = smp.Util * float64(smp.Freq) / float64(cluster.FreqMax)
+		default:
+			loads[i] = 1
+		}
+	}
 }
 
 // ServerSeries returns the readings for one server in time order.

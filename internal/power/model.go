@@ -70,6 +70,18 @@ func (m Model) Power(f cluster.GHz, u float64) Watts {
 	return m.Idle + Watts(u)*(m.PeakAt(f)-m.Idle)
 }
 
+// Predict returns the draw of a server at frequency f carrying load, in
+// FreqMax-core units (see Meter.LoadsInto): the same work keeps FreqMax/f
+// times the cores busy at f, and utilization saturates at 1. Every
+// scheme fits its frequency plan to the budget through this prediction.
+func (m Model) Predict(load float64, f cluster.GHz) Watts {
+	util := load * float64(cluster.FreqMax) / float64(f)
+	if util > 1 {
+		util = 1
+	}
+	return m.Power(f, util)
+}
+
 // Dynamic returns the dynamic component (total minus idle) at (f, u).
 func (m Model) Dynamic(f cluster.GHz, u float64) Watts {
 	return m.Power(f, u) - m.Idle

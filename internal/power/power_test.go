@@ -218,3 +218,67 @@ func TestMeterEmptyBeforeFirstWindow(t *testing.T) {
 		t.Fatal("aggregates over no samples should be 0")
 	}
 }
+
+// TestLoadsIntoRoundTrip: a window's utilization u at frequency f reads as
+// u·f/FreqMax load, and Predict at f turns that load back into the
+// metered draw. Before the first window closes every server reads 1.
+func TestLoadsIntoRoundTrip(t *testing.T) {
+	eng, cl := buildBusyCluster(t)
+	cl.Server("n1").SetFreq(cluster.FreqMin)
+	m := NewMeter(cl, DefaultModel(), 100*time.Millisecond)
+	m.Start()
+	loads := make([]float64, cl.Size())
+	m.LoadsInto(loads)
+	if loads[0] != 1 || loads[1] != 1 {
+		t.Fatalf("unsampled loads = %v, want [1 1]", loads)
+	}
+	eng.RunUntil(sim.Time(time.Second))
+	m.LoadsInto(loads)
+	// n1: util 1 at 1.2 GHz; n2: util 0.5 at FreqMax. Each carries half
+	// a FreqMax core per core.
+	for i := range loads {
+		if math.Abs(loads[i]-0.5) > 1e-9 {
+			t.Fatalf("load[%d] = %v, want 0.5", i, loads[i])
+		}
+		smp, ok := m.LastServer(i)
+		if !ok {
+			t.Fatalf("server %d unsampled after a window", i)
+		}
+		if got := m.Model().Predict(loads[i], smp.Freq); math.Abs(float64(got-smp.Power)) > 1e-9 {
+			t.Fatalf("Predict(%v, %v) = %v, want the metered %v", loads[i], smp.Freq, got, smp.Power)
+		}
+	}
+}
+
+// TestLoadsIntoQueueAware: a backlogged server reads 1 whatever its
+// measured utilization at its current frequency — here a full server at
+// FreqMin, which the normalization alone would read as 0.5.
+func TestLoadsIntoQueueAware(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cl := cluster.New(eng)
+	srv := cl.AddServer("n1", cluster.RoleNormalWorker, 2)
+	srv.SetFreq(cluster.FreqMin)
+	m := NewMeter(cl, DefaultModel(), 100*time.Millisecond)
+	m.Start()
+	for i := 0; i < srv.Cores()+5; i++ {
+		srv.Submit(&cluster.Job{Tag: "x", Demand: 10 * time.Second})
+	}
+	eng.RunUntil(sim.Time(time.Second))
+	loads := make([]float64, 1)
+	m.LoadsInto(loads)
+	if loads[0] != 1 {
+		t.Fatalf("backlogged server load = %v, want 1", loads[0])
+	}
+}
+
+func TestPredictClampsUtil(t *testing.T) {
+	m := DefaultModel()
+	// Load 1.0 at the lowest frequency: utilization clamps to 1.
+	if got := m.Predict(1.0, cluster.FreqMin); math.Abs(float64(got-m.PeakAt(cluster.FreqMin))) > 1e-9 {
+		t.Fatalf("Predict = %v, want peak at fmin %v", got, m.PeakAt(cluster.FreqMin))
+	}
+	// Half a FreqMax core per core fills a server at half frequency.
+	if got := m.Predict(0.5, cluster.FreqMin); got != m.Power(cluster.FreqMin, 1) {
+		t.Fatalf("Predict(0.5, fmin) = %v, want %v", got, m.Power(cluster.FreqMin, 1))
+	}
+}

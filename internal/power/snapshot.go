@@ -1,6 +1,8 @@
 package power
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"servicefridge/internal/sim"
@@ -13,12 +15,12 @@ import (
 // builds a fresh one per row and never mutates it. The per-server cursors
 // are deep-copied because sampling rewrites them in place.
 type MeterState struct {
-	lastBusy    map[string]time.Duration
-	lastBusyTag map[string]map[string]time.Duration
+	lastBusy    []time.Duration
+	lastBusyTag []map[string]time.Duration
+	last        []Sample
 	lastAt      sim.Time
 	samples     []Sample
 	totals      []ClusterSample
-	last        map[string]Sample
 	timer       sim.Timer
 	started     bool
 }
@@ -26,67 +28,36 @@ type MeterState struct {
 // Snapshot captures the meter's state.
 func (m *Meter) Snapshot() *MeterState {
 	s := &MeterState{
-		lastBusy:    make(map[string]time.Duration, len(m.lastBusy)),
-		lastBusyTag: make(map[string]map[string]time.Duration, len(m.lastBusyTag)),
+		lastBusy:    slices.Clone(m.lastBusy),
+		lastBusyTag: make([]map[string]time.Duration, len(m.lastBusyTag)),
+		last:        slices.Clone(m.last),
 		lastAt:      m.lastAt,
-		samples:     append([]Sample(nil), m.samples...),
-		totals:      append([]ClusterSample(nil), m.totals...),
-		last:        make(map[string]Sample, len(m.last)),
+		samples:     slices.Clone(m.samples),
+		totals:      slices.Clone(m.totals),
 		timer:       m.timer,
 		started:     m.started,
 	}
-	for name, d := range m.lastBusy {
-		s.lastBusy[name] = d
-	}
-	for name, tags := range m.lastBusyTag {
-		cp := make(map[string]time.Duration, len(tags))
-		for tag, d := range tags {
-			cp[tag] = d
-		}
-		s.lastBusyTag[name] = cp
-	}
-	for name, sm := range m.last {
-		s.last[name] = sm
+	for i, tags := range m.lastBusyTag {
+		s.lastBusyTag[i] = maps.Clone(tags)
 	}
 	return s
 }
 
-// Restore rewinds the meter to the snapshot. The per-server tag cursor
-// maps are reused in place; tags first seen after the snapshot are removed
-// so the cursor set matches a cold run's exactly.
+// Restore rewinds the meter to the snapshot, which must come from a run
+// of the same cluster. Each server's tag cursor map is cleared and
+// refilled in place, so tags first seen after the snapshot are dropped and
+// the cursor set matches a cold run's exactly.
 func (m *Meter) Restore(s *MeterState) {
+	m.lastBusy = append(m.lastBusy[:0], s.lastBusy...)
+	m.last = append(m.last[:0], s.last...)
 	m.lastAt = s.lastAt
 	m.samples = append(m.samples[:0], s.samples...)
 	m.totals = append(m.totals[:0], s.totals...)
 	m.timer = s.timer
 	m.started = s.started
-	clear(m.lastBusy)
-	for name, d := range s.lastBusy {
-		m.lastBusy[name] = d
-	}
-	for name, tags := range m.lastBusyTag {
-		saved := s.lastBusyTag[name]
-		if saved == nil {
-			delete(m.lastBusyTag, name)
-			continue
-		}
-		clear(tags)
-		for tag, d := range saved {
-			tags[tag] = d
-		}
-	}
-	for name, saved := range s.lastBusyTag {
-		if _, ok := m.lastBusyTag[name]; !ok {
-			cp := make(map[string]time.Duration, len(saved))
-			for tag, d := range saved {
-				cp[tag] = d
-			}
-			m.lastBusyTag[name] = cp
-		}
-	}
-	clear(m.last)
-	for name, sm := range s.last {
-		m.last[name] = sm
+	for i, saved := range s.lastBusyTag {
+		clear(m.lastBusyTag[i])
+		maps.Copy(m.lastBusyTag[i], saved)
 	}
 }
 

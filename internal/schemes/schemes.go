@@ -49,52 +49,80 @@ type Context struct {
 	Rec *obs.Recorder
 }
 
-// normLoad converts a measured utilization at frequency f into normalized
-// work rate in FreqMax-core units: the same busy work needs f_max/f times
-// the cores at frequency f.
-func normLoad(u float64, f cluster.GHz) float64 {
-	return u * float64(f) / float64(cluster.FreqMax)
+// plan is a comparator's working set, sized once in its constructor and
+// indexed by cluster.Server.Index: each server's load from the meter's
+// latest window (power.Meter.LoadsInto) and the frequency the tick plans
+// for it. Every prediction goes through power.Model.Predict, summed in
+// server order, so a tick allocates nothing.
+type plan struct {
+	ctx   *Context
+	loads []float64
+	freq  []cluster.GHz
 }
 
-// predictServer estimates a server's draw at frequency f carrying
-// normalized load l.
-func predictServer(m power.Model, l float64, f cluster.GHz) power.Watts {
-	util := l * float64(cluster.FreqMax) / float64(f)
-	if util > 1 {
-		util = 1
+func newPlan(ctx *Context) plan {
+	n := ctx.Cluster.Size()
+	return plan{ctx: ctx, loads: make([]float64, n), freq: make([]cluster.GHz, n)}
+}
+
+// observe reads the meter's loads and the servers' current frequencies.
+func (p *plan) observe() {
+	p.ctx.Meter.LoadsInto(p.loads)
+	for i, s := range p.ctx.Cluster.Servers() {
+		p.freq[i] = s.Freq()
 	}
-	return m.Power(f, util)
 }
 
-// serverLoads reads the meter's latest per-server samples and returns
-// normalized loads. A server with a backlog (non-empty queue) is saturated
-// regardless of its measured utilization at the current frequency — it
-// would absorb all offered capacity at any P-state — so its load reads 1.
-// Servers without a sample yet are also assumed fully loaded, the
-// conservative choice for a peak-shaving controller.
-func serverLoads(ctx *Context) map[string]float64 {
-	out := make(map[string]float64, ctx.Cluster.Size())
-	for _, s := range ctx.Cluster.Servers() {
-		switch smp, ok := ctx.Meter.LastServer(s.Name()); {
-		case s.QueueLen() > 0:
-			out[s.Name()] = 1
-		case ok:
-			out[s.Name()] = normLoad(smp.Util, smp.Freq)
-		default:
-			out[s.Name()] = 1
-		}
-	}
-	return out
-}
-
-// predictTotal estimates the cluster draw for a per-server frequency plan.
-func predictTotal(ctx *Context, loads map[string]float64, freq func(*cluster.Server) cluster.GHz) power.Watts {
+// total predicts the cluster draw under the plan.
+func (p *plan) total() power.Watts {
 	var total power.Watts
-	m := ctx.Meter.Model()
-	for _, s := range ctx.Cluster.Servers() {
-		total += predictServer(m, loads[s.Name()], freq(s))
+	m := p.ctx.Meter.Model()
+	for i, f := range p.freq {
+		total += m.Predict(p.loads[i], f)
 	}
 	return total
+}
+
+// fits reports whether the predicted draw is within the budget's cap.
+func (p *plan) fits() bool { return p.total() <= p.ctx.Budget.Cap() }
+
+// stepDown lowers server i's planned frequency one P-state, reporting
+// false when it is already at FreqMin.
+func (p *plan) stepDown(i int) bool {
+	if p.freq[i] <= cluster.FreqMin {
+		return false
+	}
+	p.freq[i] = cluster.StepDown(p.freq[i])
+	return true
+}
+
+// raise steps throttled servers back up while the prediction stays under
+// the cap, so schemes recover when load falls.
+func (p *plan) raise() {
+	for guard := 0; guard < 13*len(p.freq); guard++ {
+		raised := false
+		for i, f := range p.freq {
+			if f >= cluster.FreqMax {
+				continue
+			}
+			p.freq[i] = cluster.StepUp(f)
+			if p.fits() {
+				raised = true
+			} else {
+				p.freq[i] = f
+			}
+		}
+		if !raised {
+			return
+		}
+	}
+}
+
+// apply actuates the planned frequencies.
+func (p *plan) apply() {
+	for i, s := range p.ctx.Cluster.Servers() {
+		s.SetFreq(p.freq[i])
+	}
 }
 
 // Baseline performs no power limiting: every server stays at FreqMax.
@@ -112,24 +140,27 @@ func (b *Baseline) Tick() { b.ctx.Cluster.SetAllFreq(cluster.FreqMax) }
 // Capping manages peak power from server utilization: each tick it picks
 // the highest uniform frequency whose predicted cluster draw fits the
 // budget. It is the representative server-level peak-shaving comparator.
-type Capping struct{ ctx *Context }
+type Capping struct{ plan }
 
 // NewCapping returns the uniform utilization-based capper.
-func NewCapping(ctx *Context) *Capping { return &Capping{ctx: ctx} }
+func NewCapping(ctx *Context) *Capping { return &Capping{newPlan(ctx)} }
 
 // Name implements Scheme.
 func (c *Capping) Name() string { return "Capping" }
 
+// pStates is the P-state ladder Capping searches from the top.
+var pStates = cluster.PStates()
+
 // Tick implements Scheme.
 func (c *Capping) Tick() {
-	loads := serverLoads(c.ctx)
-	cap := c.ctx.Budget.Cap()
+	c.ctx.Meter.LoadsInto(c.loads)
 	chosen := cluster.FreqMin
-	states := cluster.PStates()
-	for i := len(states) - 1; i >= 0; i-- {
-		f := states[i]
-		if predictTotal(c.ctx, loads, func(*cluster.Server) cluster.GHz { return f }) <= cap {
-			chosen = f
+	for i := len(pStates) - 1; i >= 0; i-- {
+		for j := range c.freq {
+			c.freq[j] = pStates[i]
+		}
+		if c.fits() {
+			chosen = pStates[i]
 			break
 		}
 	}
@@ -140,62 +171,56 @@ func (c *Capping) Tick() {
 // draw exceeds the budget, the server with the highest current draw steps
 // down one P-state; with headroom, the lowest-draw throttled server steps
 // back up if it still fits.
-type PFirst struct{ ctx *Context }
+type PFirst struct{ plan }
 
 // NewPFirst returns the high-power-as-first scheme.
-func NewPFirst(ctx *Context) *PFirst { return &PFirst{ctx: ctx} }
+func NewPFirst(ctx *Context) *PFirst { return &PFirst{newPlan(ctx)} }
 
 // Name implements Scheme.
 func (p *PFirst) Name() string { return "P-first" }
 
 // Tick implements Scheme.
 func (p *PFirst) Tick() {
-	ctx := p.ctx
-	loads := serverLoads(ctx)
-	cap := ctx.Budget.Cap()
-	m := ctx.Meter.Model()
-	plan := currentPlan(ctx)
-
-	for guard := 0; guard < 13*ctx.Cluster.Size(); guard++ {
-		if predictTotal(ctx, loads, planFreq(plan)) <= cap {
-			break
-		}
-		// Highest predicted draw that can still step down.
-		var victim *cluster.Server
+	p.observe()
+	m := p.ctx.Meter.Model()
+	for guard := 0; guard < 13*len(p.freq) && !p.fits(); guard++ {
+		// Highest predicted draw that can still step down; the first
+		// server in order wins a tie.
+		victim := -1
 		var worst power.Watts = -1
-		for _, s := range ctx.Cluster.Servers() {
-			f := plan[s.Name()]
+		for i, f := range p.freq {
 			if f <= cluster.FreqMin {
 				continue
 			}
-			if d := predictServer(m, loads[s.Name()], f); d > worst {
+			if d := m.Predict(p.loads[i], f); d > worst {
 				worst = d
-				victim = s
+				victim = i
 			}
 		}
-		if victim == nil {
+		if victim < 0 {
 			break
 		}
-		plan[victim.Name()] = cluster.StepDown(plan[victim.Name()])
+		p.stepDown(victim)
 	}
-	raiseWithHeadroom(ctx, loads, plan)
-	applyPlan(ctx, plan)
+	p.raise()
+	p.apply()
 }
 
 // TFirst slows the fastest microservices first (time-driven): services are
 // ranked by profiled execution time ascending and their hosts step down in
 // that order until the budget holds.
 type TFirst struct {
-	ctx  *Context
-	spec *app.Spec
+	plan
 	// order caches service names fastest-first.
 	order []string
+	// nodes is the reused buffer one service's placements are listed into.
+	nodes []*cluster.Server
 }
 
 // NewTFirst returns the time-driven scheme. The spec supplies the offline
 // execution-time profile.
 func NewTFirst(ctx *Context, spec *app.Spec) *TFirst {
-	t := &TFirst{ctx: ctx, spec: spec}
+	t := &TFirst{plan: newPlan(ctx)}
 	type se struct {
 		name string
 		exec time.Duration
@@ -234,85 +259,37 @@ func (t *TFirst) Order() []string { return append([]string(nil), t.order...) }
 
 // Tick implements Scheme.
 func (t *TFirst) Tick() {
-	ctx := t.ctx
-	loads := serverLoads(ctx)
-	cap := ctx.Budget.Cap()
-	plan := currentPlan(ctx)
-
-	for guard := 0; guard < 13*len(t.order)+13*ctx.Cluster.Size(); guard++ {
-		if predictTotal(ctx, loads, planFreq(plan)) <= cap {
+	t.observe()
+	for guard := 0; guard < 13*len(t.order)+13*len(t.freq) && !t.fits(); guard++ {
+		// Once no service host can step down, throttle anything left.
+		if !t.stepFastest() && !t.stepAny() {
 			break
 		}
-		stepped := false
-		for _, svc := range t.order {
-			for _, n := range ctx.Orch.NodesOf(svc) {
-				if plan[n.Name()] > cluster.FreqMin {
-					plan[n.Name()] = cluster.StepDown(plan[n.Name()])
-					stepped = true
-					break
-				}
-			}
-			if stepped {
-				break
-			}
-		}
-		if !stepped {
-			// No service host can step down further; throttle anything left.
-			for _, s := range ctx.Cluster.Servers() {
-				if plan[s.Name()] > cluster.FreqMin {
-					plan[s.Name()] = cluster.StepDown(plan[s.Name()])
-					stepped = true
-					break
-				}
-			}
-			if !stepped {
-				break
+	}
+	t.raise()
+	t.apply()
+}
+
+// stepFastest steps down the first host, in placement order, of the
+// fastest service that has one above FreqMin.
+func (t *TFirst) stepFastest() bool {
+	for _, svc := range t.order {
+		t.nodes = t.ctx.Orch.AppendNodesOf(t.nodes[:0], svc)
+		for _, n := range t.nodes {
+			if t.stepDown(n.Index()) {
+				return true
 			}
 		}
 	}
-	raiseWithHeadroom(ctx, loads, plan)
-	applyPlan(ctx, plan)
+	return false
 }
 
-// currentPlan snapshots the cluster's frequencies.
-func currentPlan(ctx *Context) map[string]cluster.GHz {
-	plan := make(map[string]cluster.GHz, ctx.Cluster.Size())
-	for _, s := range ctx.Cluster.Servers() {
-		plan[s.Name()] = s.Freq()
-	}
-	return plan
-}
-
-func planFreq(plan map[string]cluster.GHz) func(*cluster.Server) cluster.GHz {
-	return func(s *cluster.Server) cluster.GHz { return plan[s.Name()] }
-}
-
-// raiseWithHeadroom steps throttled servers back up while the prediction
-// stays under the cap, so schemes recover when load falls.
-func raiseWithHeadroom(ctx *Context, loads map[string]float64, plan map[string]cluster.GHz) {
-	for guard := 0; guard < 13*ctx.Cluster.Size(); guard++ {
-		raised := false
-		for _, s := range ctx.Cluster.Servers() {
-			f := plan[s.Name()]
-			if f >= cluster.FreqMax {
-				continue
-			}
-			plan[s.Name()] = cluster.StepUp(f)
-			if predictTotal(ctx, loads, planFreq(plan)) <= ctx.Budget.Cap() {
-				raised = true
-			} else {
-				plan[s.Name()] = f
-			}
-		}
-		if !raised {
-			return
+// stepAny steps down the first server, in server order, above FreqMin.
+func (t *TFirst) stepAny() bool {
+	for i := range t.freq {
+		if t.stepDown(i) {
+			return true
 		}
 	}
-}
-
-// applyPlan actuates the frequency plan.
-func applyPlan(ctx *Context, plan map[string]cluster.GHz) {
-	for _, s := range ctx.Cluster.Servers() {
-		s.SetFreq(plan[s.Name()])
-	}
+	return false
 }

@@ -1,7 +1,6 @@
 package schemes
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -167,43 +166,30 @@ func TestSchemesKeepPredictionUnderCapWhenPossible(t *testing.T) {
 		s := mk(ctx)
 		eng.RunFor(time.Second)
 		s.Tick()
-		loads := serverLoads(ctx)
-		got := predictTotal(ctx, loads, func(sv *cluster.Server) cluster.GHz { return sv.Freq() })
-		if got > ctx.Budget.Cap()+1e-9 {
+		p := newPlan(ctx)
+		p.observe()
+		if got := p.total(); got > ctx.Budget.Cap()+1e-9 {
 			t.Fatalf("%s left predicted draw %v above cap %v", s.Name(), got, ctx.Budget.Cap())
 		}
 	}
 }
 
-func TestNormLoadRoundTrip(t *testing.T) {
-	// util u at frequency f represents u*f/fmax normalized work.
-	if math.Abs(normLoad(1.0, 1.2)-0.5) > 1e-9 {
-		t.Fatalf("normLoad(1, 1.2) = %v, want 0.5", normLoad(1.0, 1.2))
-	}
-	if math.Abs(normLoad(0.5, 2.4)-0.5) > 1e-9 {
-		t.Fatal("normLoad at fmax should equal util")
-	}
-}
-
-func TestPredictServerClampsUtil(t *testing.T) {
-	m := power.DefaultModel()
-	// Load 1.0 at the lowest frequency: utilization clamps to 1.
-	got := predictServer(m, 1.0, cluster.FreqMin)
-	if math.Abs(float64(got-m.PeakAt(cluster.FreqMin))) > 1e-9 {
-		t.Fatalf("predictServer = %v, want peak at fmin %v", got, m.PeakAt(cluster.FreqMin))
-	}
-}
-
-func TestServerLoadsQueueAware(t *testing.T) {
-	eng, ctx := testContext(t, 1.0, 0)
-	srv := ctx.Cluster.Servers()[0]
-	// One long job per core plus a backlog.
-	for i := 0; i < srv.Cores()+5; i++ {
-		srv.Submit(&cluster.Job{Tag: "x", Demand: 10 * time.Second})
-	}
-	eng.RunFor(time.Second)
-	loads := serverLoads(ctx)
-	if loads[srv.Name()] != 1 {
-		t.Fatalf("backlogged server load = %v, want 1", loads[srv.Name()])
+// TestSchemeTicksZeroAllocs: under steady load, a Capping, P-first or
+// T-first tick reads the meter, plans and actuates without allocating.
+func TestSchemeTicksZeroAllocs(t *testing.T) {
+	spec := app.TwoRegionStudy()
+	for _, mk := range []func(*Context) Scheme{
+		func(c *Context) Scheme { return NewCapping(c) },
+		func(c *Context) Scheme { return NewPFirst(c) },
+		func(c *Context) Scheme { return NewTFirst(c, spec) },
+	} {
+		eng, ctx := testContext(t, 0.75, 3)
+		ctx.Orch.DeployRoundRobinOver(spec.PlacedServices(), ctx.Cluster.Workers())
+		s := mk(ctx)
+		eng.RunFor(time.Second)
+		s.Tick()
+		if allocs := testing.AllocsPerRun(100, s.Tick); allocs != 0 {
+			t.Errorf("%s tick allocated %.3f objects/op, want 0", s.Name(), allocs)
+		}
 	}
 }

@@ -351,6 +351,11 @@ func TestQueueCancelAndErrors(t *testing.T) {
 		{`{"scheme":"NoSuch"}`, `unknown scheme \"NoSuch\"`},
 		{`{"workload":{"trace":"t_s,region,rate\n0,Z,1"}}`, `trace region \"Z\" is not in the application`},
 		{`{"mix":{"A":1e308,"B":1e308}}`, "mix weights sum to +Inf"},
+		{`{"warmup_s":1e-12,"duration_s":2}`, "warmup_s 1e-12 is shorter than a nanosecond"},
+		{`{"duration_s":1e-12}`, "duration_s 1e-12 is shorter than a nanosecond"},
+		{`{"tick_ms":1e-7}`, "tick_ms 1e-07 is shorter than a nanosecond"},
+		{`{"telemetry":{"interval_ms":1e-7}}`, "telemetry.interval_ms 1e-07 is shorter than a nanosecond"},
+		{`{"telemetry":{"slo_target_ms":1e-7}}`, "telemetry.slo_target_ms 1e-07 is shorter than a nanosecond"},
 	} {
 		if code, body := doReq(t, "POST", ts.URL+"/sessions", tc.body); code != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
 			t.Errorf("POST %s: %d %s, want 400 naming %s", tc.body, code, body, tc.want)
@@ -364,8 +369,12 @@ func TestQueueCancelAndErrors(t *testing.T) {
 	if code, _ := doReq(t, "POST", ts.URL+"/sessions/"+id+"/whatif", `{"at_s":1}`); code != http.StatusBadRequest {
 		t.Errorf("perturbation-free whatif accepted: %d", code)
 	}
-	if code, _ := doReq(t, "POST", ts.URL+"/sessions/"+id+"/whatif", `{"at_s":999,"budget":0.8}`); code != http.StatusUnprocessableEntity {
-		t.Errorf("out-of-range fork time accepted: %d", code)
+	// Fork times past the run's end, including those whose nanoseconds
+	// overflow a sim.Time, are the client's error.
+	for _, body := range []string{`{"at_s":999,"budget":0.8}`, `{"at_s":1e10,"budget":0.8}`, `{"at_s":1e300,"budget":0.8}`} {
+		if code, reply := doReq(t, "POST", ts.URL+"/sessions/"+id+"/whatif", body); code != http.StatusUnprocessableEntity || !strings.Contains(string(reply), "exceeds the run's end") {
+			t.Errorf("out-of-range fork time %s: %d %s, want 422", body, code, reply)
+		}
 	}
 }
 

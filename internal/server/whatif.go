@@ -193,11 +193,15 @@ func branchStats(res *engine.Result, tel *telemetry.Telemetry) branchDoc {
 // the session's own outputs. Telemetry publication is suspended for the
 // duration so /status and the stream never see detour state.
 func (s *session) execWhatif(res *engine.Result, cmd *whatifCmd) {
-	at := sim.Time(cmd.req.AtS * 1e9)
-	if total := res.Total(); at > total {
+	// The range is checked in float nanoseconds, before sim.Time wraps a
+	// value past the int64 range: the conversion truncates, so the fork
+	// time exceeds the end exactly when ns >= total+1.
+	ns := cmd.req.AtS * 1e9
+	if total := res.Total(); ns >= float64(total)+1 {
 		cmd.fail(statusUnprocessable, fmt.Sprintf("at_s %v exceeds the run's end at %v s", cmd.req.AtS, total.Seconds()))
 		return
 	}
+	at := sim.Time(ns)
 
 	// Traffic perturbations are validated — and the swap profile built —
 	// before any fork, so a bad query fails fast with the session

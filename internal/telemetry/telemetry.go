@@ -132,8 +132,9 @@ type ControllerProbe interface {
 	// WarmUtilization is the live warm-zone mean utilization Algorithm 1
 	// compares against α/β.
 	WarmUtilization() (float64, bool)
-	// MCFInto writes the normalized MCF of each named service.
-	MCFInto(services []string, out []float64) bool
+	// MCFInto writes the normalized MCF of each service, indexed by
+	// service ID (the order of Bindings.Services).
+	MCFInto(out []float64) bool
 	// Promotions and Demotions are cumulative Algorithm 1 action counts.
 	Promotions() uint64
 	Demotions() uint64
@@ -411,7 +412,7 @@ func (t *Telemetry) Sample() {
 			c.ZoneFreqsInto(&row.ZoneGHz)
 		}
 		row.WarmUtil, row.HasWarm = c.WarmUtilization()
-		row.HasMCF = c.MCFInto(t.b.Services, row.MCF)
+		row.HasMCF = c.MCFInto(row.MCF)
 		row.Promotions, row.Demotions = c.Promotions(), c.Demotions()
 	}
 	row.Alpha, row.Beta = t.b.Alpha, t.b.Beta

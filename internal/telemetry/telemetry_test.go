@@ -15,12 +15,15 @@ import (
 	"servicefridge/internal/sim"
 )
 
-// fakeProbe is a scripted ControllerProbe.
+// fakeProbe is a scripted ControllerProbe. It scripts MCF by service
+// name and keeps the service names it was bound with, so MCFInto can
+// write them by ID.
 type fakeProbe struct {
 	zoneW, zoneGHz [3]float64
 	warm           float64
 	hasWarm        bool
 	mcf            map[string]float64
+	services       []string
 	promos, demos  uint64
 	ready          bool
 }
@@ -43,12 +46,12 @@ func (f *fakeProbe) ZoneFreqsInto(out *[3]float64) bool {
 
 func (f *fakeProbe) WarmUtilization() (float64, bool) { return f.warm, f.hasWarm }
 
-func (f *fakeProbe) MCFInto(services []string, out []float64) bool {
+func (f *fakeProbe) MCFInto(out []float64) bool {
 	if !f.ready {
 		return false
 	}
-	for i, s := range services {
-		out[i] = f.mcf[s]
+	for id, s := range f.services {
+		out[id] = f.mcf[s]
 	}
 	return true
 }
@@ -84,6 +87,7 @@ func newHarness(t *testing.T, opt Options, probe *fakeProbe) *harness {
 		Beta:       0.25,
 	}
 	if probe != nil {
+		probe.services = b.Services
 		b.Controller = probe
 	}
 	if err := h.tel.Bind(b); err != nil {
