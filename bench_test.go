@@ -74,6 +74,48 @@ func BenchmarkExtEvents(b *testing.B)   { benchExperiment(b, "ext-events") }
 func BenchmarkExtCritPath(b *testing.B) { benchExperiment(b, "ext-critpath") }
 func BenchmarkExtSLO(b *testing.B)      { benchExperiment(b, "ext-slo") }
 
+// sinkSummaries keeps BenchmarkForkedCell's results alive.
+var sinkSummaries [2]metrics.Summary
+
+// BenchmarkForkedCell measures one Figure 15 sweep cell on the study run
+// every fig15 sweep forks (ServiceFridge, 25+25 workers, 5 s warmup +
+// 25 s): restore the warmed snapshot, set a budget, finish, and summarize
+// both regions. The run is built, warmed to WarmBarrier and snapshotted
+// once, and one cell runs before the timer starts, so the allocs/op and
+// ns/op ceilings in bench_gates.json gate a cell that reuses what earlier
+// cells made. A cell is tens of milliseconds: CI runs this benchmark in a
+// short step of its own, not in the 100000x hot-path step.
+func BenchmarkForkedCell(b *testing.B) {
+	budgets := []float64{1.0, 0.95, 0.90, 0.85, 0.80, 0.75}
+	pools := map[string]int{"A": 25, "B": 25}
+	donor := engine.Build(engine.Config{
+		Seed:           1,
+		Scheme:         engine.ServiceFridge,
+		BudgetFraction: budgets[0],
+		MaxRequired:    engine.CalibrateMaxRequired(engine.Config{Seed: 1, PoolWorkers: pools, Duration: 20 * time.Second}),
+		PoolWorkers:    pools,
+		Warmup:         5 * time.Second,
+		Duration:       25 * time.Second,
+	})
+	donor.Engine.RunUntil(donor.WarmBarrier())
+	snap := donor.Snapshot()
+	cell := func(frac float64) {
+		donor.Restore(snap)
+		donor.SetBudgetFraction(frac)
+		donor.Finish()
+		sinkSummaries = [2]metrics.Summary{donor.Summary("A"), donor.Summary("B")}
+	}
+	cell(budgets[len(budgets)-1])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cell(budgets[i%len(budgets)])
+	}
+	if sinkSummaries[0].Count == 0 {
+		b.Fatal("the cell completed no region-A request")
+	}
+}
+
 // ---------------------------------------------------------------------
 // Parallel experiment executor: sequential vs parallel regeneration of
 // the full paper registry (EXPERIMENTS.md "Runtime & parallelism").

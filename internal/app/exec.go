@@ -34,9 +34,9 @@ func (f PlacementFunc) Route(service string) func() *cluster.Server {
 // per invocation into the trace collector.
 //
 // Request state lives in pooled request/callRun/invocation objects rather
-// than closure chains: the steady-state hot path allocates nothing, and the
-// live object sets are enumerable, which is what makes the executor
-// snapshot/restorable for warm-started sweeps.
+// than closure chains: the steady-state hot path allocates nothing, and
+// each sim.Pool snapshots and restores its live objects, which is what
+// makes the executor snapshot/restorable for forked runs.
 type Executor struct {
 	eng   *sim.Engine
 	spec  *Spec
@@ -67,30 +67,26 @@ type Executor struct {
 	// measures, so invocation seconds stay inside the dispatch scope.
 	prof *prof.Profiler
 
-	// live sets (index-tracked, swap-removed) and free pools; free
+	// reqs and calls pool the in-flight requests and call runs;
 	// invocations are pooled per service, in svcs.
-	liveReqs  []*request
-	liveCalls []*callRun
-	liveInvs  []*invocation
-	freeReqs  []*request
-	freeCalls []*callRun
+	reqs  sim.Pool[request]
+	calls sim.Pool[callRun]
 }
 
 // serviceState is the executor's state for one service: its placement
-// handle, resolved on the service's first invocation, and its free
+// handle, resolved on the service's first invocation, and its
 // invocations. Pooling invocations per service keeps a recycled
 // invocation's job under the same Tag, so the server it lands on again
 // reuses the job's cached busy-time cell instead of looking the tag up.
 type serviceState struct {
-	route    func() *cluster.Server
-	freeInvs []*invocation
+	route func() *cluster.Server
+	invs  sim.Pool[invocation]
 }
 
 // request is one in-flight end-to-end request: the API invocation followed
 // by the region's stages.
 type request struct {
-	x       *Executor
-	liveIdx int
+	x *Executor
 
 	region    *Region
 	tr        *trace.Trace
@@ -102,8 +98,7 @@ type request struct {
 // callRun drives one Call of a stage: Times invocations with at most
 // Concurrency in flight.
 type callRun struct {
-	x       *Executor
-	liveIdx int
+	x *Executor
 
 	req               *request
 	call              Call
@@ -116,8 +111,7 @@ type callRun struct {
 // built once per object and reused across pool recycles — they capture
 // only the invocation pointer itself.
 type invocation struct {
-	x       *Executor
-	liveIdx int
+	x *Executor
 
 	req    *request // owner when this is the region's API invocation
 	cr     *callRun // owner when this is a stage-call invocation
@@ -135,11 +129,23 @@ type invocation struct {
 
 // NewExecutor builds an executor. rng should be a dedicated sub-stream.
 func NewExecutor(eng *sim.Engine, spec *Spec, place Placement, col *trace.Collector, rng *sim.RNG) *Executor {
-	return &Executor{
+	x := &Executor{
 		eng: eng, spec: spec, place: place, col: col, rng: rng,
 		NetDelay: 100 * time.Microsecond,
 		svcs:     make([]serviceState, spec.NumServices()),
 	}
+	x.reqs.New = func(r *request) { r.x = x }
+	x.calls.New = func(c *callRun) { c.x = x }
+	newInv := func(inv *invocation) {
+		inv.x = x
+		inv.submitFn = inv.submit
+		inv.job.OnStart = inv.onStart
+		inv.job.OnDone = inv.onDone
+	}
+	for i := range x.svcs {
+		x.svcs[i].invs.New = newInv
+	}
+	return x
 }
 
 // SetProfiler attaches a phase profiler to the executor's invocation
@@ -161,7 +167,7 @@ func (x *Executor) Launch(regionName string, onDone func(*trace.Trace)) {
 		panic(fmt.Sprintf("app: Launch on unknown region %q", regionName))
 	}
 	x.launched++
-	req := x.acquireReq()
+	req := x.reqs.Get()
 	req.region = r
 	req.tr = x.col.StartTrace(regionName, x.eng.Now())
 	req.onDone = onDone
@@ -189,7 +195,7 @@ func (r *request) startStage(idx int) {
 	r.stageLeft = len(stages[idx])
 	for i := range stages[idx] {
 		c := stages[idx][i]
-		cr := x.acquireCall()
+		cr := x.calls.Get()
 		cr.req = r
 		cr.call = c
 		cr.issued, cr.completed = 0, 0
@@ -220,7 +226,7 @@ func (r *request) finish() {
 	x.completed++
 	tr := x.col.FinishTrace(r.tr, x.eng.Now())
 	onDone := r.onDone
-	x.releaseReq(r)
+	x.reqs.Put(r)
 	if onDone != nil {
 		onDone(tr)
 	}
@@ -243,7 +249,11 @@ func (x *Executor) invoke(req *request, cr *callRun, tr *trace.Trace, ms *Micros
 	if ms.Jitter > 0 {
 		demand = time.Duration(x.rng.Draw(dist))
 	}
-	inv := x.acquireInv(ms)
+	sv := &x.svcs[ms.id]
+	if sv.route == nil {
+		sv.route = x.place.Route(ms.Name)
+	}
+	inv := sv.invs.Get()
 	inv.req, inv.cr, inv.tr = req, cr, tr
 	inv.ms, inv.demand = ms, demand
 	if x.NetDelay > 0 {
@@ -290,12 +300,12 @@ func (inv *invocation) onDone() {
 		x.OnExec(inv.ms.id, now.Sub(inv.started))
 	}
 	req, cr := inv.req, inv.cr
-	x.releaseInv(inv)
+	x.svcs[inv.ms.id].invs.Put(inv)
 	if cr != nil {
 		cr.completed++
 		if cr.completed == cr.call.Times {
 			r := cr.req
-			x.releaseCall(cr)
+			x.calls.Put(cr)
 			r.callDone()
 			return
 		}
@@ -304,89 +314,4 @@ func (inv *invocation) onDone() {
 	}
 	// The API-layer job finished: drive the stages.
 	req.startStage(0)
-}
-
-// --- pools -----------------------------------------------------------------
-
-func (x *Executor) acquireReq() *request {
-	var r *request
-	if n := len(x.freeReqs); n > 0 {
-		r = x.freeReqs[n-1]
-		x.freeReqs[n-1] = nil
-		x.freeReqs = x.freeReqs[:n-1]
-	} else {
-		r = &request{x: x}
-	}
-	r.liveIdx = len(x.liveReqs)
-	x.liveReqs = append(x.liveReqs, r)
-	return r
-}
-
-func (x *Executor) releaseReq(r *request) {
-	n := len(x.liveReqs) - 1
-	last := x.liveReqs[n]
-	x.liveReqs[r.liveIdx] = last
-	last.liveIdx = r.liveIdx
-	x.liveReqs[n] = nil
-	x.liveReqs = x.liveReqs[:n]
-	r.region, r.tr, r.onDone = nil, nil, nil
-	x.freeReqs = append(x.freeReqs, r)
-}
-
-func (x *Executor) acquireCall() *callRun {
-	var c *callRun
-	if n := len(x.freeCalls); n > 0 {
-		c = x.freeCalls[n-1]
-		x.freeCalls[n-1] = nil
-		x.freeCalls = x.freeCalls[:n-1]
-	} else {
-		c = &callRun{x: x}
-	}
-	c.liveIdx = len(x.liveCalls)
-	x.liveCalls = append(x.liveCalls, c)
-	return c
-}
-
-func (x *Executor) releaseCall(c *callRun) {
-	n := len(x.liveCalls) - 1
-	last := x.liveCalls[n]
-	x.liveCalls[c.liveIdx] = last
-	last.liveIdx = c.liveIdx
-	x.liveCalls[n] = nil
-	x.liveCalls = x.liveCalls[:n]
-	c.req = nil
-	x.freeCalls = append(x.freeCalls, c)
-}
-
-func (x *Executor) acquireInv(ms *Microservice) *invocation {
-	sv := &x.svcs[ms.id]
-	if sv.route == nil {
-		sv.route = x.place.Route(ms.Name)
-	}
-	var inv *invocation
-	if n := len(sv.freeInvs); n > 0 {
-		inv = sv.freeInvs[n-1]
-		sv.freeInvs[n-1] = nil
-		sv.freeInvs = sv.freeInvs[:n-1]
-	} else {
-		inv = &invocation{x: x}
-		inv.submitFn = inv.submit
-		inv.job.OnStart = inv.onStart
-		inv.job.OnDone = inv.onDone
-	}
-	inv.liveIdx = len(x.liveInvs)
-	x.liveInvs = append(x.liveInvs, inv)
-	return inv
-}
-
-func (x *Executor) releaseInv(inv *invocation) {
-	n := len(x.liveInvs) - 1
-	last := x.liveInvs[n]
-	x.liveInvs[inv.liveIdx] = last
-	last.liveIdx = inv.liveIdx
-	x.liveInvs[n] = nil
-	x.liveInvs = x.liveInvs[:n]
-	sv := &x.svcs[inv.ms.id]
-	inv.req, inv.cr, inv.tr, inv.ms, inv.host = nil, nil, nil, nil, nil
-	sv.freeInvs = append(sv.freeInvs, inv)
 }

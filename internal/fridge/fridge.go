@@ -126,10 +126,8 @@ type Fridge struct {
 	promotions uint64
 	demotions  uint64
 
-	// liveRelays and freeRelays pool the request-completion relays of
-	// WrapLauncher (live set index-tracked and swap-removed).
-	liveRelays []*relay
-	freeRelays []*relay
+	// relays pools the request-completion relays of WrapLauncher.
+	relays sim.Pool[relay]
 
 	// Orders fixed by the spec, computed once in New: graph services in
 	// name order (byName) with each one's position there (nameRank) and
@@ -192,6 +190,10 @@ func New(ctx *schemes.Context, spec *app.Spec) *Fridge {
 	}
 	for id := range f.adjustBase {
 		f.adjustBase[id] = noBase
+	}
+	f.relays.New = func(r *relay) {
+		r.f = f
+		r.fn = r.done
 	}
 	byName := func(a, b int) int {
 		return strings.Compare(spec.ServiceByID(a).Name, spec.ServiceByID(b).Name)
@@ -349,7 +351,9 @@ type countingLauncher struct {
 
 func (l *countingLauncher) Launch(region string, onDone func(*trace.Trace)) {
 	l.f.counter.Observe(region)
-	l.inner.Launch(region, l.f.acquireRelay(onDone).fn)
+	r := l.f.relays.Get()
+	r.onDone = onDone
+	l.inner.Launch(region, r.fn)
 }
 
 // relay carries one in-flight request's completion: it retires the
@@ -358,46 +362,18 @@ func (l *countingLauncher) Launch(region string, onDone func(*trace.Trace)) {
 // allocates nothing in steady state; the live set is snapshotted like the
 // executor's request objects, which hold the relays' fn.
 type relay struct {
-	f       *Fridge
-	liveIdx int
-	onDone  func(*trace.Trace)
-	fn      func(*trace.Trace)
+	f      *Fridge
+	onDone func(*trace.Trace)
+	fn     func(*trace.Trace)
 }
 
 func (r *relay) done(tr *trace.Trace) {
 	f, onDone := r.f, r.onDone
 	f.counter.Complete(tr.Region)
-	f.releaseRelay(r)
+	f.relays.Put(r)
 	if onDone != nil {
 		onDone(tr)
 	}
-}
-
-func (f *Fridge) acquireRelay(onDone func(*trace.Trace)) *relay {
-	var r *relay
-	if n := len(f.freeRelays); n > 0 {
-		r = f.freeRelays[n-1]
-		f.freeRelays[n-1] = nil
-		f.freeRelays = f.freeRelays[:n-1]
-	} else {
-		r = &relay{f: f}
-		r.fn = r.done
-	}
-	r.onDone = onDone
-	r.liveIdx = len(f.liveRelays)
-	f.liveRelays = append(f.liveRelays, r)
-	return r
-}
-
-func (f *Fridge) releaseRelay(r *relay) {
-	n := len(f.liveRelays) - 1
-	last := f.liveRelays[n]
-	f.liveRelays[r.liveIdx] = last
-	last.liveIdx = r.liveIdx
-	f.liveRelays[n] = nil
-	f.liveRelays = f.liveRelays[:n]
-	r.onDone = nil
-	f.freeRelays = append(f.freeRelays, r)
 }
 
 // loadInto writes the region load driving this tick's MCF computation into

@@ -5,7 +5,7 @@ import (
 
 	"servicefridge/internal/cluster"
 	"servicefridge/internal/core"
-	"servicefridge/internal/trace"
+	"servicefridge/internal/sim"
 )
 
 // State is a deep copy of the controller's mutable state: the Algorithm-1
@@ -30,13 +30,7 @@ type State struct {
 	promotions      uint64
 	demotions       uint64
 	counter         *core.CounterState
-	relays          []relaySnap
-}
-
-// relaySnap is a live relay and the callback it carried at snapshot time.
-type relaySnap struct {
-	ptr    *relay
-	onDone func(*trace.Trace)
+	relays          sim.PoolState[relay]
 }
 
 // Snapshot captures the controller's state.
@@ -59,10 +53,7 @@ func (f *Fridge) Snapshot() *State {
 		promotions:      f.promotions,
 		demotions:       f.demotions,
 		counter:         f.counter.Snapshot(),
-		relays:          make([]relaySnap, len(f.liveRelays)),
-	}
-	for i, r := range f.liveRelays {
-		s.relays[i] = relaySnap{ptr: r, onDone: r.onDone}
+		relays:          f.relays.Snapshot(),
 	}
 	for z, list := range f.zoneServers {
 		s.zoneServers[z] = slices.Clone(list)
@@ -72,9 +63,7 @@ func (f *Fridge) Snapshot() *State {
 
 // Restore rewinds the controller to the snapshot. LoadOverride is restored
 // by reference (experiment cells treat it as an input, not state); warm
-// sweeps overwrite it per cell after restoring. The relay free pool is
-// dropped, as the executor drops its pools: a relay freed after the
-// snapshot may be live again once the executor rewinds.
+// sweeps overwrite it per cell after restoring.
 func (f *Fridge) Restore(s *State) {
 	f.Alpha, f.Beta = s.alpha, s.beta
 	f.LoadOverride = s.loadOverride
@@ -95,12 +84,5 @@ func (f *Fridge) Restore(s *State) {
 	f.promotions = s.promotions
 	f.demotions = s.demotions
 	f.counter.Restore(s.counter)
-	clear(f.freeRelays)
-	f.freeRelays = f.freeRelays[:0]
-	clear(f.liveRelays)
-	f.liveRelays = f.liveRelays[:0]
-	for i, rs := range s.relays {
-		rs.ptr.onDone, rs.ptr.liveIdx = rs.onDone, i
-		f.liveRelays = append(f.liveRelays, rs.ptr)
-	}
+	f.relays.Restore(s.relays)
 }

@@ -45,7 +45,7 @@ type Context struct {
 	Orch   *orchestrator.Orchestrator
 	// Rec, when non-nil, receives the controller's decision events (zone
 	// splits, migrations, DVFS steps). A nil recorder disables recording;
-	// obs.Recorder methods are nil-safe, so schemes emit unconditionally.
+	// emit sites check for it first, so a tick without one boxes no event.
 	Rec *obs.Recorder
 }
 
@@ -118,10 +118,24 @@ func (p *plan) raise() {
 	}
 }
 
-// apply actuates the planned frequencies.
+// apply actuates the planned frequencies in server order. With a
+// recorder attached, every server whose frequency moves emits a
+// FreqChange in the "cluster" zone, carrying the plan's predicted draw
+// against the cap as its cause.
 func (p *plan) apply() {
+	rec := p.ctx.Rec
+	var fit obs.Cause
+	if rec != nil {
+		fit = obs.Cause{Signal: "budget-fit", Value: float64(p.total()), Bound: float64(p.ctx.Budget.Cap())}
+	}
 	for i, s := range p.ctx.Cluster.Servers() {
+		prev := s.Freq()
 		s.SetFreq(p.freq[i])
+		if rec != nil && s.Freq() != prev {
+			rec.Emit(p.ctx.Cluster.Engine().Now(), obs.FreqChange{
+				Server: s.Name(), Zone: "cluster", GHz: float64(s.Freq()), Cause: fit,
+			})
+		}
 	}
 }
 
@@ -151,20 +165,19 @@ func (c *Capping) Name() string { return "Capping" }
 // pStates is the P-state ladder Capping searches from the top.
 var pStates = cluster.PStates()
 
-// Tick implements Scheme.
+// Tick implements Scheme. When no P-state fits, the plan stays at the
+// lowest, FreqMin.
 func (c *Capping) Tick() {
 	c.ctx.Meter.LoadsInto(c.loads)
-	chosen := cluster.FreqMin
 	for i := len(pStates) - 1; i >= 0; i-- {
 		for j := range c.freq {
 			c.freq[j] = pStates[i]
 		}
 		if c.fits() {
-			chosen = pStates[i]
 			break
 		}
 	}
-	c.ctx.Cluster.SetAllFreq(chosen)
+	c.apply()
 }
 
 // PFirst throttles the power-hungriest servers first: while the predicted

@@ -1,11 +1,13 @@
 package schemes
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 
 	"servicefridge/internal/app"
 	"servicefridge/internal/cluster"
+	"servicefridge/internal/obs"
 	"servicefridge/internal/orchestrator"
 	"servicefridge/internal/power"
 	"servicefridge/internal/sim"
@@ -191,5 +193,49 @@ func TestSchemeTicksZeroAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, s.Tick); allocs != 0 {
 			t.Errorf("%s tick allocated %.3f objects/op, want 0", s.Name(), allocs)
 		}
+	}
+}
+
+// TestComparatorsRecordFreqSteps: with a recorder attached, a Capping,
+// P-first or T-first tick emits one freq_change per SetFreq that moved a
+// frequency, in server order and at the tick's time, in the "cluster"
+// zone, with the plan's predicted draw against the cap as its cause.
+func TestComparatorsRecordFreqSteps(t *testing.T) {
+	spec := app.TwoRegionStudy()
+	rng := rand.New(rand.NewPCG(21, 1))
+	steps := 0
+	for trial := 0; trial < 60; trial++ {
+		ctx := randomContext(rng, spec)
+		servers := ctx.Cluster.Servers()
+		for _, s := range []Scheme{NewCapping(ctx), NewPFirst(ctx), NewTFirst(ctx, spec)} {
+			ctx.Rec = obs.NewRecorder(0)
+			before := make([]uint64, len(servers))
+			for i, srv := range servers {
+				before[i] = srv.FreqChanges()
+			}
+			s.Tick()
+			p := newPlan(ctx)
+			p.observe()
+			fit := obs.Cause{Signal: "budget-fit", Value: float64(p.total()), Bound: float64(ctx.Budget.Cap())}
+			var want []obs.FreqChange
+			for i, srv := range servers {
+				if srv.FreqChanges() != before[i] {
+					want = append(want, obs.FreqChange{Server: srv.Name(), Zone: "cluster", GHz: float64(srv.Freq()), Cause: fit})
+				}
+			}
+			got := ctx.Rec.Events()
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: %s recorded %d freq_change events for %d frequency steps", trial, s.Name(), len(got), len(want))
+			}
+			for i, rec := range got {
+				if rec.Ev != want[i] || rec.At != ctx.Cluster.Engine().Now() {
+					t.Fatalf("trial %d: %s event %d = %+v at %v, want %+v", trial, s.Name(), i, rec.Ev, rec.At, want[i])
+				}
+			}
+			steps += len(want)
+		}
+	}
+	if steps < 100 {
+		t.Fatalf("only %d frequency steps over every trial", steps)
 	}
 }

@@ -24,7 +24,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -42,6 +46,30 @@ const (
 	statusUnprocessable = http.StatusUnprocessableEntity
 	statusInternal      = http.StatusInternalServerError
 )
+
+// MaxBodyBytes bounds the body of POST /sessions and POST
+// /sessions/{id}/whatif: a longer one is answered 413 before anything
+// decodes it. A committed scenario is under 1 KB; the room is for a
+// scenario's inline workload.trace, which for a day of per-second rows in
+// two regions is about 2.7 MB.
+const MaxBodyBytes = 8 << 20
+
+// readBody reads the request body, answering 413 (or 400 when the read
+// fails) and returning false when it cannot be read within MaxBodyBytes.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds the limit of %d bytes", MaxBodyBytes))
+		return nil, false
+	case err != nil:
+		writeError(w, http.StatusBadRequest, err.Error())
+		return nil, false
+	}
+	return body, true
+}
 
 func errorBody(msg string) []byte {
 	body, _ := json.Marshal(map[string]string{"error": msg})
@@ -166,7 +194,11 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 
 // handleCreate accepts a scenario spec and starts a session for it.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	sc, err := experiments.LoadScenario(r.Body)
+	raw, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	sc, err := experiments.LoadScenario(bytes.NewReader(raw))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -306,7 +338,11 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	req, err := parseWhatIf(r.Body)
+	raw, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	req, err := parseWhatIf(bytes.NewReader(raw))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

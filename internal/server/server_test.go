@@ -614,3 +614,31 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatalf("non-integer tick: status %d, want 400", code)
 	}
 }
+
+// TestBodyLimit: a POST body one byte over MaxBodyBytes is answered 413
+// with the limit named, on both routes that take a body, and a valid
+// scenario padded to exactly the limit is accepted.
+func TestBodyLimit(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	pad := func(doc string, n int) string { return doc + strings.Repeat(" ", n-len(doc)) }
+	limit := fmt.Sprint(MaxBodyBytes)
+
+	code, body := doReq(t, "POST", ts.URL+"/sessions", pad(shortScenario, MaxBodyBytes+1))
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), limit) {
+		t.Fatalf("scenario one byte over the limit: %d %s, want 413 naming %s", code, body, limit)
+	}
+	code, body = doReq(t, "POST", ts.URL+"/sessions", pad(shortScenario, MaxBodyBytes))
+	if code != http.StatusCreated {
+		t.Fatalf("scenario padded to the limit: %d %s, want 201", code, body)
+	}
+	var doc struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	code, body = doReq(t, "POST", ts.URL+"/sessions/"+doc.ID+"/whatif", pad(`{"at_s":1,"budget":0.8}`, MaxBodyBytes+1))
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), limit) {
+		t.Fatalf("what-if one byte over the limit: %d %s, want 413 naming %s", code, body, limit)
+	}
+}

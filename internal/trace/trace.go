@@ -54,9 +54,6 @@ type Trace struct {
 	// Spans lists every invocation, in dispatch order.
 	Spans []Span
 	done  bool
-	// openIdx is the trace's index in its collector's open list while open
-	// (int32 packs it beside done, keeping Trace at its former size).
-	openIdx int32
 }
 
 // Response returns the request's end-to-end response time.
@@ -171,11 +168,9 @@ type Collector struct {
 	records []Trace
 	spans   []Span
 
-	// openList tracks the open traces (index-tracked, swap-removed) so a
-	// snapshot can enumerate (and a restore rewind) in-flight requests;
-	// free holds finished ones for reuse.
-	openList []*Trace
-	free     []*Trace
+	// open pools the open traces, so a snapshot can enumerate (and a
+	// restore rewind) in-flight requests, and finished ones are reused.
+	open sim.Pool[Trace]
 }
 
 // NewCollector returns an empty collector that retains spans.
@@ -217,18 +212,8 @@ func (c *Collector) Grow(nTraces int) {
 // trace object may be a recycled one.
 func (c *Collector) StartTrace(region string, at sim.Time) *Trace {
 	c.nextID++
-	var t *Trace
-	if n := len(c.free); n > 0 {
-		t = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		t = new(Trace)
-	}
-	*t = Trace{
-		ID: c.nextID, Region: region, Begin: at,
-		Spans: t.Spans[:0], openIdx: int32(len(c.openList)),
-	}
-	c.openList = append(c.openList, t)
+	t := c.open.Get()
+	*t = Trace{ID: c.nextID, Region: region, Begin: at, Spans: t.Spans[:0]}
 	return t
 }
 
@@ -253,13 +238,7 @@ func (c *Collector) FinishTrace(t *Trace, at sim.Time) *Trace {
 	}
 	t.Finish = at
 	t.done = true
-	n := len(c.openList) - 1
-	last := c.openList[n]
-	c.openList[t.openIdx] = last
-	last.openIdx = t.openIdx
-	c.openList[n] = nil
-	c.openList = c.openList[:n]
-	c.free = append(c.free, t)
+	c.open.Put(t)
 	rec := t
 	if c.KeepSpans {
 		// The record gets a copy of the spans; the recycled trace keeps
@@ -313,7 +292,7 @@ func (c *Collector) retain(spans []Span) []Span {
 func (c *Collector) Traces() []*Trace { return c.traces }
 
 // Open returns the number of traces started but not finished.
-func (c *Collector) Open() int { return len(c.openList) }
+func (c *Collector) Open() int { return c.open.Live() }
 
 // Count returns the number of completed traces, optionally filtered by
 // region ("" matches all).

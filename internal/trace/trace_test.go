@@ -117,3 +117,57 @@ func TestAddSpanAfterFinishPanics(t *testing.T) {
 	}()
 	c.AddSpan(tr, Span{Service: "s"})
 }
+
+func spanNames(spans []Span) string {
+	var out string
+	for _, s := range spans {
+		out += s.Service + " "
+	}
+	return out
+}
+
+// TestRestoreRevivesOpenTracesWithOwnSpans: a restore revives each open
+// trace with its saved spans, in a buffer no other trace shares, after
+// its object was reused by other requests; and the snapshot restores
+// again afterwards.
+func TestRestoreRevivesOpenTracesWithOwnSpans(t *testing.T) {
+	c := NewCollector()
+	add := func(tr *Trace, names ...string) {
+		for _, n := range names {
+			c.AddSpan(tr, Span{Service: n})
+		}
+	}
+	a := c.StartTrace("A", ms(0))
+	b := c.StartTrace("B", ms(0))
+	add(a, "a1", "a2")
+	add(b, "b1")
+	snap := c.Snapshot()
+	c.FinishTrace(a, ms(1))
+	c.FinishTrace(b, ms(1))
+	x := c.StartTrace("A", ms(2)) // reuses the trace objects
+	y := c.StartTrace("B", ms(2))
+	add(x, "x1")
+	add(y, "y1", "y2", "y3", "y4", "y5")
+
+	for round := 0; round < 2; round++ {
+		c.Restore(snap)
+		if c.Open() != 2 {
+			t.Fatalf("round %d: %d open traces after restore, want 2", round, c.Open())
+		}
+		add(a, "a3")
+		add(b, "b2")
+		if got := spanNames(a.Spans); got != "a1 a2 a3 " {
+			t.Fatalf("round %d: revived trace A holds spans %q", round, got)
+		}
+		if got := spanNames(b.Spans); got != "b1 b2 " {
+			t.Fatalf("round %d: revived trace B holds spans %q", round, got)
+		}
+		recA := c.FinishTrace(a, ms(3))
+		recB := c.FinishTrace(b, ms(3))
+		if spanNames(recA.Spans) != "a1 a2 a3 " || spanNames(recB.Spans) != "b1 b2 " {
+			t.Fatalf("round %d: records hold %q and %q", round, spanNames(recA.Spans), spanNames(recB.Spans))
+		}
+		z := c.StartTrace("A", ms(4))
+		add(z, "z1", "z2", "z3")
+	}
+}
