@@ -328,6 +328,33 @@ func BenchmarkEngineCalendar(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineCalendar24 measures the same cycle at the population the
+// simulator runs at: 24 pending events (fig15 holds 8–31 at 99% of its
+// heap pops), each new one due a pseudo-random delay in [0, 1 s) ahead,
+// the shape of sfbench's sim.calendar_ns probe. At this size the heap is
+// two levels deep and the earliest child of a family is a coin toss, so
+// this is the case siftDown's branch-free tournament is for. Steady state
+// is allocation-free (gated via bench_gates.json).
+func BenchmarkEngineCalendar24(b *testing.B) {
+	b.ReportAllocs()
+	rng := sim.NewRNG(1)
+	delays := make([]time.Duration, 4096)
+	for i := range delays {
+		delays[i] = time.Duration(rng.Intn(int(time.Second)))
+	}
+	eng := sim.NewEngine(1)
+	fn := sim.Handler(func() {})
+	eng.Grow(64)
+	for i := 0; i < 24; i++ {
+		eng.Schedule(delays[i], fn)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Schedule(delays[i%len(delays)], fn)
+		eng.Step()
+	}
+}
+
 // BenchmarkEngineTimerChurn measures the cancellable-timer cycle: arm,
 // cancel, and reclaim-at-pop through the generation-counter slot table.
 func BenchmarkEngineTimerChurn(b *testing.B) {

@@ -207,6 +207,27 @@ func TestRejections(t *testing.T) {
 			want []string
 		}{[]string{"-scenario", path}, []string{spec.field}})
 	}
+	// An application profile that parses must also run: a negative or
+	// overflowing demand, or a jitter whose log-normal σ² overflows (every
+	// draw NaN), is refused by name instead of crashing the run.
+	for _, p := range []struct{ apiExecMs, jitter, field string }{
+		{"-1", "0.08", `region "A" apiExecMs -1 must not be negative`},
+		{"1e300", "0.08", `region "A" apiExecMs 1e+300 must be finite and fit a time.Duration`},
+		{"2", "1e200", `service "f" jitter 1e+200`},
+	} {
+		profile := `{"services":[{"name":"api","kind":"api","cpuShare":0.5},` +
+			`{"name":"f","kind":"function","cpuShare":0.8,"jitter":` + p.jitter + `}],"regions":[` +
+			`{"name":"A","api":"api","apiExecMs":` + p.apiExecMs + `,"stages":[[{"service":"f","times":1,"execMs":1}]]},` +
+			`{"name":"B","api":"api","apiExecMs":2,"stages":[[{"service":"f","times":1,"execMs":1}]]}]}`
+		path := filepath.Join(t.TempDir(), "profile.json")
+		if err := os.WriteFile(path, []byte(profile), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, struct {
+			args []string
+			want []string
+		}{[]string{"-spec", path, "-workers", "2", "-warmup", "1s", "-duration", "2s"}, []string{p.field}})
+	}
 	for _, flag := range []string{"-scenario", "-events", "-traces", "-ledger", "-timeseries", "-profile", "-cpuprofile", "-memprofile"} {
 		cases = append(cases, struct {
 			args []string
@@ -244,6 +265,33 @@ func TestRejections(t *testing.T) {
 		if stdout.Len() > 0 {
 			t.Errorf("fridge %v ran before refusing: stdout %q", tc.args, stdout.String())
 		}
+	}
+}
+
+// TestNearLimitProfilesRun: a profile whose demands fit a time.Duration
+// runs even where a jittered draw, or a demand stretched at a low P-state,
+// would not fit one: such a job is due at the end of time and never
+// completes, where it used to crash the run.
+func TestNearLimitProfilesRun(t *testing.T) {
+	for _, tc := range []struct {
+		api, f string
+		args   []string
+	}{
+		// Each draw of a 9.2e18 ns mean with 8% jitter overflows with
+		// probability about 0.47.
+		{`"cpuShare":0.5,"jitter":0.08`, `"cpuShare":0.8,"jitter":0.08`, []string{"-scheme", "Baseline"}},
+		// A CPU-bound 5e18 ns call overflows at 1.2 GHz, where a 30%
+		// cap sends its host.
+		{`"cpuShare":0.5`, `"cpuShare":1`, []string{"-scheme", "Capping", "-budget", "0.3"}},
+	} {
+		profile := `{"services":[{"name":"api","kind":"api",` + tc.api + `},{"name":"f","kind":"function",` + tc.f + `}],"regions":[` +
+			`{"name":"A","api":"api","apiExecMs":9.2e12,"stages":[[{"service":"f","times":1,"execMs":5e12}]]},` +
+			`{"name":"B","api":"api","apiExecMs":2,"stages":[[{"service":"f","times":1,"execMs":1}]]}]}`
+		path := filepath.Join(t.TempDir(), "profile.json")
+		if err := os.WriteFile(path, []byte(profile), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fridge(t, append([]string{"-spec", path, "-workers", "2", "-warmup", "1s", "-duration", "2s"}, tc.args...)...)
 	}
 }
 

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
+
+	"servicefridge/internal/sim"
 )
 
 // This file is the JSON codec for application specs, so downstream users
@@ -121,6 +124,11 @@ func (s *Spec) WriteTo(w io.Writer) (int64, error) {
 // ParseSpec decodes a JSON application spec, applying the same validation
 // as the programmatic builders. Validation failures return errors (the
 // input is external data, unlike the in-code profiles, which panic).
+// Beyond the builders' checks, every millisecond field must be finite and
+// fit a time.Duration, an API's own work must not be negative, a call's
+// must be positive, and every execution-time distribution a service's
+// jitter makes must have finite parameters: a run would otherwise draw
+// negative or NaN demands and crash.
 func ParseSpec(data []byte) (spec *Spec, err error) {
 	var in specJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -151,26 +159,75 @@ func ParseSpec(data []byte) (spec *Spec, err error) {
 		})
 	}
 	for _, rj := range in.Regions {
-		r := Region{
-			Name:    rj.Name,
-			API:     rj.API,
-			APIExec: time.Duration(rj.APIExecMs * float64(time.Millisecond)),
+		where := fmt.Sprintf("region %q", rj.Name)
+		apiExec, err := msDuration(where, "apiExecMs", rj.APIExecMs)
+		if err != nil {
+			return nil, err
 		}
+		if rj.APIExecMs < 0 {
+			return nil, fmt.Errorf("app: %s apiExecMs %v must not be negative", where, rj.APIExecMs)
+		}
+		r := Region{Name: rj.Name, API: rj.API, APIExec: apiExec}
 		for _, stage := range rj.Stages {
 			var st Stage
 			for _, c := range stage {
+				where := fmt.Sprintf("region %q call to %q", rj.Name, c.Service)
+				exec, err := msDuration(where, "execMs", c.ExecMs)
+				if err != nil {
+					return nil, err
+				}
+				if c.ExecMs <= 0 {
+					return nil, fmt.Errorf("app: %s execMs %v must be positive", where, c.ExecMs)
+				}
 				st = append(st, Call{
 					Service:     c.Service,
 					Times:       c.Times,
-					Exec:        time.Duration(c.ExecMs * float64(time.Millisecond)),
+					Exec:        exec,
 					Concurrency: c.Concurrency,
 				})
 			}
 			r.Stages = append(r.Stages, st)
 		}
-		s.AddRegion(r)
+		if err := checkExecDists(s.AddRegion(r)); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
+}
+
+// msDuration converts a millisecond field to a time.Duration, truncating
+// as the codec always has, once it has checked that the value is finite
+// and fits; where names the field's region or call for the error.
+func msDuration(where, field string, ms float64) (time.Duration, error) {
+	ns := ms * float64(time.Millisecond)
+	if !(ns >= math.MinInt64 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("app: %s %s %v must be finite and fit a time.Duration (max %v)",
+			where, field, ms, time.Duration(math.MaxInt64))
+	}
+	return time.Duration(ns), nil
+}
+
+// checkExecDists rejects a region whose API job or calls draw from a
+// log-normal with non-finite parameters: a jitter so large that σ²
+// overflows makes every draw NaN.
+func checkExecDists(r *Region) error {
+	bad := func(d sim.LogNormalDist) bool {
+		mu, sigma := d.Params()
+		return math.IsNaN(mu) || math.IsInf(mu, 0) || math.IsNaN(sigma) || math.IsInf(sigma, 0)
+	}
+	if bad(r.apiExec) {
+		return fmt.Errorf("app: service %q jitter %v gives region %q's API job a log-normal with non-finite parameters",
+			r.api.Name, r.api.Jitter, r.Name)
+	}
+	for _, st := range r.Stages {
+		for _, c := range st {
+			if bad(c.exec) {
+				return fmt.Errorf("app: service %q jitter %v gives region %q's call a log-normal with non-finite parameters",
+					c.Service, c.callee.Jitter, r.Name)
+			}
+		}
+	}
+	return nil
 }
 
 // ReadSpec decodes a JSON application spec from r.

@@ -2,9 +2,14 @@ package app
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"servicefridge/internal/cluster"
+	"servicefridge/internal/sim"
 )
 
 func TestSpecRoundTrip(t *testing.T) {
@@ -121,4 +126,62 @@ func TestParseSpecMinimalValid(t *testing.T) {
 	if s.Service("work").Beta(1.2) <= 1 {
 		t.Fatal("beta curve not derived from cpuShare")
 	}
+}
+
+// FuzzParseSpec feeds arbitrary bytes to the profile parser. Its seed
+// corpus (testdata/fuzz/FuzzParseSpec) holds the built-in study and
+// TrainTicket profiles and the inputs that once parsed and then crashed
+// the run: a negative API demand, millisecond fields past the
+// time.Duration range, a jitter whose log-normal σ² overflows, and
+// demands that fit a time.Duration but whose jittered draws, or whose
+// wall time at the lowest P-state, do not. An accepted profile must run:
+// every API demand is non-negative, every call demand positive, every
+// execution-time distribution has finite parameters, and demands drawn
+// as an invocation draws them run on a server at the lowest P-state, an
+// hour into a run, and across a DVFS step, without a panic.
+func FuzzParseSpec(f *testing.F) {
+	finite := func(d sim.LogNormalDist) bool {
+		mu, sigma := d.Params()
+		return !math.IsNaN(mu) && !math.IsInf(mu, 0) && !math.IsNaN(sigma) && !math.IsInf(sigma, 0)
+	}
+	const draws = 8
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		eng := sim.NewEngine(1)
+		eng.RunFor(time.Hour)
+		rng := sim.NewRNG(1)
+		runs := func(where string, ms *Microservice, mean time.Duration, dist sim.LogNormalDist) {
+			t.Helper()
+			host := cluster.NewServer(eng, where, cluster.RoleNormalWorker, draws)
+			host.SetFreq(cluster.FreqMin)
+			for range draws {
+				d := drawDemand(rng, ms, mean, dist)
+				if d < 0 {
+					t.Fatalf("%s: drew demand %v from %+v", where, d, dist)
+				}
+				host.Submit(&cluster.Job{Tag: ms.Name, Demand: d, Slowdown: ms.Slowdown()})
+			}
+			eng.RunFor(time.Millisecond)
+			host.SetFreq(cluster.FreqMax)
+		}
+		for _, name := range s.RegionNames() {
+			r := s.Region(name)
+			if r.APIExec < 0 || !finite(r.apiExec) {
+				t.Fatalf("region %q: API demand %v, distribution %+v", name, r.APIExec, r.apiExec)
+			}
+			runs(fmt.Sprintf("region %q API", name), r.api, r.APIExec, r.apiExec)
+			for _, st := range r.Stages {
+				for _, c := range st {
+					if c.Exec <= 0 || !finite(c.exec) {
+						t.Fatalf("region %q call to %q: demand %v, distribution %+v", name, c.Service, c.Exec, c.exec)
+					}
+					runs(fmt.Sprintf("region %q call to %q", name, c.Service), c.callee, c.Exec, c.exec)
+				}
+			}
+		}
+		eng.RunFor(time.Hour)
+	})
 }

@@ -107,9 +107,9 @@ type callRun struct {
 
 // invocation is a single microservice invocation: the network hop, the
 // cluster job, and the span bookkeeping. The cluster.Job is embedded (not
-// allocated per invocation) and the submit/OnStart/OnDone callbacks are
-// built once per object and reused across pool recycles — they capture
-// only the invocation pointer itself.
+// allocated per invocation) and records its own start; the submit and
+// OnDone callbacks are built once per object and reused across pool
+// recycles — they capture only the invocation pointer itself.
 type invocation struct {
 	x *Executor
 
@@ -119,9 +119,8 @@ type invocation struct {
 	ms     *Microservice
 	demand time.Duration
 
-	host               *cluster.Server
-	submitted, started sim.Time
-	startGHz           float64
+	host      *cluster.Server
+	submitted sim.Time
 
 	job      cluster.Job
 	submitFn sim.Handler
@@ -139,7 +138,6 @@ func NewExecutor(eng *sim.Engine, spec *Spec, place Placement, col *trace.Collec
 	newInv := func(inv *invocation) {
 		inv.x = x
 		inv.submitFn = inv.submit
-		inv.job.OnStart = inv.onStart
 		inv.job.OnDone = inv.onDone
 	}
 	for i := range x.svcs {
@@ -245,10 +243,7 @@ func (cr *callRun) issueNext() {
 // of req (API layer) or cr (stage call); dist is the demand's jittered
 // distribution (see execDist).
 func (x *Executor) invoke(req *request, cr *callRun, tr *trace.Trace, ms *Microservice, meanExec time.Duration, dist sim.LogNormalDist) {
-	demand := meanExec
-	if ms.Jitter > 0 {
-		demand = time.Duration(x.rng.Draw(dist))
-	}
+	demand := drawDemand(x.rng, ms, meanExec, dist)
 	sv := &x.svcs[ms.id]
 	if sv.route == nil {
 		sv.route = x.place.Route(ms.Name)
@@ -261,6 +256,16 @@ func (x *Executor) invoke(req *request, cr *callRun, tr *trace.Trace, ms *Micros
 	} else {
 		inv.submit()
 	}
+}
+
+// drawDemand is one invocation's demand: mean when ms has no jitter,
+// else a draw of dist, saturated at the longest Duration where the
+// log-normal's tail would wrap the conversion negative.
+func drawDemand(rng *sim.RNG, ms *Microservice, mean time.Duration, dist sim.LogNormalDist) time.Duration {
+	if ms.Jitter > 0 {
+		return sim.Saturate(rng.Draw(dist))
+	}
+	return mean
 }
 
 func (inv *invocation) submit() {
@@ -280,24 +285,20 @@ func (inv *invocation) submit() {
 	host.Submit(&inv.job)
 }
 
-func (inv *invocation) onStart() {
-	inv.started = inv.x.eng.Now()
-	inv.startGHz = float64(inv.host.Freq())
-}
-
 func (inv *invocation) onDone() {
 	x := inv.x
 	now := x.eng.Now()
+	started := inv.job.Started()
 	x.col.AddSpan(inv.tr, trace.Span{
 		Service: inv.ms.Name,
 		Host:    inv.host.Name(),
 		Submit:  inv.submitted,
-		Start:   inv.started,
+		Start:   started,
 		End:     now,
-		FreqGHz: inv.startGHz,
+		FreqGHz: float64(inv.job.StartFreq()),
 	})
 	if x.OnExec != nil {
-		x.OnExec(inv.ms.id, now.Sub(inv.started))
+		x.OnExec(inv.ms.id, now.Sub(started))
 	}
 	req, cr := inv.req, inv.cr
 	x.svcs[inv.ms.id].invs.Put(inv)

@@ -75,16 +75,16 @@ type Microservice struct {
 	// id is the service's dense index in its spec's registration order,
 	// assigned by AddService.
 	id int
-	// slowdown caches the β curve so the per-invocation hot path never
-	// re-closes over CPUShare. Built by AddService; rebuilt lazily for
-	// hand-constructed values.
-	slowdown cluster.SlowdownFunc
+	// slowdown caches the β curve, built by AddService, so the
+	// per-invocation hot path never re-clamps CPUShare.
+	slowdown cluster.Slowdown
 }
 
-// Slowdown returns the service's β curve as a cluster.SlowdownFunc.
-func (m *Microservice) Slowdown() cluster.SlowdownFunc {
-	if m.slowdown == nil {
-		m.slowdown = cluster.LinearSlowdown(m.CPUShare)
+// Slowdown returns the service's β curve. A profile built outside a Spec
+// has no cached curve and gets one made from its CPUShare.
+func (m *Microservice) Slowdown() cluster.Slowdown {
+	if m.slowdown == (cluster.Slowdown{}) {
+		return cluster.LinearSlowdown(m.CPUShare)
 	}
 	return m.slowdown
 }
@@ -97,7 +97,7 @@ func (m *Microservice) ID() int { return m.id }
 // Beta returns the execution-time inflation factor at frequency f relative
 // to FreqMax — the variance coefficient β of Equation (2).
 func (m *Microservice) Beta(f cluster.GHz) float64 {
-	return m.Slowdown()(f)
+	return m.Slowdown().At(f)
 }
 
 // Call is one edge bundle of the bipartite graph: a region invoking a

@@ -7,34 +7,45 @@ import (
 	"servicefridge/internal/sim"
 )
 
-// SlowdownFunc maps an operating frequency to the multiplicative execution
-// time inflation of a particular job class relative to FreqMax. A job class
-// that is insensitive to frequency returns ~1 everywhere; a perfectly
-// CPU-bound one returns FreqMax/f. The function must be >= 1 for f < FreqMax
-// and exactly 1 at FreqMax.
-type SlowdownFunc func(f GHz) float64
+// Slowdown is a job class's frequency sensitivity: the multiplicative
+// execution-time inflation at a frequency relative to FreqMax, when a
+// fraction of the work (the CPU share) stretches inversely with
+// frequency and the rest (memory, I/O, network time) does not. It is a
+// value, so a job carries its class without a closure. The zero
+// Slowdown is fully CPU-bound: FreqMax/f.
+type Slowdown struct {
+	// fixed is the frequency-invariant share, 1 − cpu. A LinearSlowdown
+	// never has both zero, so the zero value can mean fully CPU-bound.
+	fixed, cpu float64
+}
 
-// LinearSlowdown returns a SlowdownFunc where a fraction cpuShare of the
-// work scales inversely with frequency and the remainder is frequency
-// invariant (memory/IO/network time). cpuShare in [0,1].
-func LinearSlowdown(cpuShare float64) SlowdownFunc {
+// LinearSlowdown returns the Slowdown of a job class whose CPU share is
+// cpuShare, clamped to [0,1].
+func LinearSlowdown(cpuShare float64) Slowdown {
 	if cpuShare < 0 {
 		cpuShare = 0
 	}
 	if cpuShare > 1 {
 		cpuShare = 1
 	}
-	return func(f GHz) float64 {
-		if f <= 0 {
-			f = FreqMin
-		}
-		return (1 - cpuShare) + cpuShare*float64(FreqMax)/float64(f)
+	return Slowdown{fixed: 1 - cpuShare, cpu: cpuShare}
+}
+
+// At returns the inflation factor at frequency f: 1 at FreqMax, growing
+// as f falls (a non-positive f reads as FreqMin).
+func (s Slowdown) At(f GHz) float64 {
+	if f <= 0 {
+		f = FreqMin
 	}
+	if s == (Slowdown{}) {
+		return float64(FreqMax) / float64(f)
+	}
+	return s.fixed + s.cpu*float64(FreqMax)/float64(f)
 }
 
 // Job is one unit of work submitted to a server: a single microservice
 // invocation. Demand is the service time the job would take at FreqMax on
-// an idle core; the actual time stretches by Slowdown(hostFreq) and by
+// an idle core; the actual time stretches by Slowdown.At(hostFreq) and by
 // queueing for a free core.
 type Job struct {
 	// Tag attributes the job's busy time to a logical owner (the
@@ -43,11 +54,9 @@ type Job struct {
 	Tag string
 	// Demand is the pure execution time at FreqMax.
 	Demand time.Duration
-	// Slowdown is the job's frequency sensitivity; nil means fully
-	// CPU-bound (FreqMax/f).
-	Slowdown SlowdownFunc
-	// OnStart, if non-nil, fires when the job begins occupying a core.
-	OnStart func()
+	// Slowdown is the job's frequency sensitivity; the zero value is
+	// fully CPU-bound (FreqMax/f).
+	Slowdown Slowdown
 	// OnDone fires when the job's demand has been fully served.
 	OnDone func()
 
@@ -55,6 +64,10 @@ type Job struct {
 	factor    float64       // current slowdown factor
 	since     sim.Time      // when remaining was last recomputed
 	timer     sim.Timer
+	// started and startFreq record the job's last start: when it began
+	// occupying a core, and its server's frequency then.
+	started   sim.Time
+	startFreq GHz
 	// srv is the server the job was last submitted to. fire is the job's
 	// completion handler, bound on first Submit and reading srv when it
 	// runs, so no completion of a recycled or restored job allocates.
@@ -77,11 +90,15 @@ type Job struct {
 
 func (j *Job) complete() { j.srv.complete(j) }
 
+// Started returns when the job last began occupying a core (its start,
+// not its submit: a queued job starts when a core frees).
+func (j *Job) Started() sim.Time { return j.started }
+
+// StartFreq returns its server's frequency at that start.
+func (j *Job) StartFreq() GHz { return j.startFreq }
+
 func (j *Job) slowdownAt(f GHz) float64 {
-	if j.Slowdown == nil {
-		return float64(FreqMax) / float64(f)
-	}
-	s := j.Slowdown(f)
+	s := j.Slowdown.At(f)
 	if s < 1 {
 		s = 1
 	}
@@ -282,6 +299,7 @@ func (s *Server) start(j *Job) {
 	j.factor = j.slowdownAt(s.freq)
 	j.since = s.eng.Now()
 	j.busyFrom = j.since
+	j.started, j.startFreq = j.since, s.freq
 	if j.cellSrv != s || j.cellTag != j.Tag {
 		cell := s.busyByTag[j.Tag]
 		if cell == nil {
@@ -291,14 +309,14 @@ func (s *Server) start(j *Job) {
 		j.busyCell, j.cellSrv, j.cellTag = cell, s, j.Tag
 	}
 	s.running.push(j)
-	if j.OnStart != nil {
-		j.OnStart()
-	}
 	s.scheduleCompletion(j)
 }
 
+// scheduleCompletion times j's completion on its current factor. A job
+// too long for the clock completes at the end of time, which no bounded
+// run reaches, instead of wrapping past it.
 func (s *Server) scheduleCompletion(j *Job) {
-	wall := time.Duration(float64(j.remaining) * j.factor)
+	wall := min(sim.Saturate(float64(j.remaining)*j.factor), s.eng.UntilEnd())
 	j.timer = s.eng.After(wall, j.fire)
 }
 

@@ -76,19 +76,23 @@ func TestClampIdempotentProperty(t *testing.T) {
 
 func TestLinearSlowdown(t *testing.T) {
 	full := LinearSlowdown(1.0)
-	if math.Abs(full(2.4)-1.0) > 1e-9 {
-		t.Fatalf("full CPU slowdown at fmax = %v, want 1", full(2.4))
+	if math.Abs(full.At(2.4)-1.0) > 1e-9 {
+		t.Fatalf("full CPU slowdown at fmax = %v, want 1", full.At(2.4))
 	}
-	if math.Abs(full(1.2)-2.0) > 1e-9 {
-		t.Fatalf("full CPU slowdown at 1.2 = %v, want 2", full(1.2))
+	if math.Abs(full.At(1.2)-2.0) > 1e-9 {
+		t.Fatalf("full CPU slowdown at 1.2 = %v, want 2", full.At(1.2))
 	}
 	none := LinearSlowdown(0)
-	if math.Abs(none(1.2)-1.0) > 1e-9 {
-		t.Fatalf("insensitive slowdown at 1.2 = %v, want 1", none(1.2))
+	if math.Abs(none.At(1.2)-1.0) > 1e-9 {
+		t.Fatalf("insensitive slowdown at 1.2 = %v, want 1", none.At(1.2))
 	}
 	half := LinearSlowdown(0.5)
-	if math.Abs(half(1.2)-1.5) > 1e-9 {
-		t.Fatalf("half slowdown at 1.2 = %v, want 1.5", half(1.2))
+	if math.Abs(half.At(1.2)-1.5) > 1e-9 {
+		t.Fatalf("half slowdown at 1.2 = %v, want 1.5", half.At(1.2))
+	}
+	// The zero Slowdown is fully CPU-bound, bit for bit.
+	if got, want := (Slowdown{}).At(1.2), float64(FreqMax)/1.2; got != want {
+		t.Fatalf("zero slowdown at 1.2 = %v, want %v", got, want)
 	}
 }
 
@@ -260,17 +264,107 @@ func TestUtilizationHelper(t *testing.T) {
 	}
 }
 
-func TestOnStartFires(t *testing.T) {
+// TestStartedIsStartNotSubmit: a job records its own start. On one core,
+// the second of two jobs submitted at 0 waits in the queue until the
+// first completes, which a DVFS step at 5 ms delays to 15 ms, so its
+// Started is 15 ms (not its submit) and its StartFreq is the stepped-down
+// frequency; a job started again records the new start.
+func TestStartedIsStartNotSubmit(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := NewServer(eng, "n1", RoleNormalWorker, 1)
-	var startedAt []sim.Time
-	for i := 0; i < 2; i++ {
-		s.Submit(&Job{Tag: "a", Demand: 10 * time.Millisecond,
-			OnStart: func() { startedAt = append(startedAt, eng.Now()) }})
+	type rec struct {
+		done, started sim.Time
+		freq          GHz
 	}
+	var recs []rec
+	jobs := make([]*Job, 2)
+	for i := range jobs {
+		j := &Job{Tag: "a", Demand: 10 * time.Millisecond}
+		j.OnDone = func() { recs = append(recs, rec{eng.Now(), j.Started(), j.StartFreq()}) }
+		jobs[i] = j
+		s.Submit(j)
+	}
+	eng.Schedule(5*time.Millisecond, func() { s.SetFreq(1.2) })
 	eng.Run()
-	if len(startedAt) != 2 || startedAt[0] != 0 || startedAt[1] != sim.Time(10*time.Millisecond) {
-		t.Fatalf("starts = %v, want [0 10ms]", startedAt)
+	want := []rec{
+		{sim.Time(15 * time.Millisecond), 0, FreqMax},
+		{sim.Time(35 * time.Millisecond), sim.Time(15 * time.Millisecond), 1.2},
+	}
+	if !slices.Equal(recs, want) {
+		t.Fatalf("completions (done, started, start frequency) = %v, want %v", recs, want)
+	}
+	s.SetFreq(2.0)
+	s.Submit(jobs[0])
+	eng.Run()
+	if got := recs[2]; got.started != sim.Time(35*time.Millisecond) || got.freq != 2.0 {
+		t.Fatalf("restarted job recorded start %v at %v, want 35ms at 2GHz", got.started, got.freq)
+	}
+}
+
+// TestJobFactorMatchesFreshFactor checks a job's factor against a fresh
+// computation after every start and DVFS step: a recycled job given
+// another Slowdown at the same frequency, a job started again at an
+// unchanged P-state, and a job that ran across a SetFreq and then starts
+// again at the frequency it began at. A factor carried over from the
+// job's last start (say, one kept per frequency) fails it.
+func TestJobFactorMatchesFreshFactor(t *testing.T) {
+	eng := sim.NewEngine(1)
+	s := NewServer(eng, "n1", RoleNormalWorker, 1)
+	j := &Job{Tag: "svc", Demand: 10 * time.Millisecond}
+	check := func(step string) {
+		t.Helper()
+		want := j.Slowdown.At(s.Freq())
+		if want < 1 {
+			want = 1
+		}
+		if j.factor != want {
+			t.Fatalf("%s: factor %v at %v, a fresh computation gives %v", step, j.factor, s.Freq(), want)
+		}
+	}
+	start := func(sd Slowdown, step string) {
+		t.Helper()
+		j.Slowdown = sd
+		s.Submit(j)
+		check(step)
+	}
+	s.SetFreq(1.2)
+	start(LinearSlowdown(1), "CPU-bound at 1.2 GHz")
+	eng.Run()
+	start(LinearSlowdown(0), "recycled as insensitive at 1.2 GHz")
+	eng.Run()
+	start(LinearSlowdown(0.5), "recycled at half share")
+	eng.Run()
+	start(LinearSlowdown(0.5), "started again at an unchanged P-state")
+	eng.RunFor(2 * time.Millisecond)
+	s.SetFreq(2.0)
+	check("running across a step to 2 GHz")
+	eng.Run()
+	s.SetFreq(1.2)
+	start(LinearSlowdown(0.5), "started again at 1.2 GHz after the step")
+	eng.Run()
+	start(Slowdown{}, "zero Slowdown at 1.2 GHz")
+	eng.Run()
+}
+
+// TestJobTooLongForTheClock: a demand that fits a time.Duration can
+// still overflow one as wall time, stretched at a low P-state, and a
+// wall time that fits can carry the clock past its end. Either way the
+// job is due at the end of time, which no bounded run reaches, and a
+// DVFS step while it runs rescales it the same way.
+func TestJobTooLongForTheClock(t *testing.T) {
+	eng := sim.NewEngine(1)
+	eng.RunFor(time.Hour)
+	s := NewServer(eng, "n1", RoleNormalWorker, 2)
+	s.SetFreq(FreqMin)
+	done := 0
+	for _, demand := range []time.Duration{5e18, math.MaxInt64} {
+		s.Submit(&Job{Tag: "long", Demand: demand, Slowdown: LinearSlowdown(1), OnDone: func() { done++ }})
+	}
+	eng.RunFor(time.Hour)
+	s.SetFreq(FreqMax)
+	eng.RunFor(time.Hour)
+	if done != 0 || s.InFlight() != 2 {
+		t.Fatalf("%d of two jobs too long for the clock completed, %d still running", done, s.InFlight())
 	}
 }
 

@@ -45,7 +45,7 @@ func (s *Server) Snapshot() *ServerState {
 	for j := s.running.head; j != nil; j = j.next {
 		snap.running = append(snap.running, jobSnap{ptr: j, val: *j})
 	}
-	waiting := s.queue.Pending()
+	waiting := s.queue.AppendTo(nil)
 	snap.queue = make([]jobSnap, len(waiting))
 	for i, j := range waiting {
 		snap.queue[i] = jobSnap{ptr: j, val: *j}

@@ -114,7 +114,7 @@ func TestSlowdownFromSpec(t *testing.T) {
 	cfg.fill()
 	fn := SlowdownFromSpec(cfg.Spec)
 	svc := cfg.Spec.ServiceNames()[0]
-	want := cfg.Spec.Service(svc).Slowdown()(cluster.GHz(1.2))
+	want := cfg.Spec.Service(svc).Slowdown().At(cluster.GHz(1.2))
 	if got := fn(svc, 1.2); got != want {
 		t.Fatalf("slowdown(%s, 1.2) = %v, want %v", svc, got, want)
 	}

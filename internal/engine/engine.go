@@ -644,16 +644,16 @@ func Run(cfg Config) *Result {
 // safe for concurrent use and charges unknown services no inflation.
 func SlowdownFromSpec(spec *app.Spec) trace.SlowdownFunc {
 	names := spec.ServiceNames()
-	fns := make(map[string]cluster.SlowdownFunc, len(names))
+	curves := make(map[string]cluster.Slowdown, len(names))
 	for _, name := range names {
-		fns[name] = spec.Service(name).Slowdown()
+		curves[name] = spec.Service(name).Slowdown()
 	}
 	return func(service string, ghz float64) float64 {
-		fn, ok := fns[service]
+		c, ok := curves[service]
 		if !ok {
 			return 1
 		}
-		return fn(cluster.GHz(ghz))
+		return c.At(cluster.GHz(ghz))
 	}
 }
 

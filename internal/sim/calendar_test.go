@@ -64,9 +64,32 @@ func (h refHeap) clone() refHeap {
 
 // calendarCoverage counts how often the randomized calendar property hit
 // the cases it exists for, so a change that stops reaching them fails.
-// maxHeap is the deepest the heap got.
+// maxHeap is the deepest the heap got; seqDecided counts the full
+// four-child families met whose earliest child ties another on time, so
+// that only the sequence number orders them.
 type calendarCoverage struct {
-	contested, heapHops, stops, laneSnapshots, deadlineAtLane, maxHeap int
+	contested, heapHops, stops, laneSnapshots, deadlineAtLane, maxHeap, seqDecided int
+}
+
+// seqDecidedFamilies counts the full families of the heap whose earliest
+// child shares its time with a sibling.
+func seqDecidedFamilies(h []event) int {
+	count := 0
+	for c := 1; c+4 <= len(h); c += 4 {
+		best := c
+		for j := c + 1; j < c+4; j++ {
+			if h[j].before(h[best]) {
+				best = j
+			}
+		}
+		for j := c; j < c+4; j++ {
+			if j != best && h[j].at == h[best].at {
+				count++
+				break
+			}
+		}
+	}
+	return count
 }
 
 // The calendar operations the property test interleaves.
@@ -104,9 +127,11 @@ var (
 // Snapshot/Restore while the lane is non-empty. The first half of each
 // run grows the heap to hundreds of events (deepMix), the second mixes
 // every operation (mixedMix). Coarse timestamps force plenty of time ties
-// between the lane and the heap, so the seq tiebreak is actually
-// exercised. The executed (time, seq) order must be identical — the
-// determinism contract the whole experiment harness rests on.
+// between the lane and the heap and among siblings in the heap, so the
+// seq tiebreak is actually exercised, both between the lane and the heap
+// and inside siftDown's tournament. The executed (time, seq) order must
+// be identical — the determinism contract the whole experiment harness
+// rests on.
 func TestFourAryHeapMatchesContainerHeap(t *testing.T) {
 	var cov calendarCoverage
 	f := func(seed uint64, n uint16) bool {
@@ -152,7 +177,7 @@ func TestFourAryHeapMatchesContainerHeap(t *testing.T) {
 			if i < ops/2 {
 				mix = deepMix
 			}
-			lane := eng.lane.Pending()
+			lane := eng.lane.AppendTo(nil)
 			switch mix[r.Intn(len(mix))] {
 			case opSchedule:
 				d := time.Duration(r.Intn(16)) * time.Millisecond
@@ -231,6 +256,7 @@ func TestFourAryHeapMatchesContainerHeap(t *testing.T) {
 				return false
 			}
 			cov.maxHeap = max(cov.maxHeap, len(eng.events))
+			cov.seqDecided += seqDecidedFamilies(eng.events)
 		}
 		from := len(got)
 		var want []refEvent
@@ -243,7 +269,7 @@ func TestFourAryHeapMatchesContainerHeap(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-	if cov.contested == 0 || cov.heapHops == 0 || cov.stops == 0 || cov.laneSnapshots == 0 || cov.deadlineAtLane == 0 || cov.maxHeap < 256 {
+	if cov.contested == 0 || cov.heapHops == 0 || cov.stops == 0 || cov.laneSnapshots == 0 || cov.deadlineAtLane == 0 || cov.maxHeap < 256 || cov.seqDecided == 0 {
 		t.Fatalf("the interleavings missed a case: %+v", cov)
 	}
 	t.Logf("coverage: %+v", cov)
@@ -251,7 +277,7 @@ func TestFourAryHeapMatchesContainerHeap(t *testing.T) {
 
 // TestHopStepZeroAllocs requires the hop lane's steady state to be
 // allocation-free: with about 32 hops pending, appending one and stepping
-// one reuses the lane's backing array, whose compaction keeps it bounded.
+// one reuses the lane's ring, which never grows past its population.
 func TestHopStepZeroAllocs(t *testing.T) {
 	eng := NewEngine(1)
 	fn := Handler(func() {})

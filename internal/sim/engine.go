@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -25,6 +26,16 @@ func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
+// Saturate converts ns, a non-negative count of nanoseconds, to a
+// Duration, saturating at the longest one where the plain conversion
+// would wrap negative.
+func Saturate(ns float64) time.Duration {
+	if ns >= 1<<63 {
+		return math.MaxInt64
+	}
+	return time.Duration(ns)
+}
+
 // Handler is a scheduled callback. It runs at its scheduled time with the
 // engine clock already advanced.
 type Handler func()
@@ -46,6 +57,16 @@ func (ev event) before(o event) bool {
 		return ev.at < o.at
 	}
 	return ev.seq < o.seq
+}
+
+// keyBefore is before on the (at, seq) key as a number: 1 when at1:seq1
+// orders before at2:seq2, else 0. It is the borrow out of the 128-bit
+// unsigned subtraction at1:seq1 − at2:seq2, which needs no branch; a
+// calendar time is never negative, so unsigned order is time order.
+func keyBefore(at1, seq1, at2, seq2 uint64) uint64 {
+	_, borrow := bits.Sub64(seq1, seq2, 0)
+	_, borrow = bits.Sub64(at1, at2, borrow)
+	return borrow
 }
 
 // timerState backs one live Timer handle. gen is a generation counter: it
@@ -113,6 +134,10 @@ func (e *Engine) Now() Time { return e.now }
 // their own sub-streams via RNG().Stream(name) at construction time.
 func (e *Engine) RNG() *RNG { return e.rng }
 
+// UntilEnd returns the longest delay the clock can still take: an event
+// that far off is due at the end of time, which no bounded run reaches.
+func (e *Engine) UntilEnd() time.Duration { return endOfTime.Sub(e.now) }
+
 // Processed reports how many events have executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
@@ -130,13 +155,31 @@ func (e *Engine) Grow(n int) {
 	e.lane.Grow(n)
 }
 
-// Schedule runs fn after delay. A negative delay is an error in the caller;
-// it panics to surface the bug immediately rather than corrupting causality.
-func (e *Engine) Schedule(delay time.Duration, fn Handler) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: Schedule with negative delay %v at t=%v", delay, e.now))
+// due returns the time delay after now. A negative delay, or one that
+// would carry the clock past the end of time, is an error in the caller;
+// it panics to surface the bug immediately rather than corrupting
+// causality (the stack names the caller). Every entry point that takes a
+// delay goes through here, which keeps every calendar time non-negative,
+// as siftDown's unsigned key requires.
+func (e *Engine) due(delay time.Duration) Time {
+	at := e.now.Add(delay)
+	if at < e.now {
+		e.badDelay(delay)
 	}
-	e.push(e.now.Add(delay), fn, 0)
+	return at
+}
+
+// badDelay is due's panic, kept out of line so due stays small enough to
+// inline.
+//
+//go:noinline
+func (e *Engine) badDelay(delay time.Duration) {
+	panic(fmt.Sprintf("sim: delay %v at t=%v is negative or past the end of time", delay, e.now))
+}
+
+// Schedule runs fn after delay, which must not be negative.
+func (e *Engine) Schedule(delay time.Duration, fn Handler) {
+	e.push(e.due(delay), fn, 0)
 }
 
 // ScheduleAt runs fn at absolute simulation time at, which must not be in
@@ -154,11 +197,8 @@ func (e *Engine) ScheduleAt(at Time, fn Handler) {
 // shorter) goes to the heap, so any delay is correct and only the
 // constant one is cheap.
 func (e *Engine) Hop(delay time.Duration, fn Handler) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: Hop with negative delay %v at t=%v", delay, e.now))
-	}
-	at := e.now.Add(delay)
-	if lane := e.lane.Pending(); len(lane) > 0 && at < lane[len(lane)-1].at {
+	at := e.due(delay)
+	if e.lane.Len() > 0 && at < e.lane.Tail().at {
 		e.push(at, fn, 0)
 		return
 	}
@@ -220,11 +260,9 @@ func (e *Engine) freeTimer(slot int32) {
 
 // After schedules fn like Schedule but returns a cancellable handle.
 func (e *Engine) After(delay time.Duration, fn Handler) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: After with negative delay %v at t=%v", delay, e.now))
-	}
+	at := e.due(delay)
 	slot, gen := e.newTimer(false)
-	e.push(e.now.Add(delay), fn, slot+1)
+	e.push(at, fn, slot+1)
 	return Timer{eng: e, slot: slot, gen: gen}
 }
 
@@ -245,9 +283,9 @@ func (e *Engine) Every(period time.Duration, fn Handler) Timer {
 			e.freeTimer(slot)
 			return
 		}
-		e.push(e.now.Add(period), tick, slot+1)
+		e.push(e.due(period), tick, slot+1)
 	}
-	e.push(e.now.Add(period), tick, slot+1)
+	e.push(e.due(period), tick, slot+1)
 	return Timer{eng: e, slot: slot, gen: gen}
 }
 
@@ -286,33 +324,61 @@ func (e *Engine) popMin() event {
 	return min
 }
 
-// siftDown re-inserts ev from the root, walking the smallest of up to four
-// children per level.
+// siftDown re-inserts ev from the root, walking the earliest of up to
+// four children per level. A full family is decided by a two-round
+// tournament on the (at, seq) key whose winner is picked with masks, not
+// branches: the heap is small and its keys arrive in no useful order, so
+// a data-dependent branch per child mispredicts about as often as not.
+// Keys are unique (seq is), so the tournament picks the child a linear
+// scan would.
 func (e *Engine) siftDown(ev event) {
-	n := len(e.events)
+	h := e.events
+	n := len(h)
+	at, seq := uint64(ev.at), ev.seq
 	i := 0
 	for {
-		first := 4*i + 1
-		if first >= n {
+		c := 4*i + 1
+		if c+4 > n {
 			break
 		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
+		f := (*[4]event)(h[c : c+4])
+		a0, s0 := uint64(f[0].at), f[0].seq
+		a1, s1 := uint64(f[1].at), f[1].seq
+		a2, s2 := uint64(f[2].at), f[2].seq
+		a3, s3 := uint64(f[3].at), f[3].seq
+		// Round one: the earlier of children 0 and 1, and of 2 and 3.
+		m := -keyBefore(a1, s1, a0, s0)
+		j01 := m & 1
+		a01, s01 := a0^(a0^a1)&m, s0^(s0^s1)&m
+		m = -keyBefore(a3, s3, a2, s2)
+		j23 := 2 | m&1
+		a23, s23 := a2^(a2^a3)&m, s2^(s2^s3)&m
+		// Round two: the earlier of the two winners.
+		m = -keyBefore(a23, s23, a01, s01)
+		j := j01 ^ (j01^j23)&m
+		ba, bs := a01^(a01^a23)&m, s01^(s01^s23)&m
+		if keyBefore(ba, bs, at, seq) == 0 {
+			h[i] = ev
+			return
 		}
-		for j := first + 1; j < end; j++ {
-			if e.events[j].before(e.events[best]) {
+		best := c + int(j)
+		h[i] = h[best]
+		i = best
+	}
+	// A partial family (one to three children) ends the walk.
+	if first := 4*i + 1; first < n {
+		best := first
+		for j := first + 1; j < n; j++ {
+			if h[j].before(h[best]) {
 				best = j
 			}
 		}
-		if !e.events[best].before(ev) {
-			break
+		if h[best].before(ev) {
+			h[i] = h[best]
+			i = best
 		}
-		e.events[i] = e.events[best]
-		i = best
 	}
-	e.events[i] = ev
+	h[i] = ev
 }
 
 // endOfTime is later than every event: Step's deadline.
@@ -328,10 +394,10 @@ func (e *Engine) Step() bool { return e.step(endOfTime) }
 func (e *Engine) step(deadline Time) bool {
 	for {
 		var ev event
-		switch lane := e.lane.Pending(); {
-		case len(lane) > 0 && (len(e.events) == 0 || lane[0].before(e.events[0])):
+		switch {
+		case e.lane.Len() > 0 && (len(e.events) == 0 || e.lane.Head().before(e.events[0])):
 			// The lane's head comes before the heap's root.
-			if lane[0].at > deadline {
+			if e.lane.Head().at > deadline {
 				return false
 			}
 			ev = e.lane.Pop()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -165,6 +166,56 @@ func TestScheduleNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	NewEngine(1).Schedule(-time.Second, func() {})
+}
+
+// TestDelayPastEndOfTimePanics: a delay that carries the clock past the
+// largest Time would wrap to a negative calendar time, which the heap's
+// unsigned key would order last; Schedule, Hop, After and Every refuse
+// it, Every also when only a repeat would carry the clock past it.
+func TestDelayPastEndOfTimePanics(t *testing.T) {
+	half := time.Duration(math.MaxInt64/2 + 1)
+	for name, sched := range map[string]func(*Engine){
+		"Schedule": func(e *Engine) { e.Schedule(time.Duration(math.MaxInt64), func() {}) },
+		"Hop":      func(e *Engine) { e.Hop(time.Duration(math.MaxInt64), func() {}) },
+		"After":    func(e *Engine) { e.After(time.Duration(math.MaxInt64), func() {}) },
+		"Every":    func(e *Engine) { e.Every(time.Duration(math.MaxInt64), func() {}) },
+		// The first tick fits; the one it schedules does not.
+		"Every's repeat": func(e *Engine) { e.Every(half, func() {}); e.Step() },
+	} {
+		e := NewEngine(1)
+		e.RunFor(time.Second)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s past the end of time did not panic", name)
+				}
+			}()
+			sched(e)
+		}()
+	}
+}
+
+// TestSaturateAndUntilEnd: a nanosecond count past the Duration range
+// saturates instead of wrapping negative, and a delay of UntilEnd is due
+// exactly at the end of time, which RunUntil with any earlier deadline
+// never reaches.
+func TestSaturateAndUntilEnd(t *testing.T) {
+	for _, tc := range []struct {
+		ns   float64
+		want time.Duration
+	}{{0, 0}, {1.5, 1}, {1 << 62, 1 << 62}, {1 << 63, math.MaxInt64}, {1e300, math.MaxInt64}} {
+		if got := Saturate(tc.ns); got != tc.want {
+			t.Errorf("Saturate(%v) = %v, want %v", tc.ns, got, tc.want)
+		}
+	}
+	e := NewEngine(1)
+	e.RunFor(time.Hour)
+	fired := false
+	e.After(e.UntilEnd(), func() { fired = true })
+	e.RunUntil(endOfTime - 1)
+	if fired || e.Pending() != 1 {
+		t.Fatalf("an event due at the end of time fired (%v) or left the calendar (%d pending)", fired, e.Pending())
+	}
 }
 
 func TestScheduleAtPastPanics(t *testing.T) {

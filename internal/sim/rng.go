@@ -171,6 +171,10 @@ func NewLogNormal(mean, stddev float64) LogNormalDist {
 	return LogNormalDist{mu: mu, sigma: math.Sqrt(sigma2), positive: true}
 }
 
+// Params returns the underlying normal's mean and standard deviation (0
+// and 0 for a non-positive mean, whose draws are 0).
+func (d LogNormalDist) Params() (mu, sigma float64) { return d.mu, d.sigma }
+
 // Draw returns a variate of d: exp of one normal variate, or 0 without
 // consuming the stream when d's mean is not positive.
 func (r *RNG) Draw(d LogNormalDist) float64 {

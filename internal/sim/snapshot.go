@@ -57,7 +57,7 @@ func (e *Engine) Snapshot() *EngineState {
 		seq:        e.seq,
 		processed:  e.processed,
 		events:     append([]event(nil), e.events...),
-		lane:       append([]event(nil), e.lane.Pending()...),
+		lane:       e.lane.AppendTo(nil),
 		timers:     append([]timerState(nil), e.timers...),
 		freeTimers: append([]int32(nil), e.freeTimers...),
 		rng:        e.rng.State(),

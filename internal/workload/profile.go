@@ -28,8 +28,10 @@ type Profile struct {
 
 // Validate reports the first structural problem: no points, a negative or
 // non-finite time or rate, an empty region, out-of-order times, or a
-// duplicate (time, region) key. A valid profile is exactly what ParseTrace
-// accepts, so any valid profile can be serialized and replayed.
+// duplicate (time, region) key. ParseTrace accepts exactly the valid
+// profiles whose regions the CSV encoding carries (no comma, line break,
+// surrounding space or invalid UTF-8), so any such profile can be
+// serialized and replayed.
 func (p *Profile) Validate() error {
 	if p == nil || len(p.Points) == 0 {
 		return fmt.Errorf("workload: profile has no points")

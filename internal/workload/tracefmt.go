@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Trace codec: a replayable on-disk form of a Profile. Two encodings are
@@ -86,8 +87,17 @@ func ParseTrace(r io.Reader) (*Profile, error) {
 		if math.IsNaN(row.T) || math.IsInf(row.T, 0) || row.T < 0 {
 			return nil, fmt.Errorf("workload: trace line %d: time %v must be finite and non-negative", line, row.T)
 		}
+		ns := secondsToNS(row.T)
+		if ns >= math.MaxInt64 {
+			return nil, fmt.Errorf("workload: trace line %d: time %v overflows a time.Duration (max %v)",
+				line, row.T, time.Duration(math.MaxInt64))
+		}
+		if !csvSafe(row.Region) {
+			return nil, fmt.Errorf("workload: trace line %d: region %q cannot be written back as CSV "+
+				"(a comma, a line break, surrounding space or invalid UTF-8)", line, row.Region)
+		}
 		p.Points = append(p.Points, Point{
-			At:     time.Duration(math.Round(row.T * float64(time.Second))),
+			At:     time.Duration(ns),
 			Region: row.Region,
 			Rate:   row.Rate,
 		})
@@ -112,7 +122,7 @@ func WriteTrace(w io.Writer, p *Profile) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, TraceHeader)
 	for _, pt := range p.Points {
-		fmt.Fprintf(bw, "%s,%s,%s\n", fmtFloat(pt.At.Seconds()), pt.Region, fmtFloat(pt.Rate))
+		fmt.Fprintf(bw, "%s,%s,%s\n", fmtSeconds(pt.At), pt.Region, fmtFloat(pt.Rate))
 	}
 	return bw.Flush()
 }
@@ -125,12 +135,42 @@ func WriteTraceJSONL(w io.Writer, p *Profile) error {
 	bw := bufio.NewWriter(w)
 	for _, pt := range p.Points {
 		fmt.Fprintf(bw, `{"t_s":%s,"region":%s,"rate":%s}`+"\n",
-			fmtFloat(pt.At.Seconds()), jsonString(pt.Region), fmtFloat(pt.Rate))
+			fmtSeconds(pt.At), jsonString(pt.Region), fmtFloat(pt.Rate))
 	}
 	return bw.Flush()
 }
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+// secondsToNS is ParseTrace's conversion of a row's time to nanoseconds.
+func secondsToNS(s float64) float64 { return math.Round(s * float64(time.Second)) }
+
+// fmtSeconds formats d as the float seconds ParseTrace reads back as d.
+// d.Seconds() nearly always is; at millions of seconds its product with
+// 1e9 can round a nanosecond away, and then a neighbouring float is (the
+// one ParseTrace read d from is among them).
+func fmtSeconds(d time.Duration) string {
+	x, want := d.Seconds(), float64(d)
+	for i := 0; i < 8; i++ {
+		switch ns := secondsToNS(x); {
+		case ns < want:
+			x = math.Nextafter(x, math.Inf(1))
+		case ns > want:
+			x = math.Nextafter(x, math.Inf(-1))
+		default:
+			return fmtFloat(x)
+		}
+	}
+	return fmtFloat(d.Seconds())
+}
+
+// csvSafe reports whether the CSV encoding carries region unchanged: no
+// comma or line break (they split the row), no surrounding space (the
+// parser trims fields), and valid UTF-8 (the JSONL encoding would replace
+// anything else).
+func csvSafe(region string) bool {
+	return utf8.ValidString(region) && !strings.ContainsAny(region, ",\n") && strings.TrimSpace(region) == region
+}
 
 func jsonString(s string) string {
 	b, _ := json.Marshal(s) // cannot fail on a string

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"bytes"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -75,11 +78,22 @@ func TestParseTraceRejectsMalformed(t *testing.T) {
 		{"jsonl bad type", `{"t_s":"0","region":"A","rate":1}`},
 		{"jsonl garbage", `{not json}`},
 		{"jsonl unsorted", `{"t_s":2,"region":"A","rate":1}` + "\n" + `{"t_s":1,"region":"A","rate":1}`},
+		// Regions the CSV encoding cannot write back, and a time past the
+		// time.Duration range, which would wrap negative.
+		{"jsonl region with a comma", `{"t_s":0,"region":"A,B","rate":1}`},
+		{"jsonl region with surrounding space", `{"t_s":0,"region":" A","rate":1}`},
+		{"jsonl region with a line break", `{"t_s":0,"region":"A\nB","rate":1}`},
+		{"region not UTF-8", TraceHeader + "\n0,\xff,1"},
+		{"time overflow", TraceHeader + "\n1e300,A,1"},
 	}
 	for _, c := range cases {
 		if _, err := ParseTrace(strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: ParseTrace accepted %q", c.name, c.in)
 		}
+	}
+	_, err := ParseTrace(strings.NewReader(TraceHeader + "\n1e300,A,1"))
+	if want := "trace line 2: time 1e+300 overflows a time.Duration"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("time overflow: error %v, want it to say %q", err, want)
 	}
 	// Duplicate (t, region) keys are rejected, but the same instant across
 	// different regions is legal.
@@ -146,4 +160,35 @@ func TestWriteTraceRejectsInvalid(t *testing.T) {
 	if err := WriteTraceJSONL(&b, pts(Point{At: 0, Region: "A", Rate: -1})); err == nil {
 		t.Error("WriteTraceJSONL accepted a negative rate")
 	}
+}
+
+// FuzzParseTrace feeds arbitrary bytes to the trace parser. Its seed
+// corpus (testdata/fuzz/FuzzParseTrace) holds the committed traces, a
+// JSONL trace, and the inputs that once parsed but could not be written
+// back (a region with a comma, a region with surrounding space) or were
+// misreported (a time past the time.Duration range). An accepted trace
+// must survive both encodings: ParseTrace∘WriteTrace and
+// ParseTrace∘WriteTraceJSONL return the same profile.
+func FuzzParseTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParseTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for enc, write := range map[string]func(io.Writer, *Profile) error{
+			"csv": WriteTrace, "jsonl": WriteTraceJSONL,
+		} {
+			var b bytes.Buffer
+			if err := write(&b, p); err != nil {
+				t.Fatalf("%s: writing an accepted trace: %v", enc, err)
+			}
+			back, err := ParseTrace(bytes.NewReader(b.Bytes()))
+			if err != nil {
+				t.Fatalf("%s: %q does not parse back: %v", enc, b.String(), err)
+			}
+			if !slices.Equal(back.Points, p.Points) {
+				t.Fatalf("%s: %+v round-tripped to %+v", enc, p.Points, back.Points)
+			}
+		}
+	})
 }
