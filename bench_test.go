@@ -700,29 +700,28 @@ func BenchmarkRequestExecution(b *testing.B) {
 	}
 }
 
-// BenchmarkLedgerTick measures one run-ledger tick: folding a typical
-// control interval's worth of cause-bearing events into the pending
-// accumulator (this happens inside Recorder.Emit, on the deterministic
-// sim loop) and sealing the entry against state and RNG digests. Gated
-// allocation-free via bench_gates.json; the entries slice grows
-// amortized, which rounds to 0 allocs/op.
+// BenchmarkLedgerTick measures one run-ledger tick: recording a typical
+// control interval's worth of cause-bearing records, each built in the
+// loop and folded into the pending accumulator at emit (inside
+// Recorder.Emit, on the deterministic sim loop), and sealing the entry
+// against state and RNG digests. Gated allocation-free via
+// bench_gates.json; the ring's chunks, the zone-member arena and the
+// entries slice grow amortized, which rounds to 0 allocs/op.
 func BenchmarkLedgerTick(b *testing.B) {
 	rec := obs.NewRecorder(1024)
+	rec.Bind(obs.Names{Servers: []string{"server1", "server3", "server5"}, Services: []string{"seat"}})
 	led := obs.NewLedger()
 	rec.SetLedger(led)
-	// Box the event values once: the interface conversion at an Emit call
-	// site is the emitter's (pre-existing) cost; this benchmark gates the
-	// ledger fold+seal path.
-	var freq obs.Event = obs.FreqChange{Server: "server3", Zone: "warm", GHz: 1.8,
-		Cause: obs.Cause{Signal: "budget-fit", Value: 315.2, Bound: 400}}
-	var mig obs.Event = obs.Migration{Service: "seat", From: "server1", To: "server5", Zone: "warm",
-		Cause: obs.Cause{Signal: "mcf-rank", Value: 0.41, Bound: 3.2}}
+	warm := []int32{0, 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		at := sim.Time(i) * sim.Time(time.Second)
-		rec.Emit(at, freq)
-		rec.Emit(at, mig)
+		rec.EmitZone(at, obs.ZoneWarm, warm, obs.Cause{Signal: obs.MCFDemand, Value: 1.3, Bound: 3.2})
+		rec.Emit(at, obs.Record{Kind: obs.FreqChange, Server: 1, Zone: obs.ZoneWarm, Value: 1.8,
+			Cause: obs.Cause{Signal: obs.BudgetFit, Value: 315.2, Bound: 400}})
+		rec.Emit(at, obs.Record{Kind: obs.Migration, Svc: 0, From: 0, To: 2, Zone: obs.ZoneWarm,
+			Cause: obs.Cause{Signal: obs.MCFRank, Value: 0.41, Bound: 3.2}})
 		led.Seal(at, uint64(i), uint64(i)*3)
 	}
 	if led.Len() != b.N {
@@ -766,11 +765,17 @@ func BenchmarkPhaseScopeDisabled(b *testing.B) {
 
 // BenchmarkFridgeTick measures one control interval of the ServiceFridge
 // controller (MCF, classification, zoning, placement, Algorithm 1 and
-// frequency planning) under load, without an event recorder. Gated
-// allocation-free via bench_gates.json.
+// frequency planning) under load, with the event recorder and run ledger
+// a control-plane session attaches: every tick records its zones, zone
+// power and DVFS steps and hashes them into the ledger. Gated
+// allocation-free via bench_gates.json (the ring's chunks grow
+// amortized).
 func BenchmarkFridgeTick(b *testing.B) {
 	b.ReportAllocs()
-	res := engine.Build(ablationConfig(1))
+	cfg := ablationConfig(1)
+	cfg.Events = obs.NewRecorder(0)
+	cfg.Ledger = obs.NewLedger()
+	res := engine.Build(cfg)
 	res.Engine.RunFor(6 * time.Second) // reach steady state
 	f := res.Fridge
 	f.Tick() // settle placements against the frozen meter readings

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,5 +59,34 @@ func TestUnknownRegionFails(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-mix", "Z=1"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("exit %d for unknown region, want 2", code)
+	}
+}
+
+// TestWeightOverflowFails: a profile whose call weight (times × execMs),
+// or whose region's sum of weights for one service, overflows a
+// time.Duration is refused naming the region and the call, instead of
+// ranking the service with a wrapped, negative MCF.
+func TestWeightOverflowFails(t *testing.T) {
+	const profile = `{"services":[{"name":"api","kind":"api","cpuShare":0.5},` +
+		`{"name":"f","kind":"function","cpuShare":0.8,"jitter":0.08}],"regions":[` +
+		`{"name":"A","api":"api","apiExecMs":2,"stages":[%s]},` +
+		`{"name":"B","api":"api","apiExecMs":2,"stages":[[{"service":"f","times":1,"execMs":1}]]}]}`
+	for _, tc := range []struct{ stages, want string }{
+		{`[{"service":"f","times":1000000000,"execMs":10000}]`,
+			`region "A" call to "f": times 1000000000 × execMs 10000 overflows a time.Duration`},
+		{`[{"service":"f","times":600000000,"execMs":10000}],[{"service":"f","times":600000000,"execMs":10000}]`,
+			`region "A" call to "f": the region's calls to "f" total over a time.Duration`},
+	} {
+		path := filepath.Join(t.TempDir(), "profile.json")
+		if err := os.WriteFile(path, []byte(fmt.Sprintf(profile, tc.stages)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-spec", path}, &stdout, &stderr); code != 1 {
+			t.Fatalf("exit %d, want 1 (stdout %q)", code, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Fatalf("stderr %q lacks %q", stderr.String(), tc.want)
+		}
 	}
 }

@@ -126,9 +126,11 @@ func (s *Spec) WriteTo(w io.Writer) (int64, error) {
 // input is external data, unlike the in-code profiles, which panic).
 // Beyond the builders' checks, every millisecond field must be finite and
 // fit a time.Duration, an API's own work must not be negative, a call's
-// must be positive, and every execution-time distribution a service's
-// jitter makes must have finite parameters: a run would otherwise draw
-// negative or NaN demands and crash.
+// must be positive, every execution-time distribution a service's
+// jitter makes must have finite parameters (a run would otherwise draw
+// negative or NaN demands and crash), and each call's times × execMs and
+// each region's sum of them per service must fit a time.Duration (the
+// weights the MCF ranking reads would otherwise wrap negative).
 func ParseSpec(data []byte) (spec *Spec, err error) {
 	var in specJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -188,7 +190,11 @@ func ParseSpec(data []byte) (spec *Spec, err error) {
 			}
 			r.Stages = append(r.Stages, st)
 		}
-		if err := checkExecDists(s.AddRegion(r)); err != nil {
+		added := s.AddRegion(r)
+		if err := checkExecDists(added); err != nil {
+			return nil, err
+		}
+		if err := checkWeights(added); err != nil {
 			return nil, err
 		}
 	}
@@ -225,6 +231,30 @@ func checkExecDists(r *Region) error {
 				return fmt.Errorf("app: service %q jitter %v gives region %q's call a log-normal with non-finite parameters",
 					c.Service, c.callee.Jitter, r.Name)
 			}
+		}
+	}
+	return nil
+}
+
+// checkWeights rejects a region in which a call's weight (Call.Weight,
+// times × exec) or the sum of its weights for one service
+// (Region.CallTo) does not fit a time.Duration: both would wrap negative
+// and rank the service with a negative MCF.
+func checkWeights(r *Region) error {
+	sums := make(map[string]time.Duration)
+	for _, st := range r.Stages {
+		for _, c := range st {
+			if c.Exec > time.Duration(math.MaxInt64)/time.Duration(c.Times) {
+				return fmt.Errorf("app: region %q call to %q: times %d × execMs %v overflows a time.Duration (max %v)",
+					r.Name, c.Service, c.Times, float64(c.Exec)/float64(time.Millisecond), time.Duration(math.MaxInt64))
+			}
+			// Both terms are non-negative, so a wrapped sum reads negative.
+			sum := sums[c.Service] + c.Weight()
+			if sum < 0 {
+				return fmt.Errorf("app: region %q call to %q: the region's calls to %q total over a time.Duration (max %v)",
+					r.Name, c.Service, c.Service, time.Duration(math.MaxInt64))
+			}
+			sums[c.Service] = sum
 		}
 	}
 	return nil

@@ -169,13 +169,18 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		for _, name := range s.RegionNames() {
 			r := s.Region(name)
+			for _, svc := range r.ServiceNames() {
+				if w := r.Weight(svc); w < 0 {
+					t.Fatalf("region %q: %q weighs %v", name, svc, w)
+				}
+			}
 			if r.APIExec < 0 || !finite(r.apiExec) {
 				t.Fatalf("region %q: API demand %v, distribution %+v", name, r.APIExec, r.apiExec)
 			}
 			runs(fmt.Sprintf("region %q API", name), r.api, r.APIExec, r.apiExec)
 			for _, st := range r.Stages {
 				for _, c := range st {
-					if c.Exec <= 0 || !finite(c.exec) {
+					if c.Exec <= 0 || c.Weight() < 0 || !finite(c.exec) {
 						t.Fatalf("region %q call to %q: demand %v, distribution %+v", name, c.Service, c.Exec, c.exec)
 					}
 					runs(fmt.Sprintf("region %q call to %q", name, c.Service), c.callee, c.Exec, c.exec)

@@ -157,8 +157,8 @@ func TestWarnDropped(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("warned with nothing dropped: %q", b.String())
 	}
-	rec.Emit(1, obs.Crash{Service: "a", Node: "n"})
-	rec.Emit(2, obs.Crash{Service: "b", Node: "n"})
+	rec.Emit(1, obs.Record{Kind: obs.Crash})
+	rec.Emit(2, obs.Record{Kind: obs.Crash})
 	WarnDropped(&b, rec)
 	if !strings.Contains(b.String(), "overwrote 1 events") {
 		t.Fatalf("missing drop warning: %q", b.String())

@@ -19,7 +19,7 @@ func countEvents(t *testing.T, rec *obs.Recorder) map[string]int {
 			t.Fatalf("event stream not time-ordered: %v after %v", r.At, lastAt)
 		}
 		lastAt = int64(r.At)
-		counts[r.Ev.Kind()]++
+		counts[r.Kind.String()]++
 	}
 	return counts
 }

@@ -431,6 +431,8 @@ func BuildE(cfg Config) (*Result, error) {
 		cfg.Events.SetLedger(cfg.Ledger)
 	}
 	if cfg.Events != nil {
+		// Records name servers by cluster index and services by spec ID.
+		cfg.Events.Bind(obs.Names{Servers: nodeNames(cl), Services: cfg.Spec.ServiceNames()})
 		cfg.Events.SetProfiler(pr)
 		orch.Rec = cfg.Events
 		meter.Rec = cfg.Events

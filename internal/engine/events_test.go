@@ -2,8 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"testing"
 
+	"servicefridge/internal/fridge"
 	"servicefridge/internal/obs"
 )
 
@@ -45,7 +48,7 @@ func TestEventStreamShape(t *testing.T) {
 	counts := map[string]int{}
 	last := rec.Events()[0]
 	for _, r := range rec.Events() {
-		counts[r.Ev.Kind()]++
+		counts[r.Kind.String()]++
 		if r.At < last.At {
 			t.Fatalf("event at %v recorded after %v", r.At, last.At)
 		}
@@ -78,5 +81,48 @@ func TestInstrumentationDoesNotPerturbRun(t *testing.T) {
 		plain.Fridge.Demotions() != inst.Fridge.Demotions() ||
 		plain.Orch.Migrations() != inst.Orch.Migrations() {
 		t.Fatal("controller decisions diverge under instrumentation")
+	}
+}
+
+// TestEventNamesMatchRun: BuildE binds the recorder's name tables so that
+// a record's server index is cluster.Server.Index and its service index
+// the spec's service ID, and the fridge names its zones' servers through
+// them: the last tick's zone_reassign records list exactly the
+// controller's zone servers.
+func TestEventNamesMatchRun(t *testing.T) {
+	res, rec := instrumentedRun(t, 3)
+	spec := res.Config.Spec
+	for _, s := range res.Cluster.Servers() {
+		for id := range spec.ServiceNames() {
+			var m struct{ Svc, Node string }
+			line := rec.AppendJSONLine(nil, obs.Record{Kind: obs.Crash, Svc: int32(id), Server: int32(s.Index())})
+			if err := json.Unmarshal(line, &m); err != nil {
+				t.Fatal(err)
+			}
+			if m.Svc != spec.ServiceByID(id).Name || m.Node != s.Name() {
+				t.Fatalf("service %d on server %d encode as %q on %q, want %q on %q",
+					id, s.Index(), m.Svc, m.Node, spec.ServiceByID(id).Name, s.Name())
+			}
+		}
+	}
+	zones := map[string][]string{}
+	for _, r := range rec.Events() {
+		if r.Kind != obs.ZoneReassign {
+			continue
+		}
+		var m struct{ Servers []string }
+		if err := json.Unmarshal(rec.AppendJSONLine(nil, r), &m); err != nil {
+			t.Fatal(err)
+		}
+		zones[r.Zone.String()] = m.Servers
+	}
+	for _, z := range []fridge.Zone{fridge.Cold, fridge.Warm, fridge.Hot} {
+		var want []string
+		for _, s := range res.Fridge.ZoneServers(z) {
+			want = append(want, s.Name())
+		}
+		if !slices.Equal(zones[z.String()], want) {
+			t.Fatalf("last %s zone_reassign lists %q, want %q", z, zones[z.String()], want)
+		}
 	}
 }

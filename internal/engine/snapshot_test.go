@@ -148,7 +148,10 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 // detour's fork, in random order — and finishing reproduces the cold run
 // byte for byte.
 // It covers every registered scheme plus a profile-driven run (the one
-// ScaleTraffic applies to), each with KeepSpans off and on.
+// ScaleTraffic applies to), each with KeepSpans off and on, all with the
+// event recorder and ledger on, and a ServiceFridge run whose recorder
+// ring is small enough to wrap, so bookmarks capture and restore a
+// wrapped ring and its reclaimed zone-member arena.
 func TestBookmarkRestoreAnyOrder(t *testing.T) {
 	type variant struct {
 		name    string
@@ -168,6 +171,11 @@ func TestBookmarkRestoreAnyOrder(t *testing.T) {
 	}
 	variants = append(variants, variant{name: "profile", profile: true,
 		cfg: func() Config { return profileConfig(t, "diurnal", false) }})
+	variants = append(variants, variant{name: "ServiceFridge/ring=16", cfg: func() Config {
+		cfg := instrumentedConfig("ServiceFridge")
+		cfg.Events = obs.NewRecorder(16)
+		return cfg
+	}})
 
 	rng := rand.New(rand.NewSource(14))
 	for _, v := range variants {

@@ -125,7 +125,7 @@ func eventTables(records []obs.Record) []*metrics.Table {
 
 	counts := map[string]int{}
 	for _, r := range records {
-		counts[r.Ev.Kind()]++
+		counts[r.Kind.String()]++
 	}
 	ct := metrics.NewTable("Event counts by kind", "kind", "count")
 	for _, kind := range []string{

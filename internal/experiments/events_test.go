@@ -10,16 +10,18 @@ import (
 )
 
 func TestEventTablesFromSyntheticStream(t *testing.T) {
+	const m, b, c, d = 0, 1, 2, 3 // server indices
 	rec := obs.NewRecorder(0)
-	rec.Emit(1e9, obs.PowerSample{Zone: "cluster", Watts: 310, Budget: 350})
-	rec.Emit(1e9, obs.ZoneReassign{Zone: "cold", Servers: []string{"m", "b"}})
-	rec.Emit(1e9, obs.ZoneReassign{Zone: "warm", Servers: []string{"c"}})
-	rec.Emit(1e9, obs.ZoneReassign{Zone: "hot", Servers: []string{"d"}})
-	rec.Emit(2e9, obs.ZoneReassign{Zone: "cold", Servers: []string{"m", "b"}})
-	rec.Emit(2e9, obs.ZoneReassign{Zone: "warm", Servers: []string{"c"}})
-	rec.Emit(2e9, obs.ZoneReassign{Zone: "hot", Servers: []string{"d"}})
-	rec.Emit(2e9, obs.FreqChange{Server: "d", Zone: "hot", GHz: 1.8})
-	rec.Emit(2e9, obs.Migration{Service: "route", From: "d", To: "b", Zone: "cold"})
+	rec.Bind(obs.Names{Servers: []string{"m", "b", "c", "d"}, Services: []string{"route"}})
+	rec.Emit(1e9, obs.Record{Kind: obs.PowerSample, Zone: obs.ZoneCluster, Value: 310, Bound: 350})
+	rec.EmitZone(1e9, obs.ZoneCold, []int32{m, b}, obs.Cause{})
+	rec.EmitZone(1e9, obs.ZoneWarm, []int32{c}, obs.Cause{})
+	rec.EmitZone(1e9, obs.ZoneHot, []int32{d}, obs.Cause{})
+	rec.EmitZone(2e9, obs.ZoneCold, []int32{m, b}, obs.Cause{})
+	rec.EmitZone(2e9, obs.ZoneWarm, []int32{c}, obs.Cause{})
+	rec.EmitZone(2e9, obs.ZoneHot, []int32{d}, obs.Cause{})
+	rec.Emit(2e9, obs.Record{Kind: obs.FreqChange, Server: d, Zone: obs.ZoneHot, Value: 1.8})
+	rec.Emit(2e9, obs.Record{Kind: obs.Migration, Svc: 0, From: d, To: b, Zone: obs.ZoneCold})
 
 	tables := eventTables(rec.Events())
 	if len(tables) != 2 {
@@ -45,9 +47,9 @@ func TestEventTablesFromSyntheticStream(t *testing.T) {
 func TestEventTablesSkipsUnchangedTicks(t *testing.T) {
 	rec := obs.NewRecorder(0)
 	for i := int64(1); i <= 3; i++ {
-		rec.Emit(sim.Time(1e9*i), obs.ZoneReassign{Zone: "cold", Servers: []string{"m"}})
-		rec.Emit(sim.Time(1e9*i), obs.ZoneReassign{Zone: "warm", Servers: []string{"c"}})
-		rec.Emit(sim.Time(1e9*i), obs.ZoneReassign{Zone: "hot", Servers: []string{"d"}})
+		rec.EmitZone(sim.Time(1e9*i), obs.ZoneCold, []int32{0}, obs.Cause{})
+		rec.EmitZone(sim.Time(1e9*i), obs.ZoneWarm, []int32{1}, obs.Cause{})
+		rec.EmitZone(sim.Time(1e9*i), obs.ZoneHot, []int32{2}, obs.Cause{})
 	}
 	tables := eventTables(rec.Events())
 	// Only the first tick changes state; identical later ticks collapse.

@@ -140,8 +140,8 @@ type Fridge struct {
 
 	// Scratch reused from tick to tick: the region load, servicesAt's
 	// result, the worker list, one service's nodes and targets,
-	// per-server state indexed by cluster.Server.Index, and
-	// recordMigration's name lists.
+	// per-server state indexed by cluster.Server.Index, recordZones'
+	// member indices and recordMigration's host lists.
 	load           []float64
 	services       []int
 	workers        []*cluster.Server
@@ -150,7 +150,8 @@ type Fridge struct {
 	inZone, used   []bool
 	utils, loads   []float64
 	serverZone     []Zone
-	added, removed []string
+	members        []int32
+	added, removed []*cluster.Server
 
 	// prof, when non-nil, attributes the control tick's wall time to the
 	// tick phase, with the MCF solve/classification and zone assignment
@@ -460,14 +461,13 @@ func (f *Fridge) recordZones() {
 	}
 	at := f.now()
 	for _, z := range [...]Zone{Cold, Warm, Hot} {
-		names := make([]string, 0, len(f.zoneServers[z]))
+		members := f.members[:0]
 		for _, s := range f.zoneServers[z] {
-			names = append(names, s.Name())
+			members = append(members, int32(s.Index()))
 		}
-		f.ctx.Rec.Emit(at, obs.ZoneReassign{
-			Zone: z.String(), Servers: names,
-			Cause: obs.Cause{Signal: "mcf-demand", Value: f.zoneDemand[z], Bound: f.demandTotal},
-		})
+		f.members = members
+		f.ctx.Rec.EmitZone(at, obs.Zone(z), members,
+			obs.Cause{Signal: obs.MCFDemand, Value: f.zoneDemand[z], Bound: f.demandTotal})
 	}
 }
 
@@ -486,7 +486,7 @@ func (f *Fridge) recordZonePower() {
 				w += float64(smp.Power)
 			}
 		}
-		f.ctx.Rec.Emit(at, obs.PowerSample{Zone: z.String(), Watts: w, Budget: budget})
+		f.ctx.Rec.Emit(at, obs.Record{Kind: obs.PowerSample, Zone: obs.Zone(z), Value: w, Bound: budget})
 	}
 }
 
@@ -743,8 +743,8 @@ func (f *Fridge) migrate() {
 }
 
 // recordMigration diffs a service's current active hosts (f.nodes, as
-// migrate fetched them) against its new targets and emits one Migration
-// event per changed placement, pairing drained nodes with their
+// migrate fetched them) against its new targets and emits one migration
+// record per changed placement, pairing drained nodes with their
 // replacements in name order.
 func (f *Fridge) recordMigration(id int, z Zone, targets []*cluster.Server) {
 	if f.ctx.Rec == nil {
@@ -753,29 +753,30 @@ func (f *Fridge) recordMigration(id int, z Zone, targets []*cluster.Server) {
 	added, removed := f.added[:0], f.removed[:0]
 	for _, n := range targets {
 		if !slices.Contains(f.nodes, n) {
-			added = append(added, n.Name())
+			added = append(added, n)
 		}
 	}
 	for _, n := range f.nodes {
 		if !slices.Contains(targets, n) {
-			removed = append(removed, n.Name())
+			removed = append(removed, n)
 		}
 	}
-	slices.Sort(added)
-	slices.Sort(removed)
+	byName := func(a, b *cluster.Server) int { return strings.Compare(a.Name(), b.Name()) }
+	slices.SortFunc(added, byName)
+	slices.SortFunc(removed, byName)
 	f.added, f.removed = added, removed
 	at := f.now()
 	for i := 0; i < len(added) || i < len(removed); i++ {
-		var from, to string
+		from, to := int32(obs.None), int32(obs.None)
 		if i < len(removed) {
-			from = removed[i]
+			from = int32(removed[i].Index())
 		}
 		if i < len(added) {
-			to = added[i]
+			to = int32(added[i].Index())
 		}
-		f.ctx.Rec.Emit(at, obs.Migration{
-			Service: f.name(id), From: from, To: to, Zone: z.String(),
-			Cause: obs.Cause{Signal: "mcf-rank", Value: f.lastMCF[id], Bound: f.demandTotal},
+		f.ctx.Rec.Emit(at, obs.Record{
+			Kind: obs.Migration, Svc: int32(id), From: from, To: to, Zone: obs.Zone(z),
+			Cause: obs.Cause{Signal: obs.MCFRank, Value: f.lastMCF[id], Bound: f.demandTotal},
 		})
 	}
 }
@@ -789,8 +790,8 @@ func (f *Fridge) demoteForPower(predicted, capW power.Watts) {
 	if len(high) == 0 {
 		return
 	}
-	cause := obs.Cause{Signal: "power-gap", Value: float64(predicted), Bound: float64(capW)}
-	f.bump(high[len(high)-1], -1, "power-shortage", cause)
+	cause := obs.Cause{Signal: obs.PowerGap, Value: float64(predicted), Bound: float64(capW)}
+	f.bump(high[len(high)-1], -1, obs.PowerShortage, cause)
 	f.demotions++
 }
 
@@ -828,20 +829,20 @@ func (f *Fridge) autoScale() {
 	case mean > f.Alpha && headroom:
 		// Promote the criticality of services on the max-utilization node
 		// (§5.3: promotion only when power is abundant).
-		cause := obs.Cause{Signal: "warm-util", Value: mean, Bound: f.Alpha}
+		cause := obs.Cause{Signal: obs.WarmUtil, Value: mean, Bound: f.Alpha}
 		victim := maxUtilServer(warm, f.utils)
 		for _, id := range f.funcByName {
 			if f.ctx.Orch.ActiveOn(f.name(id), victim) && f.levels[id] != core.High {
-				f.bump(id, +1, "warm-util-high", cause)
+				f.bump(id, +1, obs.WarmUtilHigh, cause)
 				f.promotions++
 			}
 		}
 	case mean < f.Beta:
-		cause := obs.Cause{Signal: "warm-util", Value: mean, Bound: f.Beta}
+		cause := obs.Cause{Signal: obs.WarmUtil, Value: mean, Bound: f.Beta}
 		victim := minUtilServer(warm, f.utils)
 		for _, id := range f.funcByName {
 			if f.ctx.Orch.ActiveOn(f.name(id), victim) && f.levels[id] != core.Low {
-				f.bump(id, -1, "warm-util-low", cause)
+				f.bump(id, -1, obs.WarmUtilLow, cause)
 				f.demotions++
 			}
 		}
@@ -850,7 +851,7 @@ func (f *Fridge) autoScale() {
 
 // bump records an Algorithm 1 adjustment of delta for the service with
 // spec ID id. Services the controller has not classified are ignored.
-func (f *Fridge) bump(id, delta int, reason string, cause obs.Cause) {
+func (f *Fridge) bump(id, delta int, reason obs.Reason, cause obs.Cause) {
 	if !f.hasMCF || !f.inGraph[id] {
 		return
 	}
@@ -862,12 +863,12 @@ func (f *Fridge) bump(id, delta int, reason string, cause obs.Cause) {
 	f.adjustBase[id] = f.baseLevels[id]
 	if f.ctx.Rec != nil {
 		// The effective level the adjustment produces on the next tick.
-		level := clampLevel(int(f.baseLevels[id]) + f.adjust[id]).String()
+		rec := obs.Record{Kind: obs.Demote, Svc: int32(id), Reason: reason, Cause: cause,
+			Level: obs.Level(clampLevel(int(f.baseLevels[id]) + f.adjust[id]))}
 		if delta > 0 {
-			f.ctx.Rec.Emit(f.now(), obs.Promote{Service: f.name(id), Level: level, Reason: reason, Cause: cause})
-		} else {
-			f.ctx.Rec.Emit(f.now(), obs.Demote{Service: f.name(id), Level: level, Reason: reason, Cause: cause})
+			rec.Kind = obs.Promote
 		}
+		f.ctx.Rec.Emit(f.now(), rec)
 	}
 }
 
@@ -915,10 +916,10 @@ func (f *Fridge) setZoneFrequencies() {
 	f.zoneFreq[Cold] = cluster.FreqMax
 	f.zoneFreq[Warm] = warmF
 	f.zoneFreq[Hot] = hotF
-	// The fit the descent stopped at: every FreqChange this tick carries
+	// The fit the descent stopped at: every freq_change this tick carries
 	// it as provenance (predicted draw at the chosen frequencies vs cap).
 	fit := obs.Cause{
-		Signal: "budget-fit",
+		Signal: obs.BudgetFit,
 		Value:  float64(f.predictTotal(warmF, hotF)),
 		Bound:  float64(capW),
 	}
@@ -940,14 +941,14 @@ func (f *Fridge) setZoneFrequencies() {
 	}
 }
 
-// setFreqRecorded actuates one server's frequency, emitting a FreqChange
-// event when the setting actually moves.
+// setFreqRecorded actuates one server's frequency, emitting a
+// freq_change record when the setting actually moves.
 func (f *Fridge) setFreqRecorded(s *cluster.Server, z Zone, want cluster.GHz, cause obs.Cause) {
 	prev := s.Freq()
 	s.SetFreq(want)
 	if f.ctx.Rec != nil && s.Freq() != prev {
-		f.ctx.Rec.Emit(f.now(), obs.FreqChange{
-			Server: s.Name(), Zone: z.String(), GHz: float64(s.Freq()), Cause: cause,
+		f.ctx.Rec.Emit(f.now(), obs.Record{
+			Kind: obs.FreqChange, Server: int32(s.Index()), Zone: obs.Zone(z), Value: float64(s.Freq()), Cause: cause,
 		})
 	}
 }

@@ -281,7 +281,7 @@ func TestPromotionAdjustmentExpiresWhenBaseChanges(t *testing.T) {
 	eng.RunFor(time.Second)
 	f.Tick()
 	// Manually promote a low service.
-	f.bump(f.spec.Service("route").ID(), +1, "test", obs.Cause{})
+	f.bump(f.spec.Service("route").ID(), +1, obs.WarmUtilHigh, obs.Cause{})
 	feed(f, 30, 0)
 	f.Tick()
 	if f.Levels()["route"] != core.Uncertain {
@@ -347,18 +347,50 @@ func (fn launcherFunc) Launch(region string, onDone func(*trace.Trace)) { fn(reg
 // allocates nothing — MCF, classification, zoning, placement queries,
 // Algorithm 1 and frequency planning all run on reused scratch.
 func TestFridgeTickZeroAllocs(t *testing.T) {
-	eng, f, ctx := harness(t, 0.8)
-	feed(f, 30, 20)
-	eng.RunFor(time.Second)
-	for i := 0; i < 10; i++ {
-		f.Tick()
+	for _, recorded := range []bool{false, true} {
+		eng, f, ctx := harness(t, 0.8)
+		if recorded {
+			// A small ring, so the timed ticks overwrite records and
+			// reclaim zone members instead of growing.
+			ctx.Rec = obs.NewRecorder(64)
+			var servers []string
+			for _, s := range ctx.Cluster.Servers() {
+				servers = append(servers, s.Name())
+			}
+			ctx.Rec.Bind(obs.Names{Servers: servers, Services: f.spec.ServiceNames()})
+			ctx.Rec.SetLedger(obs.NewLedger())
+		}
+		feed(f, 30, 20)
+		eng.RunFor(time.Second)
+		for i := 0; i < 40; i++ {
+			f.Tick()
+		}
+		migrations := ctx.Orch.Migrations()
+		allocs := testing.AllocsPerRun(100, f.Tick)
+		if allocs != 0 {
+			t.Fatalf("recorded=%v: Tick allocated %.3f objects/op, want 0", recorded, allocs)
+		}
+		if ctx.Orch.Migrations() != migrations {
+			t.Fatalf("placements still moving in steady state (%d -> %d migrations)", migrations, ctx.Orch.Migrations())
+		}
+		if recorded && ctx.Rec.Dropped() == 0 {
+			t.Fatal("the recorder's ring never wrapped")
+		}
 	}
-	migrations := ctx.Orch.Migrations()
-	allocs := testing.AllocsPerRun(100, f.Tick)
-	if allocs != 0 {
-		t.Fatalf("Tick allocated %.3f objects/op, want 0", allocs)
+}
+
+// TestRecordVocabularyMatches: records name zones by fridge.Zone and
+// levels by core.Criticality through plain conversions, so obs's tables
+// must list them in the same order.
+func TestRecordVocabularyMatches(t *testing.T) {
+	for _, z := range []Zone{Hot, Warm, Cold} {
+		if got := obs.Zone(z).String(); got != z.String() {
+			t.Fatalf("zone %d records as %q, want %q", z, got, z)
+		}
 	}
-	if ctx.Orch.Migrations() != migrations {
-		t.Fatalf("placements still moving in steady state (%d -> %d migrations)", migrations, ctx.Orch.Migrations())
+	for _, c := range []core.Criticality{core.Low, core.Uncertain, core.High} {
+		if got := obs.Level(c).String(); got != c.String() {
+			t.Fatalf("level %d records as %q, want %q", c, got, c)
+		}
 	}
 }

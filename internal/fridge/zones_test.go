@@ -204,7 +204,7 @@ func TestRepeatedPromotionPastClampSticks(t *testing.T) {
 	}
 	// One promotion per control interval, continuing past the clamp.
 	for i := 0; i < 3; i++ {
-		f.bump(f.spec.Service("route").ID(), +1, "test", obs.Cause{})
+		f.bump(f.spec.Service("route").ID(), +1, obs.WarmUtilHigh, obs.Cause{})
 		feed(f, 30, 0)
 		f.Tick()
 	}

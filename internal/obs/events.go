@@ -1,351 +1,186 @@
 // Package obs is the deterministic controller event layer: every
 // power-management decision the controller stack takes (zone splits,
 // migrations, promotions, DVFS steps, power samples, crashes) is recorded
-// as a typed event keyed by simulation time. The recorder is a fixed-size
-// ring buffer attached to an experiment run; because the simulator is
-// single-threaded and events carry (sim.Time, sequence) keys, two runs
+// as a Record keyed by simulation time. The recorder is a bounded ring
+// buffer attached to an experiment run; because the simulator is
+// single-threaded and records carry (sim.Time, sequence) keys, two runs
 // with the same seed produce byte-identical event streams regardless of
 // how many runs execute concurrently — the property the CI determinism
 // gates diff for.
+//
+// A Record is a value with no pointers: names are small indices into
+// tables the recorder binds once per run (Names) or into the fixed
+// vocabularies below, and are resolved only when a record is encoded.
+// Recording a decision therefore allocates nothing, and the ring holds
+// nothing for the garbage collector to scan.
 package obs
 
-import (
-	"strconv"
+import "servicefridge/internal/sim"
 
-	"servicefridge/internal/sim"
+// Kind discriminates a Record; its name is the "kind" JSON field.
+type Kind uint8
+
+// The record kinds. The table on Record lists the fields each one uses.
+const (
+	ZoneReassign Kind = iota + 1
+	Migration
+	Promote
+	Demote
+	FreqChange
+	PowerSample
+	Crash
+	Restart
+	Scale
+	QoSViolation
+	QoSRecovered
+	BudgetHeadroomLow
 )
 
-// Cause is the decision-provenance record attached to control action
-// events: the triggering signal, its value at decision time, and the
-// bound it was compared against. The zero value means "no provenance
-// captured" and encodes to nothing, so cause-less streams keep their
-// exact historical bytes. Causes are captured on the controller's
-// allocation-free paths — a Cause is three words of value state, no
-// pointers, no heap.
+var kindNames = [...]string{
+	ZoneReassign: "zone_reassign", Migration: "migration", Promote: "promote",
+	Demote: "demote", FreqChange: "freq_change", PowerSample: "power_sample",
+	Crash: "crash", Restart: "restart", Scale: "scale",
+	QoSViolation: "qos_violation", QoSRecovered: "qos_recovered",
+	BudgetHeadroomLow: "budget_headroom_low",
+}
+
+func (k Kind) String() string { return kindNames[k] }
+
+// Zone names the controller zone a record concerns. The first three
+// follow fridge.Zone's order; Cluster is the whole-cluster reading of the
+// meter and of the comparator schemes.
+type Zone uint8
+
+const (
+	ZoneHot Zone = iota
+	ZoneWarm
+	ZoneCold
+	ZoneCluster
+)
+
+var zoneNames = [...]string{"hot", "warm", "cold", "cluster"}
+
+func (z Zone) String() string { return zoneNames[z] }
+
+// Level is the criticality a promote or demote leaves a service at, in
+// core.Criticality's order.
+type Level uint8
+
+var levelNames = [...]string{"low", "uncertain", "high"}
+
+func (l Level) String() string { return levelNames[l] }
+
+// Reason names what triggered a promote or demote.
+type Reason uint8
+
+const (
+	WarmUtilHigh Reason = iota
+	WarmUtilLow
+	PowerShortage
+)
+
+var reasonNames = [...]string{"warm-util-high", "warm-util-low", "power-shortage"}
+
+func (r Reason) String() string { return reasonNames[r] }
+
+// Quantile is the latency quantile an SLO alert watches.
+type Quantile uint8
+
+const (
+	P50 Quantile = iota
+	P95
+	P99
+)
+
+var quantileNames = [...]string{"p50", "p95", "p99"}
+
+func (q Quantile) String() string { return quantileNames[q] }
+
+// Signal names the input a control action was decided on: a zone's
+// aggregate MCF demand against the total (zone sizing), a service's MCF
+// against the cluster-wide total (migration ordering), the warm zone's
+// mean utilization against Alpha or Beta (Algorithm 1), the irreducible
+// predicted draw against the cap (shortage demotion), the predicted draw
+// at the chosen frequencies against the cap (DVFS fitting), or the
+// requested replica count against the live count (horizontal scaling).
+type Signal uint8
+
+const (
+	NoSignal Signal = iota // no provenance captured
+	MCFDemand
+	MCFRank
+	WarmUtil
+	PowerGap
+	BudgetFit
+	ReplicaTarget
+)
+
+var signalNames = [...]string{
+	"", "mcf-demand", "mcf-rank", "warm-util", "power-gap", "budget-fit", "replica-target",
+}
+
+func (s Signal) String() string { return signalNames[s] }
+
+// Cause is the decision-provenance record attached to a control action:
+// the triggering signal, its value at decision time, and the bound it
+// was compared against. The zero value means "no provenance captured"
+// and encodes to nothing, so cause-less streams keep their exact
+// historical bytes.
 type Cause struct {
-	// Signal names the triggering input: "mcf-demand" (zone sizing),
-	// "mcf-rank" (migration ordering), "warm-util" (Algorithm 1),
-	// "power-gap" (shortage demotion), "budget-fit" (DVFS fitting),
-	// "replica-target" (horizontal scaling).
-	Signal string
+	Signal Signal
 	// Value is the signal's reading at decision time.
 	Value float64
 	// Bound is the threshold or reference the value was compared against.
 	Bound float64
 }
 
-// appendCause appends `,"cause":{...}` when a cause was captured; a zero
-// Cause appends nothing, keeping cause-less encodings byte-identical to
-// the pre-provenance format.
-func appendCause(b []byte, c Cause) []byte {
-	if c.Signal == "" {
-		return b
-	}
-	b = append(b, `,"cause":{"signal":`...)
-	b = strconv.AppendQuote(b, c.Signal)
-	b = append(b, `,"value":`...)
-	b = strconv.AppendFloat(b, c.Value, 'g', -1, 64)
-	b = append(b, `,"bound":`...)
-	b = strconv.AppendFloat(b, c.Bound, 'g', -1, 64)
-	return append(b, '}')
-}
+// None is the index of an absent server or service; it encodes as "".
+const None = -1
 
-// Event is one typed controller decision or observation. Implementations
-// append their payload as JSON members in a fixed field order, which keeps
-// the JSONL export stable and diffable.
-type Event interface {
-	// Kind is the short snake_case discriminator written to the "kind"
-	// JSON field.
-	Kind() string
-	// appendFields appends the payload as `,"k":v` JSON members.
-	appendFields(b []byte) []byte
-}
-
-// ZoneReassign snapshots one zone's server set for a control tick. The
-// fridge emits one per zone per tick, so the stream always carries the
-// full hot/warm/cold partition (Figure 9's server numbers over time).
-type ZoneReassign struct {
-	Zone    string
-	Servers []string
-	// Cause carries the zone's aggregate MCF demand against the total —
-	// the proportional-split input that sized this zone.
-	Cause Cause
-}
-
-// Kind implements Event.
-func (ZoneReassign) Kind() string { return "zone_reassign" }
-
-func (e ZoneReassign) appendFields(b []byte) []byte {
-	b = appendStr(b, "zone", e.Zone)
-	b = append(b, `,"servers":[`...)
-	for i, s := range e.Servers {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendQuote(b, s)
-	}
-	b = append(b, ']')
-	return appendCause(b, e.Cause)
-}
-
-// Migration records one container move of the start-new-then-kill-old
-// strategy: Service leaves From and lands on To inside Zone. From is empty
-// when the move only adds a replica host; To is empty when it only drains
-// one.
-type Migration struct {
-	Service string
-	From    string
-	To      string
-	Zone    string
-	// Cause carries the service's MCF rank against the cluster-wide
-	// total — why this zone claimed it.
-	Cause Cause
-}
-
-// Kind implements Event.
-func (Migration) Kind() string { return "migration" }
-
-func (e Migration) appendFields(b []byte) []byte {
-	b = appendStr(b, "svc", e.Service)
-	b = appendStr(b, "from", e.From)
-	b = appendStr(b, "to", e.To)
-	b = appendStr(b, "zone", e.Zone)
-	return appendCause(b, e.Cause)
-}
-
-// Promote records an Algorithm 1 criticality promotion. Level is the
-// effective level after the adjustment; Reason names the trigger.
-type Promote struct {
-	Service string
-	Level   string
-	Reason  string
-	// Cause carries the warm-zone utilization against Alpha — the
-	// Algorithm 1 comparison that triggered the promotion.
-	Cause Cause
-}
-
-// Kind implements Event.
-func (Promote) Kind() string { return "promote" }
-
-func (e Promote) appendFields(b []byte) []byte {
-	b = appendStr(b, "svc", e.Service)
-	b = appendStr(b, "level", e.Level)
-	b = appendStr(b, "reason", e.Reason)
-	return appendCause(b, e.Cause)
-}
-
-// Demote records an Algorithm 1 or power-shortage criticality demotion.
-type Demote struct {
-	Service string
-	Level   string
-	Reason  string
-	// Cause carries the utilization-vs-Beta comparison (warm-util-low)
-	// or the predicted draw against the cap (power-shortage).
-	Cause Cause
-}
-
-// Kind implements Event.
-func (Demote) Kind() string { return "demote" }
-
-func (e Demote) appendFields(b []byte) []byte {
-	b = appendStr(b, "svc", e.Service)
-	b = appendStr(b, "level", e.Level)
-	b = appendStr(b, "reason", e.Reason)
-	return appendCause(b, e.Cause)
-}
-
-// FreqChange records one server's DVFS actuation to a new frequency, with
-// the zone that dictated it.
-type FreqChange struct {
-	Server string
-	Zone   string
-	GHz    float64
-	// Cause carries the predicted cluster draw at the chosen zone
-	// frequencies against the budget cap — the fit the DVFS ladder
-	// descent stopped at.
-	Cause Cause
-}
-
-// Kind implements Event.
-func (FreqChange) Kind() string { return "freq_change" }
-
-func (e FreqChange) appendFields(b []byte) []byte {
-	b = appendStr(b, "server", e.Server)
-	b = appendStr(b, "zone", e.Zone)
-	b = appendFloat(b, "ghz", e.GHz)
-	return appendCause(b, e.Cause)
-}
-
-// PowerSample is one power-meter window: the draw of Zone ("cluster" for
-// the whole-cluster reading) against the admissible budget.
-type PowerSample struct {
-	Zone   string
-	Watts  float64
-	Budget float64
-}
-
-// Kind implements Event.
-func (PowerSample) Kind() string { return "power_sample" }
-
-func (e PowerSample) appendFields(b []byte) []byte {
-	b = appendStr(b, "zone", e.Zone)
-	b = appendFloat(b, "watts", e.Watts)
-	return appendFloat(b, "budget", e.Budget)
-}
-
-// Crash records an abrupt container failure on Node.
-type Crash struct {
-	Service string
-	Node    string
-}
-
-// Kind implements Event.
-func (Crash) Kind() string { return "crash" }
-
-func (e Crash) appendFields(b []byte) []byte {
-	b = appendStr(b, "svc", e.Service)
-	return appendStr(b, "node", e.Node)
-}
-
-// Restart records the auto-restart replacement of a crashed container.
-type Restart struct {
-	Service string
-	Node    string
-}
-
-// Kind implements Event.
-func (Restart) Kind() string { return "restart" }
-
-func (e Restart) appendFields(b []byte) []byte {
-	b = appendStr(b, "svc", e.Service)
-	return appendStr(b, "node", e.Node)
-}
-
-// Scale records a horizontal replica-count change of a service.
-type Scale struct {
-	Service string
-	From    int
-	To      int
-	// Cause carries the requested replica target against the live count
-	// at decision time.
-	Cause Cause
-}
-
-// Kind implements Event.
-func (Scale) Kind() string { return "scale" }
-
-func (e Scale) appendFields(b []byte) []byte {
-	b = appendStr(b, "svc", e.Service)
-	b = appendInt(b, "from", int64(e.From))
-	b = appendInt(b, "to", int64(e.To))
-	return appendCause(b, e.Cause)
-}
-
-// QoSViolation records the SLO monitor tripping: the watched quantile of
-// Series' sliding latency window has stayed above the target long enough
-// to clear the hysteresis. Values are in milliseconds to match the
-// experiment tables.
-type QoSViolation struct {
-	Series   string
-	Quantile string
-	ValueMs  float64
-	TargetMs float64
-}
-
-// Kind implements Event.
-func (QoSViolation) Kind() string { return "qos_violation" }
-
-func (e QoSViolation) appendFields(b []byte) []byte {
-	b = appendStr(b, "series", e.Series)
-	b = appendStr(b, "quantile", e.Quantile)
-	b = appendFloat(b, "value_ms", e.ValueMs)
-	return appendFloat(b, "target_ms", e.TargetMs)
-}
-
-// QoSRecovered records the SLO monitor clearing a prior QoSViolation for
-// Series after the watched quantile has stayed back under the target.
-type QoSRecovered struct {
-	Series   string
-	Quantile string
-	ValueMs  float64
-	TargetMs float64
-}
-
-// Kind implements Event.
-func (QoSRecovered) Kind() string { return "qos_recovered" }
-
-func (e QoSRecovered) appendFields(b []byte) []byte {
-	b = appendStr(b, "series", e.Series)
-	b = appendStr(b, "quantile", e.Quantile)
-	b = appendFloat(b, "value_ms", e.ValueMs)
-	return appendFloat(b, "target_ms", e.TargetMs)
-}
-
-// BudgetHeadroomLow records cluster power headroom dropping below the
-// monitor's warning fraction of the cap — the early signal that the next
-// load increase will force DVFS throttling.
-type BudgetHeadroomLow struct {
-	HeadroomW float64
-	CapW      float64
-}
-
-// Kind implements Event.
-func (BudgetHeadroomLow) Kind() string { return "budget_headroom_low" }
-
-func (e BudgetHeadroomLow) appendFields(b []byte) []byte {
-	b = appendFloat(b, "headroom_w", e.HeadroomW)
-	return appendFloat(b, "cap_w", e.CapW)
-}
-
-// CauseOf returns the provenance record attached to a control action
-// event, and whether one was captured. Observation-only events (power
-// samples, crashes, QoS alerts) carry no cause and always report false.
-func CauseOf(ev Event) (Cause, bool) {
-	var c Cause
-	switch e := ev.(type) {
-	case ZoneReassign:
-		c = e.Cause
-	case Migration:
-		c = e.Cause
-	case Promote:
-		c = e.Cause
-	case Demote:
-		c = e.Cause
-	case FreqChange:
-		c = e.Cause
-	case Scale:
-		c = e.Cause
-	}
-	return c, c.Signal != ""
-}
-
-func appendStr(b []byte, key, val string) []byte {
-	b = append(b, ',', '"')
-	b = append(b, key...)
-	b = append(b, '"', ':')
-	return strconv.AppendQuote(b, val)
-}
-
-func appendInt(b []byte, key string, val int64) []byte {
-	b = append(b, ',', '"')
-	b = append(b, key...)
-	b = append(b, '"', ':')
-	return strconv.AppendInt(b, val, 10)
-}
-
-func appendFloat(b []byte, key string, val float64) []byte {
-	b = append(b, ',', '"')
-	b = append(b, key...)
-	b = append(b, '"', ':')
-	// Shortest round-trippable representation: deterministic for a given
-	// bit pattern, so goldens and cross-run diffs are stable.
-	return strconv.AppendFloat(b, val, 'g', -1, 64)
-}
-
-// Record is one recorded event with its simulation-time key and the
-// tie-breaking sequence number assigned at emit time.
+// Record is one controller decision or observation with its
+// simulation-time key and the tie-breaking sequence number assigned at
+// emit time. Kind says which fields carry data; the rest stay zero:
+//
+//	kind                    fields (JSON members in order)
+//	zone_reassign           Zone, members From..To (servers), Cause
+//	migration               Svc, From, To (servers, None for neither), Zone, Cause
+//	promote, demote         Svc, Level, Reason, Cause
+//	freq_change             Server, Zone, Value (GHz), Cause
+//	power_sample            Zone, Value (watts), Bound (budget)
+//	crash, restart          Svc, Server (node)
+//	scale                   Svc, From, To (replicas), Cause
+//	qos_violation,
+//	qos_recovered           Svc (SLO series), Quantile, Value, Bound (ms)
+//	budget_headroom_low     Value (headroom W), Bound (cap W)
+//
+// Svc indexes the bound services (SLO series for the qos kinds), Server,
+// and From and To of a migration, index the bound servers. A
+// zone_reassign's From and To delimit its member servers in the
+// recorder's arena (see Recorder.EmitZone); Members counts them.
 type Record struct {
-	At  sim.Time
-	Seq uint64
-	Ev  Event
+	At       sim.Time
+	Seq      uint64
+	Kind     Kind
+	Zone     Zone
+	Level    Level
+	Reason   Reason
+	Quantile Quantile
+	Svc      int32
+	Server   int32
+	From, To int32
+	Value    float64
+	Bound    float64
+	Cause    Cause
+}
+
+// Members returns the number of servers a zone_reassign lists.
+func (r Record) Members() int { return int(uint32(r.To) - uint32(r.From)) }
+
+// Names are the per-run tables a recorder resolves record indices
+// through: Servers by cluster.Server.Index, Services by app service ID,
+// Series by SLO series (telemetry's alert recorder).
+type Names struct {
+	Servers  []string
+	Services []string
+	Series   []string
 }

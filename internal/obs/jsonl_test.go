@@ -12,24 +12,30 @@ import (
 	"servicefridge/internal/sim"
 )
 
-// goldenRecorder emits one event of every kind, in a fixed order, at
+// goldenRecorder emits one record of every kind, in a fixed order, at
 // ascending sim times — the reference stream behind the golden file.
 func goldenRecorder() *Recorder {
 	r := NewRecorder(0)
+	r.Bind(Names{
+		Servers:  []string{"manager", "serverB", "serverC", "serverD"},
+		Services: []string{"route", "config", "seat"},
+		Series:   []string{"region:B"},
+	})
+	const low, high Level = 0, 2
 	sec := func(s float64) sim.Time { return sim.Time(time.Duration(s * float64(time.Second))) }
-	r.Emit(sec(1), ZoneReassign{Zone: "cold", Servers: []string{"manager", "serverB"}})
-	r.Emit(sec(1), ZoneReassign{Zone: "hot", Servers: nil})
-	r.Emit(sec(1), FreqChange{Server: "serverC", Zone: "hot", GHz: 1.8})
-	r.Emit(sec(1), PowerSample{Zone: "cluster", Watts: 123.45, Budget: 350.5})
-	r.Emit(sec(2), Migration{Service: "route", From: "serverC", To: "serverB", Zone: "cold"})
-	r.Emit(sec(2), Promote{Service: "route", Level: "high", Reason: "warm-util-high"})
-	r.Emit(sec(2.5), Demote{Service: "config", Level: "low", Reason: "power-shortage"})
-	r.Emit(sec(3), Crash{Service: "config", Node: "serverD"})
-	r.Emit(sec(3.5), Restart{Service: "config", Node: "serverD"})
-	r.Emit(sec(4), Scale{Service: "seat", From: 1, To: 3})
-	r.Emit(sec(5), BudgetHeadroomLow{HeadroomW: 12.5, CapW: 350.5})
-	r.Emit(sec(5), QoSViolation{Series: "region:B", Quantile: "p95", ValueMs: 131.072, TargetMs: 100})
-	r.Emit(sec(6), QoSRecovered{Series: "region:B", Quantile: "p95", ValueMs: 88.25, TargetMs: 100})
+	r.EmitZone(sec(1), ZoneCold, []int32{0, 1}, Cause{})
+	r.EmitZone(sec(1), ZoneHot, nil, Cause{})
+	r.Emit(sec(1), Record{Kind: FreqChange, Server: 2, Zone: ZoneHot, Value: 1.8})
+	r.Emit(sec(1), Record{Kind: PowerSample, Zone: ZoneCluster, Value: 123.45, Bound: 350.5})
+	r.Emit(sec(2), Record{Kind: Migration, Svc: 0, From: 2, To: 1, Zone: ZoneCold})
+	r.Emit(sec(2), Record{Kind: Promote, Svc: 0, Level: high, Reason: WarmUtilHigh})
+	r.Emit(sec(2.5), Record{Kind: Demote, Svc: 1, Level: low, Reason: PowerShortage})
+	r.Emit(sec(3), Record{Kind: Crash, Svc: 1, Server: 3})
+	r.Emit(sec(3.5), Record{Kind: Restart, Svc: 1, Server: 3})
+	r.Emit(sec(4), Record{Kind: Scale, Svc: 2, From: 1, To: 3})
+	r.Emit(sec(5), Record{Kind: BudgetHeadroomLow, Value: 12.5, Bound: 350.5})
+	r.Emit(sec(5), Record{Kind: QoSViolation, Svc: 0, Quantile: P95, Value: 131.072, Bound: 100})
+	r.Emit(sec(6), Record{Kind: QoSRecovered, Svc: 0, Quantile: P95, Value: 88.25, Bound: 100})
 	return r
 }
 
@@ -95,7 +101,9 @@ func TestJSONLIsValidJSONAndMonotonic(t *testing.T) {
 }
 
 func TestAppendJSONLineEscapesStrings(t *testing.T) {
-	b := AppendJSONLine(nil, Record{At: 0, Seq: 0, Ev: Crash{Service: `sv"c`, Node: "n\n"}})
+	r := NewRecorder(1)
+	r.Bind(Names{Servers: []string{"n\n"}, Services: []string{`sv"c`}})
+	b := r.AppendJSONLine(nil, Record{Kind: Crash, Svc: 0, Server: 0})
 	var m map[string]any
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatalf("escaped line does not parse: %v (%s)", err, b)

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"servicefridge/internal/sim"
 )
@@ -67,15 +69,18 @@ func NewLedger() *Ledger {
 	return &Ledger{chain: fnvOffset, evHash: fnvOffset, scratch: make([]byte, 0, 512)}
 }
 
-// fold hashes one emitted record into the pending tick. Called from the
-// Recorder's emit tee, before ring wraparound can discard the record.
-func (l *Ledger) fold(rec Record) {
-	if l == nil {
-		return
-	}
-	l.scratch = AppendJSONLine(l.scratch[:0], rec)
+// fold hashes one record r emitted into the pending tick, encoded with
+// r's names into the ledger's reused buffer. Called from the Recorder's
+// emit tee, before ring wraparound can discard the record.
+func (l *Ledger) fold(r *Recorder, rec Record) {
+	l.scratch = r.AppendJSONLine(l.scratch[:0], rec)
+	l.add(l.scratch)
+}
+
+// add hashes one encoded record into the pending tick.
+func (l *Ledger) add(line []byte) {
 	h := l.evHash
-	for _, c := range l.scratch {
+	for _, c := range line {
 		h ^= uint64(c)
 		h *= fnvPrime
 	}
@@ -186,95 +191,37 @@ func (l *Ledger) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// parseHex decodes the 16-digit hex values AppendLedgerLine writes.
-func parseHex(s string) (uint64, error) {
-	return strconv.ParseUint(s, 16, 64)
-}
-
-// ParseLedgerLine decodes one JSONL ledger line. The parser is exact for
-// the writer's own output and tolerant of field reordering, but not a
-// general JSON parser — ledger lines are flat objects of numbers and hex
-// strings.
+// ParseLedgerLine decodes one JSONL ledger line. Fields may come in any
+// order and a missing one reads as zero; an unknown field, a malformed
+// number or hex value, or anything after the object is an error.
 func ParseLedgerLine(line string) (t int, e LedgerEntry, err error) {
-	rest := line
-	if len(rest) < 2 || rest[0] != '{' || rest[len(rest)-1] != '}' {
-		return 0, e, fmt.Errorf("obs: ledger line is not a JSON object: %.40q", line)
+	var l struct {
+		T                         int
+		At                        int64
+		N                         uint64
+		Events, State, RNG, Chain *string
 	}
-	rest = rest[1 : len(rest)-1]
-	for len(rest) > 0 {
-		// Key.
-		if rest[0] != '"' {
-			return 0, e, fmt.Errorf("obs: malformed ledger line near %.20q", rest)
+	d := json.NewDecoder(strings.NewReader(line))
+	d.DisallowUnknownFields()
+	if err := d.Decode(&l); err != nil {
+		return 0, e, fmt.Errorf("obs: malformed ledger line %.40q: %w", line, err)
+	}
+	if d.InputOffset() != int64(len(line)) {
+		return 0, e, fmt.Errorf("obs: ledger line %.40q runs on after its object", line)
+	}
+	e = LedgerEntry{At: sim.Time(l.At), N: l.N}
+	for _, f := range [...]struct {
+		hex *string
+		v   *uint64
+	}{{l.Events, &e.Events}, {l.State, &e.State}, {l.RNG, &e.RNG}, {l.Chain, &e.Chain}} {
+		if f.hex == nil {
+			continue
 		}
-		end := 1
-		for end < len(rest) && rest[end] != '"' {
-			end++
-		}
-		key := rest[1:end]
-		rest = rest[end+1:]
-		if len(rest) == 0 || rest[0] != ':' {
-			return 0, e, fmt.Errorf("obs: malformed ledger line: missing value for %q", key)
-		}
-		rest = rest[1:]
-		// Value: a number or a quoted hex string.
-		var val string
-		if len(rest) > 0 && rest[0] == '"' {
-			end = 1
-			for end < len(rest) && rest[end] != '"' {
-				end++
-			}
-			val = rest[1:end]
-			rest = rest[end+1:]
-		} else {
-			end = 0
-			for end < len(rest) && rest[end] != ',' {
-				end++
-			}
-			val = rest[:end]
-			rest = rest[end:]
-		}
-		if len(rest) > 0 && rest[0] == ',' {
-			rest = rest[1:]
-		}
-		switch key {
-		case "t":
-			v, perr := strconv.Atoi(val)
-			if perr != nil {
-				return 0, e, fmt.Errorf("obs: bad ledger t %q", val)
-			}
-			t = v
-		case "at":
-			v, perr := strconv.ParseInt(val, 10, 64)
-			if perr != nil {
-				return 0, e, fmt.Errorf("obs: bad ledger at %q", val)
-			}
-			e.At = sim.Time(v)
-		case "n":
-			v, perr := strconv.ParseUint(val, 10, 64)
-			if perr != nil {
-				return 0, e, fmt.Errorf("obs: bad ledger n %q", val)
-			}
-			e.N = v
-		case "events", "state", "rng", "chain":
-			v, perr := parseHex(val)
-			if perr != nil {
-				return 0, e, fmt.Errorf("obs: bad ledger %s %q", key, val)
-			}
-			switch key {
-			case "events":
-				e.Events = v
-			case "state":
-				e.State = v
-			case "rng":
-				e.RNG = v
-			case "chain":
-				e.Chain = v
-			}
-		default:
-			return 0, e, fmt.Errorf("obs: unknown ledger field %q", key)
+		if *f.v, err = strconv.ParseUint(*f.hex, 16, 64); err != nil {
+			return 0, e, fmt.Errorf("obs: bad ledger hex value %q", *f.hex)
 		}
 	}
-	return t, e, nil
+	return l.T, e, nil
 }
 
 // ReadLedger parses a JSONL ledger stream written by WriteJSONL. Entries

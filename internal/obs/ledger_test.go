@@ -8,17 +8,20 @@ import (
 	"servicefridge/internal/sim"
 )
 
+var ledgerNames = Names{Servers: []string{"serverA", "a", "b"}, Services: []string{"seat"}}
+
 // sealSome runs a fixed emit/seal script against a fresh recorder+ledger
 // pair and returns both.
 func sealSome() (*Recorder, *Ledger) {
 	rec := NewRecorder(8)
+	rec.Bind(ledgerNames)
 	led := NewLedger()
 	rec.SetLedger(led)
-	rec.Emit(10, Promote{Service: "seat", Level: "high", Reason: "test",
-		Cause: Cause{Signal: "warm-util", Value: 0.9, Bound: 0.75}})
-	rec.Emit(20, FreqChange{Server: "serverA", Zone: "hot", GHz: 1.2})
+	rec.Emit(10, Record{Kind: Promote, Svc: 0, Level: 2, Reason: WarmUtilHigh,
+		Cause: Cause{Signal: WarmUtil, Value: 0.9, Bound: 0.75}})
+	rec.Emit(20, Record{Kind: FreqChange, Server: 0, Zone: ZoneHot, Value: 1.2})
 	led.Seal(1000, 42, 43)
-	rec.Emit(1500, Migration{Service: "seat", From: "a", To: "b", Zone: "cold"})
+	rec.Emit(1500, Record{Kind: Migration, Svc: 0, From: 1, To: 2, Zone: ZoneCold})
 	led.Seal(2000, 44, 45)
 	led.Seal(3000, 44, 45) // empty tick
 	return rec, led
@@ -40,11 +43,12 @@ func TestLedgerDeterministicChain(t *testing.T) {
 	}
 	// Perturb one component: the chain must move.
 	rec := NewRecorder(8)
+	rec.Bind(ledgerNames)
 	led := NewLedger()
 	rec.SetLedger(led)
-	rec.Emit(10, Promote{Service: "seat", Level: "high", Reason: "test",
-		Cause: Cause{Signal: "warm-util", Value: 0.9000001, Bound: 0.75}})
-	rec.Emit(20, FreqChange{Server: "serverA", Zone: "hot", GHz: 1.2})
+	rec.Emit(10, Record{Kind: Promote, Svc: 0, Level: 2, Reason: WarmUtilHigh,
+		Cause: Cause{Signal: WarmUtil, Value: 0.9000001, Bound: 0.75}})
+	rec.Emit(20, Record{Kind: FreqChange, Server: 0, Zone: ZoneHot, Value: 1.2})
 	led.Seal(1000, 42, 43)
 	if led.Entries()[0].Chain == ea[0].Chain {
 		t.Fatal("perturbed cause value did not change the chain")
@@ -78,10 +82,15 @@ func TestLedgerEmitTimeHashing(t *testing.T) {
 	tiny := NewRecorder(2) // will wrap and drop
 	tinyLed := NewLedger()
 	tiny.SetLedger(tinyLed)
+	for _, r := range []*Recorder{big, tiny} {
+		r.Bind(ledgerNames)
+	}
 	for i := 0; i < 10; i++ {
-		ev := FreqChange{Server: "s", Zone: "hot", GHz: float64(i)}
+		ev := Record{Kind: FreqChange, Server: 0, Zone: ZoneHot, Value: float64(i)}
 		big.Emit(sim.Time(i), ev)
 		tiny.Emit(sim.Time(i), ev)
+		big.EmitZone(sim.Time(i), ZoneWarm, []int32{int32(i % 3), 1}, Cause{})
+		tiny.EmitZone(sim.Time(i), ZoneWarm, []int32{int32(i % 3), 1}, Cause{})
 	}
 	bigLed.Seal(100, 1, 2)
 	tinyLed.Seal(100, 1, 2)
@@ -133,6 +142,8 @@ func TestLedgerParseErrors(t *testing.T) {
 		`{"t":0,"at":1,"n":0,"events":"xyz","state":"0","rng":"0","chain":"0"}`,
 		`{"t":5,"at":1,"n":0,"events":"0","state":"0","rng":"0","chain":"0"}`, // out of order
 		`{"t":0,"at":1,"n":0,"bogus":"0"}`,
+		`{"t":0,"at":1.5,"n":0}`,
+		`{"t":0,"at":1,"n":0}x`,
 	} {
 		if _, err := ReadLedger(strings.NewReader(bad + "\n")); err == nil {
 			t.Fatalf("parse of %q succeeded, want error", bad)
@@ -144,19 +155,19 @@ func TestLedgerParseErrors(t *testing.T) {
 // as an uninterrupted one, including a pending (unsealed) tick.
 func TestLedgerSnapshotRestore(t *testing.T) {
 	rec, led := sealSome()
-	rec.Emit(2500, Crash{Service: "seat", Node: "serverB"}) // pending, unsealed
+	rec.Emit(2500, Record{Kind: Crash, Svc: 0, Server: 1}) // pending, unsealed
 	snap := led.Snapshot()
 	recSnap := rec.Snapshot() // event seq numbers are part of the hash
 
 	// Diverge: extra events and seals...
-	rec.Emit(2600, Restart{Service: "seat", Node: "serverB"})
+	rec.Emit(2600, Record{Kind: Restart, Svc: 0, Server: 1})
 	led.Seal(4000, 50, 51)
 	divergedChain := led.Chain()
 
 	// ...then rewind and replay the original continuation.
 	led.Restore(snap)
 	rec.Restore(recSnap)
-	rec.Emit(2600, Restart{Service: "seat", Node: "serverB"})
+	rec.Emit(2600, Record{Kind: Restart, Svc: 0, Server: 1})
 	led.Seal(4000, 50, 51)
 	if led.Chain() != divergedChain {
 		t.Fatal("restored ledger did not re-seal the same chain")

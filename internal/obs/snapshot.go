@@ -1,12 +1,11 @@
 package obs
 
-// RecorderState is a deep copy of a recorder's ring buffer. The buffer
-// contents must be copied (not truncated): once the ring is full, Emit
-// overwrites rows in place.
+// RecorderState is a deep copy of a recorder's retained records, oldest
+// first, and of their zone members.
 type RecorderState struct {
-	buf     []Record
-	start   int
-	n       int
+	recs    []Record
+	members []int32
+	memHead uint32
 	seq     uint64
 	dropped uint64
 }
@@ -17,24 +16,28 @@ func (r *Recorder) Snapshot() *RecorderState {
 		return nil
 	}
 	return &RecorderState{
-		buf:     append([]Record(nil), r.buf...),
-		start:   r.start,
-		n:       r.n,
+		recs:    r.Events(),
+		members: append([]int32(nil), r.members[r.memHead-r.memBase:]...),
+		memHead: r.memHead,
 		seq:     r.seq,
 		dropped: r.dropped,
 	}
 }
 
-// Restore rewinds the recorder. A nil recorder ignores a nil state; the
-// buffer is copied back into the recorder's own backing array, preserving
-// its fixed capacity.
+// Restore rewinds the recorder. A nil recorder ignores a nil state. The
+// records are copied back into the recorder's own chunks, oldest in slot
+// 0, and the arena back to the snapshot's live members at their
+// positions, so the restored records resolve exactly as they did.
 func (r *Recorder) Restore(s *RecorderState) {
 	if r == nil || s == nil {
 		return
 	}
-	r.buf = append(r.buf[:0], s.buf...)
-	r.start = s.start
-	r.n = s.n
+	r.members = append(r.members[:0], s.members...)
+	r.memBase, r.memHead = s.memHead, s.memHead
+	r.start, r.n = 0, 0
+	for _, rec := range s.recs {
+		r.push(rec)
+	}
 	r.seq = s.seq
 	r.dropped = s.dropped
 }

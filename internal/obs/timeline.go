@@ -64,15 +64,15 @@ func Timeline(records []Record) []TickSummary {
 			cur = &TickSummary{At: rec.At}
 		}
 		cur.Events++
-		switch ev := rec.Ev.(type) {
+		switch rec.Kind {
 		case ZoneReassign:
-			pop[ev.Zone] = len(ev.Servers)
+			pop[rec.Zone.String()] = rec.Members()
 		case FreqChange:
-			freq[ev.Zone] = ev.GHz
+			freq[rec.Zone.String()] = rec.Value
 		case PowerSample:
-			if ev.Zone == "cluster" {
-				powerW = ev.Watts
-				budgetW = ev.Budget
+			if rec.Zone == ZoneCluster {
+				powerW = rec.Value
+				budgetW = rec.Bound
 			}
 		case Migration:
 			cur.Migrations++

@@ -7,23 +7,33 @@ import (
 	"servicefridge/internal/sim"
 )
 
+// Server indices in timelineNames.
+const m, b, c, d = 0, 1, 2, 3
+
+var timelineNames = Names{
+	Servers:  []string{"m", "b", "c", "d"},
+	Services: []string{"route", "config", "seat"},
+	Series:   []string{"all"},
+}
+
 func TestTimelineBucketsAndCarriesState(t *testing.T) {
 	sec := func(s float64) sim.Time { return sim.Time(time.Duration(s * float64(time.Second))) }
 	r := NewRecorder(0)
+	r.Bind(timelineNames)
 	// Tick 1: full zone snapshot, a DVFS step, a meter window.
-	r.Emit(sec(1), PowerSample{Zone: "cluster", Watts: 300, Budget: 350})
-	r.Emit(sec(1), ZoneReassign{Zone: "cold", Servers: []string{"m", "b"}})
-	r.Emit(sec(1), ZoneReassign{Zone: "warm", Servers: []string{"c"}})
-	r.Emit(sec(1), ZoneReassign{Zone: "hot", Servers: []string{"d"}})
-	r.Emit(sec(1), FreqChange{Server: "d", Zone: "hot", GHz: 1.8})
+	r.Emit(sec(1), Record{Kind: PowerSample, Zone: ZoneCluster, Value: 300, Bound: 350})
+	r.EmitZone(sec(1), ZoneCold, []int32{m, b}, Cause{})
+	r.EmitZone(sec(1), ZoneWarm, []int32{c}, Cause{})
+	r.EmitZone(sec(1), ZoneHot, []int32{d}, Cause{})
+	r.Emit(sec(1), Record{Kind: FreqChange, Server: d, Zone: ZoneHot, Value: 1.8})
 	// Tick 2: decisions only — zone state must carry forward.
-	r.Emit(sec(2), Migration{Service: "route", From: "c", To: "b", Zone: "cold"})
-	r.Emit(sec(2), Promote{Service: "route", Level: "high", Reason: "warm-util-high"})
-	r.Emit(sec(2), Demote{Service: "config", Level: "low", Reason: "power-shortage"})
+	r.Emit(sec(2), Record{Kind: Migration, Svc: 0, From: c, To: b, Zone: ZoneCold})
+	r.Emit(sec(2), Record{Kind: Promote, Svc: 0, Level: 2, Reason: WarmUtilHigh})
+	r.Emit(sec(2), Record{Kind: Demote, Svc: 1, Level: 0, Reason: PowerShortage})
 	// Off-tick failure instant.
-	r.Emit(sec(2.5), Crash{Service: "config", Node: "d"})
-	r.Emit(sec(2.5), Restart{Service: "config", Node: "d"})
-	r.Emit(sec(2.5), Scale{Service: "seat", From: 1, To: 2})
+	r.Emit(sec(2.5), Record{Kind: Crash, Svc: 1, Server: d})
+	r.Emit(sec(2.5), Record{Kind: Restart, Svc: 1, Server: d})
+	r.Emit(sec(2.5), Record{Kind: Scale, Svc: 2, From: 1, To: 2})
 
 	tl := Timeline(r.Events())
 	if len(tl) != 3 {
@@ -77,19 +87,20 @@ func TestTimelineBucketsAndCarriesState(t *testing.T) {
 func TestTimelineOverWrappedRecorder(t *testing.T) {
 	sec := func(s float64) sim.Time { return sim.Time(time.Duration(s * float64(time.Second))) }
 	r := NewRecorder(6)
+	r.Bind(timelineNames)
 	// Ticks 1-2 will be fully overwritten; tick 2's snapshot is lost too,
 	// so carried-forward state must come from retained records only.
-	r.Emit(sec(1), ZoneReassign{Zone: "hot", Servers: []string{"a", "b"}})
-	r.Emit(sec(1), Migration{Service: "old", From: "a", To: "b", Zone: "hot"})
-	r.Emit(sec(2), Migration{Service: "old2", From: "b", To: "a", Zone: "hot"})
-	r.Emit(sec(2), Promote{Service: "old2", Level: "high", Reason: "warm-util-high"})
+	r.EmitZone(sec(1), ZoneHot, []int32{m, b}, Cause{})
+	r.Emit(sec(1), Record{Kind: Migration, Svc: 0, From: m, To: b, Zone: ZoneHot})
+	r.Emit(sec(2), Record{Kind: Migration, Svc: 2, From: b, To: m, Zone: ZoneHot})
+	r.Emit(sec(2), Record{Kind: Promote, Svc: 2, Level: 2, Reason: WarmUtilHigh})
 	// Retained window: ticks 3-5.
-	r.Emit(sec(3), ZoneReassign{Zone: "hot", Servers: []string{"c"}})
-	r.Emit(sec(3), PowerSample{Zone: "cluster", Watts: 280, Budget: 300})
-	r.Emit(sec(4), Migration{Service: "new", From: "c", To: "d", Zone: "hot"})
-	r.Emit(sec(4), QoSViolation{Series: "all", Quantile: "p95", ValueMs: 140, TargetMs: 100})
-	r.Emit(sec(5), QoSRecovered{Series: "all", Quantile: "p95", ValueMs: 90, TargetMs: 100})
-	r.Emit(sec(5), BudgetHeadroomLow{HeadroomW: 5, CapW: 300})
+	r.EmitZone(sec(3), ZoneHot, []int32{c}, Cause{})
+	r.Emit(sec(3), Record{Kind: PowerSample, Zone: ZoneCluster, Value: 280, Bound: 300})
+	r.Emit(sec(4), Record{Kind: Migration, Svc: 1, From: c, To: d, Zone: ZoneHot})
+	r.Emit(sec(4), Record{Kind: QoSViolation, Svc: 0, Quantile: P95, Value: 140, Bound: 100})
+	r.Emit(sec(5), Record{Kind: QoSRecovered, Svc: 0, Quantile: P95, Value: 90, Bound: 100})
+	r.Emit(sec(5), Record{Kind: BudgetHeadroomLow, Value: 5, Bound: 300})
 	if r.Dropped() != 4 {
 		t.Fatalf("Dropped = %d, want 4", r.Dropped())
 	}

@@ -29,9 +29,9 @@ func (o *Orchestrator) Scale(service string, n int, nodes []*cluster.Server) {
 		}
 	}
 	if len(live) != n {
-		o.Rec.Emit(o.eng.Now(), obs.Scale{
-			Service: service, From: len(live), To: n,
-			Cause: obs.Cause{Signal: "replica-target", Value: float64(n), Bound: float64(len(live))},
+		o.Rec.Emit(o.eng.Now(), obs.Record{
+			Kind: obs.Scale, Svc: o.Rec.Service(service), From: int32(len(live)), To: int32(n),
+			Cause: obs.Cause{Signal: obs.ReplicaTarget, Value: float64(n), Bound: float64(len(live))},
 		})
 	}
 	switch {
@@ -97,11 +97,11 @@ func (o *Orchestrator) Crash(c *Container) {
 	node := c.Node
 	service := c.Service
 	o.Remove(c)
-	o.Rec.Emit(o.eng.Now(), obs.Crash{Service: service, Node: node.Name()})
+	o.Rec.Emit(o.eng.Now(), obs.Record{Kind: obs.Crash, Svc: o.Rec.Service(service), Server: int32(node.Index())})
 	if o.failurePolicy.AutoRestart {
 		restart := func() {
 			o.Place(service, node, false)
-			o.Rec.Emit(o.eng.Now(), obs.Restart{Service: service, Node: node.Name()})
+			o.Rec.Emit(o.eng.Now(), obs.Record{Kind: obs.Restart, Svc: o.Rec.Service(service), Server: int32(node.Index())})
 		}
 		if o.failurePolicy.RestartDelay > 0 {
 			o.eng.Schedule(o.failurePolicy.RestartDelay, restart)

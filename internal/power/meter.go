@@ -154,8 +154,8 @@ func (m *Meter) sample() {
 		if m.BudgetFn != nil {
 			budget = m.BudgetFn()
 		}
-		m.Rec.Emit(now, obs.PowerSample{
-			Zone: "cluster", Watts: float64(total), Budget: float64(budget),
+		m.Rec.Emit(now, obs.Record{
+			Kind: obs.PowerSample, Zone: obs.ZoneCluster, Value: float64(total), Bound: float64(budget),
 		})
 	}
 }

@@ -120,20 +120,20 @@ func (p *plan) raise() {
 
 // apply actuates the planned frequencies in server order. With a
 // recorder attached, every server whose frequency moves emits a
-// FreqChange in the "cluster" zone, carrying the plan's predicted draw
+// freq_change in the cluster zone, carrying the plan's predicted draw
 // against the cap as its cause.
 func (p *plan) apply() {
 	rec := p.ctx.Rec
 	var fit obs.Cause
 	if rec != nil {
-		fit = obs.Cause{Signal: "budget-fit", Value: float64(p.total()), Bound: float64(p.ctx.Budget.Cap())}
+		fit = obs.Cause{Signal: obs.BudgetFit, Value: float64(p.total()), Bound: float64(p.ctx.Budget.Cap())}
 	}
 	for i, s := range p.ctx.Cluster.Servers() {
 		prev := s.Freq()
 		s.SetFreq(p.freq[i])
 		if rec != nil && s.Freq() != prev {
-			rec.Emit(p.ctx.Cluster.Engine().Now(), obs.FreqChange{
-				Server: s.Name(), Zone: "cluster", GHz: float64(s.Freq()), Cause: fit,
+			rec.Emit(p.ctx.Cluster.Engine().Now(), obs.Record{
+				Kind: obs.FreqChange, Server: int32(s.Index()), Zone: obs.ZoneCluster, Value: float64(s.Freq()), Cause: fit,
 			})
 		}
 	}

@@ -216,11 +216,12 @@ func TestComparatorsRecordFreqSteps(t *testing.T) {
 			s.Tick()
 			p := newPlan(ctx)
 			p.observe()
-			fit := obs.Cause{Signal: "budget-fit", Value: float64(p.total()), Bound: float64(ctx.Budget.Cap())}
-			var want []obs.FreqChange
+			fit := obs.Cause{Signal: obs.BudgetFit, Value: float64(p.total()), Bound: float64(ctx.Budget.Cap())}
+			var want []obs.Record
 			for i, srv := range servers {
 				if srv.FreqChanges() != before[i] {
-					want = append(want, obs.FreqChange{Server: srv.Name(), Zone: "cluster", GHz: float64(srv.Freq()), Cause: fit})
+					want = append(want, obs.Record{Kind: obs.FreqChange, Server: int32(srv.Index()),
+						Zone: obs.ZoneCluster, Value: float64(srv.Freq()), Cause: fit})
 				}
 			}
 			got := ctx.Rec.Events()
@@ -228,8 +229,10 @@ func TestComparatorsRecordFreqSteps(t *testing.T) {
 				t.Fatalf("trial %d: %s recorded %d freq_change events for %d frequency steps", trial, s.Name(), len(got), len(want))
 			}
 			for i, rec := range got {
-				if rec.Ev != want[i] || rec.At != ctx.Cluster.Engine().Now() {
-					t.Fatalf("trial %d: %s event %d = %+v at %v, want %+v", trial, s.Name(), i, rec.Ev, rec.At, want[i])
+				w := want[i]
+				w.At, w.Seq = ctx.Cluster.Engine().Now(), uint64(i)
+				if rec != w {
+					t.Fatalf("trial %d: %s event %d = %+v, want %+v", trial, s.Name(), i, rec, w)
 				}
 			}
 			steps += len(want)

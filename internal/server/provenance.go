@@ -114,8 +114,8 @@ func (c *explainCmd) exec(s *session, res *engine.Result) {
 		if r.At <= lo || r.At > e.At {
 			continue
 		}
-		line := obs.AppendJSONLine(nil, r)
-		if _, ok := obs.CauseOf(r.Ev); ok {
+		line := rec.AppendJSONLine(nil, r)
+		if r.Cause.Signal != obs.NoSignal {
 			doc.Causes = append(doc.Causes, json.RawMessage(line))
 		} else {
 			doc.Other = append(doc.Other, json.RawMessage(line))

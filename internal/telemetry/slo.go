@@ -51,7 +51,7 @@ func (t *Telemetry) evalSLO(now sim.Time, row *Sample) {
 		return
 	}
 	target := o.Target
-	label := quantileLabel(o.Quantile)
+	q := quantileLabel(o.Quantile)
 	for i := range t.slo {
 		s := &t.slo[i]
 		if seriesCount(row, i) == 0 {
@@ -67,10 +67,9 @@ func (t *Telemetry) evalSLO(now sim.Time, row *Sample) {
 					s.active = false
 					s.over, s.under = 0, 0
 					t.active--
-					t.alerts.Emit(now, obs.QoSRecovered{
-						Series: s.name, Quantile: label,
-						ValueMs:  0,
-						TargetMs: durMs(target),
+					t.alerts.Emit(now, obs.Record{
+						Kind: obs.QoSRecovered, Svc: int32(i), Quantile: q,
+						Value: 0, Bound: durMs(target),
 					})
 				}
 			}
@@ -96,18 +95,16 @@ func (t *Telemetry) evalSLO(now sim.Time, row *Sample) {
 					s.hasHeadroom = true
 				}
 			}
-			t.alerts.Emit(now, obs.QoSViolation{
-				Series: s.name, Quantile: label,
-				ValueMs:  durMs(s.watched),
-				TargetMs: durMs(target),
+			t.alerts.Emit(now, obs.Record{
+				Kind: obs.QoSViolation, Svc: int32(i), Quantile: q,
+				Value: durMs(s.watched), Bound: durMs(target),
 			})
 		} else if s.active && s.under >= o.ClearTicks {
 			s.active = false
 			t.active--
-			t.alerts.Emit(now, obs.QoSRecovered{
-				Series: s.name, Quantile: label,
-				ValueMs:  durMs(s.watched),
-				TargetMs: durMs(target),
+			t.alerts.Emit(now, obs.Record{
+				Kind: obs.QoSRecovered, Svc: int32(i), Quantile: q,
+				Value: durMs(s.watched), Bound: durMs(target),
 			})
 		}
 		if s.active {
@@ -130,8 +127,8 @@ func (t *Telemetry) evalSLO(now sim.Time, row *Sample) {
 		switch {
 		case row.HeadroomW < warn && !t.headroomLow:
 			t.headroomLow = true
-			t.alerts.Emit(now, obs.BudgetHeadroomLow{
-				HeadroomW: row.HeadroomW, CapW: row.BudgetW,
+			t.alerts.Emit(now, obs.Record{
+				Kind: obs.BudgetHeadroomLow, Value: row.HeadroomW, Bound: row.BudgetW,
 			})
 		case row.HeadroomW >= rearm:
 			t.headroomLow = false

@@ -33,8 +33,8 @@ func TestBudgetHeadroomRearmHighFraction(t *testing.T) {
 		if h.tel.Alerts().Len() != 1 {
 			t.Fatalf("frac=%v: got %d alerts, want 1", frac, h.tel.Alerts().Len())
 		}
-		if _, ok := h.tel.Alerts().Events()[0].Ev.(obs.BudgetHeadroomLow); !ok {
-			t.Fatalf("frac=%v: alert %+v", frac, h.tel.Alerts().Events()[0].Ev)
+		if ev := h.tel.Alerts().Events()[0]; ev.Kind != obs.BudgetHeadroomLow {
+			t.Fatalf("frac=%v: alert %+v", frac, ev)
 		}
 
 		// Full recovery: headroom == budget, the maximum reachable. The
@@ -100,9 +100,8 @@ func TestSLOActiveDecaysOverEmptyWindows(t *testing.T) {
 	if len(evs) != alerts+2 { // "all" + "region:A" recoveries
 		t.Fatalf("got %d alerts, want %d", len(evs), alerts+2)
 	}
-	rec, ok := evs[len(evs)-1].Ev.(obs.QoSRecovered)
-	if !ok || rec.ValueMs != 0 {
-		t.Fatalf("decay event %+v, want QoSRecovered with ValueMs 0", evs[len(evs)-1].Ev)
+	if rec := evs[len(evs)-1]; rec.Kind != obs.QoSRecovered || rec.Value != 0 {
+		t.Fatalf("decay event %+v, want qos_recovered with value 0", rec)
 	}
 	if got := h.tel.Samples()[h.tel.Len()-1].SLOActive; got != 0 {
 		t.Fatalf("SLOActive gauge = %d after decay, want 0", got)

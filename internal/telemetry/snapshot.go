@@ -39,7 +39,7 @@ func (t *Telemetry) Snapshot() *State {
 		all:           t.all.Save(),
 		regions:       make([]*metrics.WindowState, len(t.regions)),
 		services:      make([]*metrics.WindowState, len(t.services)),
-		rows:          make([]Sample, 0, t.n),
+		rows:          t.newRows(t.n),
 		start:         t.start,
 		n:             t.n,
 		dropped:       t.dropped,
@@ -57,8 +57,8 @@ func (t *Telemetry) Snapshot() *State {
 	for i, w := range t.services {
 		s.services[i] = w.Save()
 	}
-	for i := 0; i < t.n; i++ {
-		s.rows = append(s.rows, cloneSample(&t.samples[(t.start+i)%len(t.samples)]))
+	for i := range s.rows {
+		copyRowInto(&s.rows[i], &t.samples[(t.start+i)%len(t.samples)])
 	}
 	return s
 }

@@ -75,14 +75,14 @@ func (o *SLOOptions) fill() {
 }
 
 // quantileLabel returns the fixed label written into alert events.
-func quantileLabel(q float64) string {
+func quantileLabel(q float64) obs.Quantile {
 	switch q {
 	case 0.5:
-		return "p50"
+		return obs.P50
 	case 0.99:
-		return "p99"
+		return obs.P99
 	default:
-		return "p95"
+		return obs.P95
 	}
 }
 
@@ -309,20 +309,21 @@ func (t *Telemetry) Bind(b Bindings) error {
 		t.services[i] = metrics.NewWindowedHistogram(w)
 	}
 
-	t.samples = make([]Sample, t.opt.Capacity)
-	for i := range t.samples {
-		t.samples[i].Regions = make([]SeriesStats, len(b.Regions))
-		t.samples[i].Services = make([]SeriesStats, len(b.Services))
-		t.samples[i].MCF = make([]float64, len(b.Services))
-	}
+	t.samples = t.newRows(t.opt.Capacity)
 
-	t.alerts = obs.NewRecorder(t.opt.AlertCapacity)
-	// Monitored series: the all-regions aggregate plus each region.
+	// Monitored series: the all-regions aggregate plus each region. The
+	// alert records name them by index.
 	t.slo = make([]sloSeries, 1+len(b.Regions))
-	t.slo[0] = newSLOSeries("all")
+	series := make([]string, len(t.slo))
+	series[0] = "all"
 	for i, r := range b.Regions {
-		t.slo[1+i] = newSLOSeries("region:" + r)
+		series[1+i] = "region:" + r
 	}
+	for i, name := range series {
+		t.slo[i] = newSLOSeries(name)
+	}
+	t.alerts = obs.NewRecorder(t.opt.AlertCapacity)
+	t.alerts.Bind(obs.Names{Series: series})
 	return nil
 }
 
@@ -448,13 +449,31 @@ func (t *Telemetry) Len() int { return t.n }
 func (t *Telemetry) Dropped() uint64 { return t.dropped }
 
 // Samples returns the retained samples oldest-first. Rows are deep
-// copies; this is the offline export path and allocates freely.
+// copies.
 func (t *Telemetry) Samples() []Sample {
-	out := make([]Sample, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		out = append(out, cloneSample(&t.samples[(t.start+i)%len(t.samples)]))
+	out := t.newRows(t.n)
+	for i := range out {
+		copyRowInto(&out[i], &t.samples[(t.start+i)%len(t.samples)])
 	}
 	return out
+}
+
+// newRows returns n zero rows sized to the bound regions and services.
+// Each field's rows are windows of one slab, and a window's capacity is
+// its length (a full slice expression), so an append into one row's
+// window reallocates instead of writing into the next row.
+func (t *Telemetry) newRows(n int) []Sample {
+	nr, ns := len(t.b.Regions), len(t.b.Services)
+	rows := make([]Sample, n)
+	reg := make([]SeriesStats, n*nr)
+	svc := make([]SeriesStats, n*ns)
+	mcf := make([]float64, n*ns)
+	for i := range rows {
+		rows[i].Regions = reg[i*nr : (i+1)*nr : (i+1)*nr]
+		rows[i].Services = svc[i*ns : (i+1)*ns : (i+1)*ns]
+		rows[i].MCF = mcf[i*ns : (i+1)*ns : (i+1)*ns]
+	}
+	return rows
 }
 
 func cloneSample(s *Sample) Sample {

@@ -225,9 +225,8 @@ func TestSLOMonitorHysteresisAndReport(t *testing.T) {
 	if len(evs) != 2 {
 		t.Fatalf("got %d alerts, want 2 (all + region:A)", len(evs))
 	}
-	v, okCast := evs[0].Ev.(obs.QoSViolation)
-	if !okCast || v.Quantile != "p95" || v.TargetMs != 100 || v.ValueMs <= 100 {
-		t.Fatalf("violation event %+v", evs[0].Ev)
+	if v := evs[0]; v.Kind != obs.QoSViolation || v.Svc != 0 || v.Quantile != obs.P95 || v.Bound != 100 || v.Value <= 100 {
+		t.Fatalf("violation event %+v", v)
 	}
 	report := h.tel.SLOReport()
 	if report[0].Series != "all" || report[0].FirstViolation != sim.Time(4*time.Second) {
@@ -253,8 +252,8 @@ func TestSLOMonitorHysteresisAndReport(t *testing.T) {
 	if len(evs) != 4 {
 		t.Fatalf("got %d alerts after recovery, want 4", len(evs))
 	}
-	if _, okCast := evs[2].Ev.(obs.QoSRecovered); !okCast {
-		t.Fatalf("expected recovery events, got %+v", evs[2].Ev)
+	if evs[2].Kind != obs.QoSRecovered {
+		t.Fatalf("expected recovery events, got %+v", evs[2])
 	}
 	if got := h.tel.Samples()[h.tel.Len()-1].SLOActive; got != 0 {
 		t.Fatalf("SLOActive = %d after recovery, want 0", got)
@@ -275,8 +274,8 @@ func TestBudgetHeadroomAlert(t *testing.T) {
 	if len(evs) != 1 {
 		t.Fatalf("got %d alerts, want 1", len(evs))
 	}
-	if hl, okCast := evs[0].Ev.(obs.BudgetHeadroomLow); !okCast || hl.HeadroomW != 20 || hl.CapW != 300 {
-		t.Fatalf("alert %+v", evs[0].Ev)
+	if hl := evs[0]; hl.Kind != obs.BudgetHeadroomLow || hl.Value != 20 || hl.Bound != 300 {
+		t.Fatalf("alert %+v", hl)
 	}
 	// Still low: no re-fire.
 	h.tick()
