@@ -10,8 +10,6 @@
 package servicefridge_test
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -143,87 +141,6 @@ func BenchmarkRegistrySequential(b *testing.B) { benchRegistry(b, 1) }
 // BenchmarkRegistryParallel fans the same registry across GOMAXPROCS
 // workers; output tables are byte-identical to the sequential pass.
 func BenchmarkRegistryParallel(b *testing.B) { benchRegistry(b, runtime.GOMAXPROCS(0)) }
-
-// registryTiming measures one full-registry regeneration at the given
-// worker-pool width, returning total wall-clock and per-experiment times.
-func registryTiming(workers int) (time.Duration, map[string]float64) {
-	prev := experiments.Parallelism()
-	experiments.SetParallelism(workers)
-	defer experiments.SetParallelism(prev)
-	per := map[string]float64{}
-	start := time.Now()
-	experiments.RunAll(experiments.All(), 1, func(r experiments.RunResult) {
-		per[r.Experiment.ID] = r.Elapsed.Seconds()
-	})
-	return time.Since(start), per
-}
-
-// TestEmitBenchTrajectory measures sequential vs parallel regeneration of
-// the full registry and appends the measurement to BENCH_experiments.json
-// (the bench trajectory consumed across PRs). The two regenerations take
-// about a minute, so the measurement only runs when BENCH_TRAJECTORY=1;
-// plain `go test ./...` skips it.
-func TestEmitBenchTrajectory(t *testing.T) {
-	if os.Getenv("BENCH_TRAJECTORY") == "" {
-		t.Skip("set BENCH_TRAJECTORY=1 to measure and append to BENCH_experiments.json")
-	}
-	// Phase-profile the sequential pass so per-phase seconds land in the
-	// trajectory and phase-level drift is visible across PRs. Profiling
-	// stays off for the parallel pass (its overhead gate lives in
-	// scripts/profiler_overhead.sh); the ≤3% scope cost on the sequential
-	// side is far below run-to-run noise.
-	prof.Reset()
-	prof.SetEnabled(true)
-	seqTotal, perExp := registryTiming(1)
-	prof.SetEnabled(false)
-	perPhase := map[string]float64{}
-	for _, pt := range prof.Totals() {
-		perPhase[pt.Phase.String()] = pt.Seconds
-	}
-	prof.Reset()
-	parTotal, _ := registryTiming(runtime.GOMAXPROCS(0))
-
-	type entry struct {
-		Benchmark         string             `json:"benchmark"`
-		GoMaxProcs        int                `json:"gomaxprocs"`
-		ParallelWorkers   int                `json:"parallel_workers"`
-		Experiments       int                `json:"experiments"`
-		SequentialSeconds float64            `json:"sequential_seconds"`
-		ParallelSeconds   float64            `json:"parallel_seconds"`
-		Speedup           float64            `json:"speedup"`
-		WarmStart         bool               `json:"warmstart,omitempty"`
-		PerExperimentSeq  map[string]float64 `json:"per_experiment_sequential_seconds"`
-		PerPhaseSeconds   map[string]float64 `json:"per_phase_seconds,omitempty"`
-	}
-	var trajectory []entry
-	if raw, err := os.ReadFile("BENCH_experiments.json"); err == nil {
-		_ = json.Unmarshal(raw, &trajectory)
-	}
-	// Every budget sweep forks a warmed run, so each entry records
-	// warmstart and stays comparable with the earlier warm-started ones.
-	trajectory = append(trajectory, entry{
-		Benchmark:         "experiments-registry",
-		GoMaxProcs:        runtime.GOMAXPROCS(0),
-		ParallelWorkers:   runtime.GOMAXPROCS(0),
-		Experiments:       len(experiments.All()),
-		SequentialSeconds: seqTotal.Seconds(),
-		ParallelSeconds:   parTotal.Seconds(),
-		Speedup:           seqTotal.Seconds() / parTotal.Seconds(),
-		WarmStart:         true,
-		PerExperimentSeq:  perExp,
-		PerPhaseSeconds:   perPhase,
-	})
-	raw, err := json.MarshalIndent(trajectory, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_experiments.json", append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("sequential %v, parallel %v (%d workers): speedup %.2fx",
-		seqTotal.Round(time.Millisecond), parTotal.Round(time.Millisecond),
-		runtime.GOMAXPROCS(0), seqTotal.Seconds()/parTotal.Seconds())
-}
 
 // ---------------------------------------------------------------------
 // Ablation benchmarks: each reports the region-A mean response time (ms)

@@ -1,55 +1,27 @@
-// Command benchgate enforces the repo's performance gates in CI.
+// Command benchgate enforces the repo's microbenchmark and ratio gates in
+// CI. End-to-end timings are judged elsewhere: scripts/bench_compare.sh
+// runs the bench/ benchmark (sfbench) against the parent commit.
 //
-// It checks three things:
+// It checks two things:
 //
-//  1. The bench trajectory in BENCH_experiments.json (appended by
-//     TestEmitBenchTrajectory under BENCH_TRAJECTORY=1): the latest
-//     measurement must not show the parallel executor losing to the
-//     sequential one. The speedup floor only applies on multi-core
-//     runners: with GOMAXPROCS=1 the pool degenerates to sequential
-//     execution plus scheduling overhead, so a speedup slightly below
-//     1.0 is expected and the gate records the measurement without
-//     judging it.
-//
-//  2. With -improve, per-experiment wall-clock improvements between the
-//     first and latest trajectory entries — the regression lock for the
-//     zero-allocation simulation core ("fig15:0.20" demands the latest
-//     fig15 regeneration be at least 20% faster than the first recorded
-//     one). A "+"-joined id ("fig14+fig15:0.30") sums the member
-//     experiments' sequential times in both entries and judges the
-//     combined wall-clock. Entries measured under a different GOMAXPROCS
-//     than the baseline are recorded but not judged, since wall-clock
-//     across machine shapes is not comparable.
-//
-//  3. With -bench-out, microbenchmark output from `go test -bench
+//  1. With -bench-out, microbenchmark output from `go test -bench
 //     -benchmem` against the ceilings committed in bench_gates.json:
 //     allocs/op (exact ceilings — the hot paths gate at zero) and
 //     ns/op (generous ceilings that catch order-of-magnitude
 //     regressions without flaking on runner speed).
 //
-//  4. With -ratchet, the quality-ratchet: "fig14+fig15:0.10" finds the
-//     best-ever (lowest) sequential wall-clock for the id among
-//     comparable trajectory entries — same GOMAXPROCS and warm-start
-//     mode as the latest — and fails if the latest run regresses more
-//     than the given fraction above that high-water mark. Unlike
-//     -improve (first vs latest), the ratchet tightens itself: every
-//     faster run becomes the new mark to hold.
-//
-//  5. With -overhead, the profiler-overhead gate: "base:profiled:max"
-//     takes two wall-clock measurements of the same workload in seconds
-//     — phase profiling off and on — and fails when profiled exceeds
-//     base times the max ratio ("12.31:12.49:1.03" allows 3%). The
-//     caller (scripts/profiler_overhead.sh) measures; benchgate judges.
-//
-// Passing -file "" skips the trajectory gates (1, 2, 4), so the
-// overhead and microbenchmark gates can run standalone.
+//  2. With -overhead, a wall-clock ratio: "base:measured:max" takes two
+//     wall-clock measurements in seconds and fails when measured exceeds
+//     base times the max ratio. "12.31:12.49:1.03" allows 3%, which
+//     scripts/profiler_overhead.sh uses for phase profiling off and on;
+//     a max of 1.0 demands the second run be no slower than the first,
+//     which CI uses for the 8-worker regeneration against the sequential
+//     one. The caller measures; benchgate judges.
 //
 // Usage:
 //
-//	benchgate [-file BENCH_experiments.json] [-floor 1.0]
-//	          [-improve fig15:0.20] [-ratchet fig14+fig15:0.10]
-//	          [-bench-out bench.txt] [-gates bench_gates.json]
-//	          [-overhead baseSecs:profiledSecs:maxRatio]
+//	benchgate [-bench-out bench.txt] [-gates bench_gates.json]
+//	          [-overhead baseSecs:measuredSecs:maxRatio]
 package main
 
 import (
@@ -61,18 +33,6 @@ import (
 	"strconv"
 	"strings"
 )
-
-type entry struct {
-	Benchmark         string             `json:"benchmark"`
-	GoMaxProcs        int                `json:"gomaxprocs"`
-	ParallelWorkers   int                `json:"parallel_workers"`
-	Experiments       int                `json:"experiments"`
-	SequentialSeconds float64            `json:"sequential_seconds"`
-	ParallelSeconds   float64            `json:"parallel_seconds"`
-	Speedup           float64            `json:"speedup"`
-	WarmStart         bool               `json:"warmstart,omitempty"`
-	PerExperimentSeq  map[string]float64 `json:"per_experiment_sequential_seconds"`
-}
 
 // gates is the committed bench_gates.json: per-benchmark ceilings.
 type gates struct {
@@ -90,38 +50,15 @@ type benchLine struct {
 
 func main() {
 	var (
-		file    = flag.String("file", "BENCH_experiments.json", "bench trajectory file")
-		floor   = flag.Float64("floor", 1.0, "minimum acceptable sequential/parallel speedup")
-		improve = flag.String("improve", "",
-			"comma-separated per-experiment improvement demands, e.g. fig15:0.20 (latest vs first trajectory entry)")
-		ratchet = flag.String("ratchet", "",
-			"comma-separated quality-ratchet demands, e.g. fig14+fig15:0.10 (latest vs best-ever comparable trajectory entry)")
 		benchOut = flag.String("bench-out", "",
 			"output of `go test -bench -benchmem` to check against the gates file")
 		gatesFile = flag.String("gates", "bench_gates.json", "microbenchmark ceilings (allocs/op, ns/op)")
 		overhead  = flag.String("overhead", "",
-			"profiler-overhead gate baseSecs:profiledSecs:maxRatio, e.g. 12.31:12.49:1.03")
+			"wall-clock ratio gate baseSecs:measuredSecs:maxRatio, e.g. 12.31:12.49:1.03")
 	)
 	flag.Parse()
 
 	failed := false
-
-	if *file != "" {
-		trajectory, err := readTrajectory(*file)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(1)
-		}
-		if !gateSpeedup(trajectory, *floor) {
-			failed = true
-		}
-		if *improve != "" && !gateImprovements(trajectory, *improve) {
-			failed = true
-		}
-		if *ratchet != "" && !gateRatchet(trajectory, *ratchet) {
-			failed = true
-		}
-	}
 	if *benchOut != "" && !gateMicrobenches(*benchOut, *gatesFile) {
 		failed = true
 	}
@@ -133,208 +70,32 @@ func main() {
 	}
 }
 
-// gateOverhead checks one "base:profiled:maxRatio" demand: the profiled
-// wall-clock must stay within maxRatio times the unprofiled one. Both
-// measurements come from the caller (take the min of several runs to
+// gateOverhead checks one "base:measured:maxRatio" demand: the measured
+// wall-clock must stay within maxRatio times the base one. Both
+// measurements come from the caller (take the median of several runs to
 // shed scheduler noise) so the gate itself is a pure comparison.
 func gateOverhead(spec string) bool {
 	parts := strings.Split(spec, ":")
 	if len(parts) != 3 {
-		fmt.Fprintf(os.Stderr, "benchgate: malformed -overhead %q (want base:profiled:maxRatio)\n", spec)
+		fmt.Fprintf(os.Stderr, "benchgate: malformed -overhead %q (want base:measured:maxRatio)\n", spec)
 		return false
 	}
 	base, err1 := strconv.ParseFloat(parts[0], 64)
-	profiled, err2 := strconv.ParseFloat(parts[1], 64)
+	measured, err2 := strconv.ParseFloat(parts[1], 64)
 	ratio, err3 := strconv.ParseFloat(parts[2], 64)
-	if err1 != nil || err2 != nil || err3 != nil || base <= 0 || profiled <= 0 || ratio < 1 {
+	if err1 != nil || err2 != nil || err3 != nil || base <= 0 || measured <= 0 || ratio < 1 {
 		fmt.Fprintf(os.Stderr, "benchgate: bad -overhead values in %q\n", spec)
 		return false
 	}
-	got := profiled / base
+	got := measured / base
 	if got > ratio {
-		fmt.Fprintf(os.Stderr, "benchgate: profiling overhead %.1f%% (%.2fs -> %.2fs) exceeds the %.0f%% budget\n",
-			(got-1)*100, base, profiled, (ratio-1)*100)
+		fmt.Fprintf(os.Stderr, "benchgate: %.2fs -> %.2fs is %+.1f%%, over the %.0f%% budget\n",
+			base, measured, (got-1)*100, (ratio-1)*100)
 		return false
 	}
-	fmt.Printf("benchgate: profiling overhead %.1f%% (%.2fs -> %.2fs) within the %.0f%% budget\n",
-		(got-1)*100, base, profiled, (ratio-1)*100)
+	fmt.Printf("benchgate: %.2fs -> %.2fs is %+.1f%%, within the %.0f%% budget\n",
+		base, measured, (got-1)*100, (ratio-1)*100)
 	return true
-}
-
-func readTrajectory(file string) ([]entry, error) {
-	raw, err := os.ReadFile(file)
-	if err != nil {
-		return nil, err
-	}
-	var trajectory []entry
-	if err := json.Unmarshal(raw, &trajectory); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", file, err)
-	}
-	if len(trajectory) == 0 {
-		return nil, fmt.Errorf("%s holds no measurements", file)
-	}
-	return trajectory, nil
-}
-
-func gateSpeedup(trajectory []entry, floor float64) bool {
-	last := trajectory[len(trajectory)-1]
-	mode := ""
-	if last.WarmStart {
-		mode = ", warm-started sweeps"
-	}
-	fmt.Printf("benchgate: %s — %d experiments, sequential %.2fs, parallel %.2fs (%d workers), speedup %.3fx%s\n",
-		last.Benchmark, last.Experiments, last.SequentialSeconds,
-		last.ParallelSeconds, last.ParallelWorkers, last.Speedup, mode)
-	if last.SequentialSeconds <= 0 || last.ParallelSeconds <= 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: latest entry has non-positive timings")
-		return false
-	}
-	if last.GoMaxProcs <= 1 {
-		fmt.Printf("benchgate: single-core runner (GOMAXPROCS=%d); speedup floor not applied\n",
-			last.GoMaxProcs)
-		return true
-	}
-	if last.Speedup < floor {
-		fmt.Fprintf(os.Stderr, "benchgate: speedup %.3fx below floor %.2fx on %d cores — parallel executor regressed\n",
-			last.Speedup, floor, last.GoMaxProcs)
-		return false
-	}
-	fmt.Printf("benchgate: speedup %.3fx meets floor %.2fx\n", last.Speedup, floor)
-	return true
-}
-
-// sumExperiments adds up the sequential seconds of every member id,
-// reporting false if any member is missing from the entry.
-func sumExperiments(per map[string]float64, ids []string) (float64, bool) {
-	var total float64
-	for _, id := range ids {
-		v, has := per[id]
-		if !has {
-			return 0, false
-		}
-		total += v
-	}
-	return total, true
-}
-
-// gateImprovements checks "id:frac" demands: the latest trajectory entry
-// must regenerate experiment id at least frac faster (in sequential
-// wall-clock) than the first entry that measured it. A "+"-joined id sums
-// its members' times on both sides before comparing.
-func gateImprovements(trajectory []entry, spec string) bool {
-	latest := trajectory[len(trajectory)-1]
-	ok := true
-	for _, demand := range strings.Split(spec, ",") {
-		id, fracStr, found := strings.Cut(strings.TrimSpace(demand), ":")
-		if !found {
-			fmt.Fprintf(os.Stderr, "benchgate: malformed -improve entry %q (want id:fraction)\n", demand)
-			ok = false
-			continue
-		}
-		frac, err := strconv.ParseFloat(fracStr, 64)
-		if err != nil || frac <= 0 || frac >= 1 {
-			fmt.Fprintf(os.Stderr, "benchgate: bad improvement fraction in %q\n", demand)
-			ok = false
-			continue
-		}
-		members := strings.Split(id, "+")
-		// Baseline: the first entry that measured every member.
-		var base *entry
-		for i := range trajectory {
-			if _, has := sumExperiments(trajectory[i].PerExperimentSeq, members); has {
-				base = &trajectory[i]
-				break
-			}
-		}
-		after, has := sumExperiments(latest.PerExperimentSeq, members)
-		if base == nil || !has {
-			fmt.Fprintf(os.Stderr, "benchgate: no trajectory measurements for %s\n", id)
-			ok = false
-			continue
-		}
-		before, _ := sumExperiments(base.PerExperimentSeq, members)
-		if base == &trajectory[len(trajectory)-1] {
-			fmt.Printf("benchgate: %s has a single measurement (%.2fs); improvement gate idle until the next entry\n",
-				id, before)
-			continue
-		}
-		if base.GoMaxProcs != latest.GoMaxProcs {
-			fmt.Printf("benchgate: %s measured under GOMAXPROCS %d vs baseline %d; wall-clock not comparable, gate skipped\n",
-				id, latest.GoMaxProcs, base.GoMaxProcs)
-			continue
-		}
-		got := 1 - after/before
-		if got < frac {
-			fmt.Fprintf(os.Stderr, "benchgate: %s improved %.1f%% (%.2fs -> %.2fs), demanded >= %.1f%%\n",
-				id, got*100, before, after, frac*100)
-			ok = false
-			continue
-		}
-		fmt.Printf("benchgate: %s improved %.1f%% (%.2fs -> %.2fs), meets %.1f%% demand\n",
-			id, got*100, before, after, frac*100)
-	}
-	return ok
-}
-
-// gateRatchet checks "id:frac" demands against the trajectory's
-// high-water mark: the best (lowest) sequential wall-clock for id among
-// entries comparable to the latest — same GOMAXPROCS, same warm-start
-// mode — including the latest itself. The latest must stay within frac of
-// that best. Every faster run tightens the mark, so performance can only
-// ratchet forward.
-func gateRatchet(trajectory []entry, spec string) bool {
-	latest := &trajectory[len(trajectory)-1]
-	ok := true
-	for _, demand := range strings.Split(spec, ",") {
-		id, fracStr, found := strings.Cut(strings.TrimSpace(demand), ":")
-		if !found {
-			fmt.Fprintf(os.Stderr, "benchgate: malformed -ratchet entry %q (want id:fraction)\n", demand)
-			ok = false
-			continue
-		}
-		frac, err := strconv.ParseFloat(fracStr, 64)
-		if err != nil || frac <= 0 || frac >= 1 {
-			fmt.Fprintf(os.Stderr, "benchgate: bad ratchet fraction in %q\n", demand)
-			ok = false
-			continue
-		}
-		members := strings.Split(id, "+")
-		cur, has := sumExperiments(latest.PerExperimentSeq, members)
-		if !has {
-			fmt.Fprintf(os.Stderr, "benchgate: latest trajectory entry has no measurement for %s\n", id)
-			ok = false
-			continue
-		}
-		best, comparable := cur, 0
-		for i := range trajectory {
-			e := &trajectory[i]
-			if e.GoMaxProcs != latest.GoMaxProcs || e.WarmStart != latest.WarmStart {
-				continue
-			}
-			v, has := sumExperiments(e.PerExperimentSeq, members)
-			if !has {
-				continue
-			}
-			comparable++
-			if v < best {
-				best = v
-			}
-		}
-		if comparable <= 1 {
-			fmt.Printf("benchgate: %s has no comparable prior measurement (GOMAXPROCS=%d, warmstart=%v); ratchet records %.2fs as the mark\n",
-				id, latest.GoMaxProcs, latest.WarmStart, cur)
-			continue
-		}
-		if cur > best*(1+frac) {
-			fmt.Fprintf(os.Stderr, "benchgate: %s at %.2fs regressed %.1f%% above the %.2fs high-water mark (allowed %.0f%%)\n",
-				id, cur, (cur/best-1)*100, best, frac*100)
-			ok = false
-			continue
-		}
-		fmt.Printf("benchgate: %s at %.2fs holds the %.2fs high-water mark (within %.0f%%)\n",
-			id, cur, best, frac*100)
-	}
-	return ok
 }
 
 // parseBenchOut extracts result lines like

@@ -1,131 +1,57 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// traj builds a trajectory entry measuring fig14 and fig15 at the given
-// sequential seconds.
-func traj(gomaxprocs int, warm bool, fig14, fig15 float64) entry {
-	return entry{
-		Benchmark:         "BenchmarkExperiments",
-		GoMaxProcs:        gomaxprocs,
-		SequentialSeconds: fig14 + fig15,
-		ParallelSeconds:   (fig14 + fig15) / 2,
-		Speedup:           2,
-		WarmStart:         warm,
-		PerExperimentSeq:  map[string]float64{"fig14": fig14, "fig15": fig15},
+// TestGateMicrobenches runs the ceiling gate over temp files: a gates
+// file with an allocs/op and an ns/op ceiling, and benchmark output that
+// meets, misses or breaks them.
+func TestGateMicrobenches(t *testing.T) {
+	dir := t.TempDir()
+	gatesFile := filepath.Join(dir, "gates.json")
+	gates := `{"allocs_per_op": {"BenchmarkHot": 0, "BenchmarkCell": 600},
+	           "ns_per_op": {"BenchmarkHot": 100}}`
+	if err := os.WriteFile(gatesFile, []byte(gates), 0o644); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestGateRatchet(t *testing.T) {
 	cases := []struct {
-		name string
-		traj []entry
-		spec string
-		want bool
+		name, out string
+		want      bool
 	}{
-		{
-			name: "holds the mark",
-			traj: []entry{traj(4, false, 5, 5), traj(4, false, 4, 4), traj(4, false, 4.2, 4.2)},
-			spec: "fig14+fig15:0.10",
-			want: true, // 8.4s vs best 8.0s = +5%, within 10%
-		},
-		{
-			name: "regresses past the mark",
-			traj: []entry{traj(4, false, 5, 5), traj(4, false, 4, 4), traj(4, false, 4.5, 4.5)},
-			spec: "fig14+fig15:0.10",
-			want: false, // 9.0s vs best 8.0s = +12.5%
-		},
-		{
-			name: "latest sets a new mark",
-			traj: []entry{traj(4, false, 5, 5), traj(4, false, 3, 3)},
-			spec: "fig14+fig15:0.10",
-			want: true,
-		},
-		{
-			name: "different gomaxprocs not comparable",
-			traj: []entry{traj(8, false, 1, 1), traj(4, false, 5, 5)},
-			spec: "fig14+fig15:0.10",
-			want: true, // the 8-core 2s entry must not become the mark
-		},
-		{
-			name: "different warmstart mode not comparable",
-			traj: []entry{traj(4, true, 1, 1), traj(4, false, 5, 5)},
-			spec: "fig14+fig15:0.10",
-			want: true,
-		},
-		{
-			name: "single entry records the mark",
-			traj: []entry{traj(4, false, 5, 5)},
-			spec: "fig14+fig15:0.10",
-			want: true,
-		},
-		{
-			name: "single-member id",
-			traj: []entry{traj(4, false, 2, 5), traj(4, false, 9, 5.1)},
-			spec: "fig15:0.10",
-			want: true, // fig15 within 10% even though fig14 blew up
-		},
-		{
-			name: "missing experiment fails",
-			traj: []entry{traj(4, false, 5, 5)},
-			spec: "fig99:0.10",
-			want: false,
-		},
-		{
-			name: "malformed demand fails",
-			traj: []entry{traj(4, false, 5, 5)},
-			spec: "fig14+fig15",
-			want: false,
-		},
-		{
-			name: "bad fraction fails",
-			traj: []entry{traj(4, false, 5, 5)},
-			spec: "fig14:1.5",
-			want: false,
-		},
+		{"within every ceiling", `
+BenchmarkHot-4    100000   95.00 ns/op   0 B/op     0 allocs/op
+BenchmarkCell-4       12    30.0e6 ns/op 900 B/op  499 allocs/op
+`, true},
+		{"gated benchmark absent", `
+BenchmarkHot-4    100000   95.00 ns/op   0 B/op     0 allocs/op
+`, false},
+		{"allocs over ceiling", `
+BenchmarkHot-4    100000   95.00 ns/op  16 B/op     1 allocs/op
+BenchmarkCell-4       12    30.0e6 ns/op 900 B/op  499 allocs/op
+`, false},
+		{"without -benchmem", `
+BenchmarkHot-4    100000   95.00 ns/op
+BenchmarkCell-4       12    30.0e6 ns/op
+`, false},
+		{"ns over ceiling", `
+BenchmarkHot-4    100000  101.00 ns/op   0 B/op     0 allocs/op
+BenchmarkCell-4       12    30.0e6 ns/op 900 B/op  499 allocs/op
+`, false},
 	}
-	for _, tc := range cases {
+	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := gateRatchet(tc.traj, tc.spec); got != tc.want {
-				t.Errorf("gateRatchet(%s) = %v, want %v", tc.spec, got, tc.want)
+			out := filepath.Join(dir, fmt.Sprintf("bench%d.txt", i))
+			if err := os.WriteFile(out, []byte(tc.out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got := gateMicrobenches(out, gatesFile); got != tc.want {
+				t.Errorf("gateMicrobenches = %v, want %v", got, tc.want)
 			}
 		})
-	}
-}
-
-func TestGateImprovements(t *testing.T) {
-	trajectory := []entry{traj(4, false, 10, 10), traj(4, false, 6, 7)}
-	if !gateImprovements(trajectory, "fig14+fig15:0.30") {
-		t.Error("35% combined improvement rejected against a 30% demand")
-	}
-	if gateImprovements(trajectory, "fig15:0.40") {
-		t.Error("30% fig15 improvement accepted against a 40% demand")
-	}
-	// A GOMAXPROCS change between baseline and latest skips (passes) the gate.
-	shape := []entry{traj(8, false, 10, 10), traj(4, false, 10, 10)}
-	if !gateImprovements(shape, "fig15:0.40") {
-		t.Error("cross-shape comparison was judged instead of skipped")
-	}
-}
-
-func TestGateSpeedup(t *testing.T) {
-	fast := traj(4, false, 5, 5)
-	if !gateSpeedup([]entry{fast}, 1.0) {
-		t.Error("2x speedup rejected against a 1.0 floor")
-	}
-	slow := fast
-	slow.Speedup = 0.8
-	if gateSpeedup([]entry{slow}, 1.0) {
-		t.Error("0.8x speedup accepted on a 4-core entry")
-	}
-	single := slow
-	single.GoMaxProcs = 1
-	if !gateSpeedup([]entry{single}, 1.0) {
-		t.Error("floor applied on a single-core runner")
 	}
 }
 
@@ -165,6 +91,14 @@ func TestGateOverhead(t *testing.T) {
 	// Faster with profiling on (measurement noise) still passes.
 	if !gateOverhead("10.00:9.90:1.03") {
 		t.Error("negative overhead rejected")
+	}
+	// A max of 1.0 demands the second run be no slower than the first:
+	// the 8-worker regeneration against the sequential one.
+	if !gateOverhead("4.96:2.81:1.0") {
+		t.Error("a faster second run rejected at a 1.0 ratio")
+	}
+	if gateOverhead("4.96:5.10:1.0") {
+		t.Error("a slower second run accepted at a 1.0 ratio")
 	}
 	for _, bad := range []string{"", "1:2", "a:b:c", "0:1:1.03", "1:0:1.03", "1:1:0.9"} {
 		if gateOverhead(bad) {

@@ -197,6 +197,9 @@ func TestRejections(t *testing.T) {
 		{`{"telemetry":{"slo_target_ms":1e-7}}`, "telemetry.slo_target_ms 1e-07 is shorter than a nanosecond"},
 		{`{"mix":{"A":1e308,"B":1e308}}`, "mix weights sum to +Inf"},
 		{`{"workload":{"trace":"t_s,region,rate\n0,Z,1"}}`, `trace region "Z" is not in the application`},
+		{`{"duration_s":1}}`, "trailing data after the JSON document"},
+		{`{"duration_s":1}]`, "trailing data after the JSON document"},
+		{`{"duration_s":1} junk`, "trailing data after the JSON document"},
 	} {
 		path := filepath.Join(t.TempDir(), "bad.json")
 		if err := os.WriteFile(path, []byte(spec.body), 0o644); err != nil {
@@ -207,6 +210,16 @@ func TestRejections(t *testing.T) {
 			want []string
 		}{[]string{"-scenario", path}, []string{spec.field}})
 	}
+	// A JSONL trace line holding two setpoints is refused by line, not
+	// read as its first.
+	trace := filepath.Join(t.TempDir(), "two.jsonl")
+	if err := os.WriteFile(trace, []byte(`{"t_s":0,"region":"A","rate":1}{"t_s":5,"region":"A","rate":9}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, struct {
+		args []string
+		want []string
+	}{[]string{"-trace", trace}, []string{"trace line 1: trailing data"}})
 	// An application profile that parses must also run: a negative or
 	// overflowing demand, or a jitter whose log-normal σ² overflows (every
 	// draw NaN), is refused by name instead of crashing the run.

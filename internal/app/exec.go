@@ -20,14 +20,6 @@ type Placement interface {
 	Route(service string) func() *cluster.Server
 }
 
-// PlacementFunc adapts a function to the Placement interface.
-type PlacementFunc func(service string) *cluster.Server
-
-// Route implements Placement.
-func (f PlacementFunc) Route(service string) func() *cluster.Server {
-	return func() *cluster.Server { return f(service) }
-}
-
 // Executor replays requests of an application Spec against a cluster. One
 // request walks its region's stages: the API-layer job first, then each
 // stage's calls with their per-call concurrency bounds, recording a span

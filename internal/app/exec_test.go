@@ -26,6 +26,14 @@ func zeroJitterStudy() *Spec {
 	return s
 }
 
+// PlacementFunc adapts a function to the Placement interface.
+type PlacementFunc func(service string) *cluster.Server
+
+// Route implements Placement.
+func (f PlacementFunc) Route(service string) func() *cluster.Server {
+	return func() *cluster.Server { return f(service) }
+}
+
 // onePlacement places every service on the single given server.
 func onePlacement(srv *cluster.Server) Placement {
 	return PlacementFunc(func(string) *cluster.Server { return srv })

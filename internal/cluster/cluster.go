@@ -62,15 +62,6 @@ func (c *Cluster) Workers() []*Server {
 // Size returns the number of servers.
 func (c *Cluster) Size() int { return len(c.servers) }
 
-// TotalCores sums cores over all servers.
-func (c *Cluster) TotalCores() int {
-	n := 0
-	for _, s := range c.servers {
-		n += s.Cores()
-	}
-	return n
-}
-
 // SetAllFreq applies one frequency to every server.
 func (c *Cluster) SetAllFreq(f GHz) {
 	for _, s := range c.servers {

@@ -385,8 +385,12 @@ func TestClusterConstruction(t *testing.T) {
 	if c.Size() != 5 {
 		t.Fatalf("testbed size = %d, want 5", c.Size())
 	}
-	if c.TotalCores() != 30 {
-		t.Fatalf("total cores = %d, want 30", c.TotalCores())
+	cores := 0
+	for _, s := range c.Servers() {
+		cores += s.Cores()
+	}
+	if cores != 30 {
+		t.Fatalf("total cores = %d, want 30", cores)
 	}
 	if c.Server("serverA").Role() != RoleManager {
 		t.Fatal("serverA should be manager")

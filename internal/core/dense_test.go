@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"time"
 
 	"servicefridge/internal/app"
 	"servicefridge/internal/cluster"
@@ -14,13 +15,32 @@ import (
 // old MCF with its edge total summed in region order (the map-order sum
 // was a bug); refClassify is the old Classify over refMCF.
 
+// refEdge is one edge of the old name-keyed graph: the calling region and
+// the static weight call_ts × exec_t.
+type refEdge struct {
+	Region string
+	Weight time.Duration
+}
+
+// refEdges lists the edges into service, one per calling region in region
+// order, read from the spec as the old name-keyed graph held them.
+func refEdges(g *Graph, service string) []refEdge {
+	var out []refEdge
+	for _, rn := range g.spec.RegionNames() {
+		if c, ok := g.spec.Region(rn).CallTo(service); ok {
+			out = append(out, refEdge{Region: rn, Weight: time.Duration(c.Times) * c.Exec})
+		}
+	}
+	return out
+}
+
 func refRegionLoad(c *Counter) map[string]float64 {
 	load := map[string]float64{}
 	for _, rn := range c.g.spec.RegionNames() {
 		r := c.g.spec.Region(rn)
 		var unique []int
 		for _, id := range r.ServiceIDs() {
-			if len(c.g.Edges(c.g.spec.ServiceByID(id).Name)) == 1 {
+			if len(refEdges(c.g, c.g.spec.ServiceByID(id).Name)) == 1 {
 				unique = append(unique, id)
 			}
 		}
@@ -40,7 +60,7 @@ func refRegionLoad(c *Counter) map[string]float64 {
 		var best float64
 		for _, id := range r.ServiceIDs() {
 			residual := c.pending[id]
-			for _, e := range c.g.Edges(c.g.spec.ServiceByID(id).Name) {
+			for _, e := range refEdges(c.g, c.g.spec.ServiceByID(id).Name) {
 				if e.Region != rn {
 					residual -= load[e.Region]
 				}
@@ -60,7 +80,7 @@ func refMCF(c *Calculator, load map[string]float64, f cluster.GHz) map[string]fl
 	var totalEdges float64
 	for _, rn := range c.g.spec.RegionNames() {
 		if l := load[rn]; l > 0 {
-			totalEdges += l * float64(c.g.EdgeCount(rn))
+			totalEdges += l * float64(len(c.g.spec.Region(rn).ServiceIDs()))
 		}
 	}
 	out := make(map[string]float64, len(c.g.services))
@@ -74,16 +94,16 @@ func refMCF(c *Calculator, load map[string]float64, f cluster.GHz) map[string]fl
 	for _, s := range c.g.services {
 		beta := 1.0
 		if !c.IgnoreBeta {
-			beta = c.g.Beta(s, f)
+			beta = c.g.spec.Service(s).Beta(f)
 		}
 		var mcf float64
-		for _, e := range c.g.Edges(s) {
+		for _, e := range refEdges(c.g, s) {
 			l := load[e.Region]
 			if l <= 0 {
 				continue
 			}
 			in := l / totalEdges
-			mcf += in * float64(e.Weight()) * beta / ref
+			mcf += in * float64(e.Weight) * beta / ref
 		}
 		out[s] = mcf
 	}

@@ -16,17 +16,17 @@ func TestGraphStructure(t *testing.T) {
 	if got := len(g.Services()); got != 8 {
 		t.Fatalf("V_F has %d vertices, want 8", got)
 	}
-	if got := len(g.APIs()); got != 2 {
+	if got := g.NumRegions(); got != 2 {
 		t.Fatalf("V_A has %d vertices, want 2", got)
 	}
-	if g.EdgeCount("A") != 8 || g.EdgeCount("B") != 4 {
-		t.Fatalf("edge counts A=%d B=%d, want 8/4", g.EdgeCount("A"), g.EdgeCount("B"))
+	if g.regionEdges[0] != 8 || g.regionEdges[1] != 4 {
+		t.Fatalf("edge counts A=%d B=%d, want 8/4", g.regionEdges[0], g.regionEdges[1])
 	}
 	// ticketinfo has two edge types (regions A and B), seat only one.
-	if got := len(g.Edges("ticketinfo")); got != 2 {
+	if got := len(g.edgesByID[g.spec.Service("ticketinfo").ID()]); got != 2 {
 		t.Fatalf("ticketinfo has %d edges, want 2", got)
 	}
-	if got := len(g.Edges("seat")); got != 1 {
+	if got := len(g.edgesByID[g.spec.Service("seat").ID()]); got != 1 {
 		t.Fatalf("seat has %d edges, want 1", got)
 	}
 }
@@ -44,14 +44,14 @@ func TestEdgeWeightsMatchTable4(t *testing.T) {
 		"train":      {"A": 50.4},
 	}
 	for svc, regions := range want {
-		edges := g.Edges(svc)
+		edges := g.edgesByID[g.spec.Service(svc).ID()]
 		if len(edges) != len(regions) {
 			t.Fatalf("%s has %d edges, want %d", svc, len(edges), len(regions))
 		}
 		for _, e := range edges {
-			w := regions[e.Region]
-			if math.Abs(float64(e.Weight())-w*float64(time.Millisecond)) > float64(50*time.Microsecond) {
-				t.Fatalf("W[%s,%s] = %v, want %.1fms", svc, e.Region, e.Weight(), w)
+			rn, w := g.regions[e.region], regions[g.regions[e.region]]
+			if math.Abs(e.weight-w*float64(time.Millisecond)) > float64(50*time.Microsecond) {
+				t.Fatalf("W[%s,%s] = %v, want %.1fms", svc, rn, time.Duration(e.weight), w)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -28,7 +29,9 @@ func telemetryRun(t *testing.T, seed uint64, scrape bool) (*Result, *obs.Recorde
 	}
 	if scrape {
 		tel.EnablePublishing()
-		srv := httptest.NewServer(telemetry.NewHandler(tel))
+		mux := http.NewServeMux()
+		telemetry.Register(mux, tel)
+		srv := httptest.NewServer(mux)
 		defer srv.Close()
 		stop := make(chan struct{})
 		var wg sync.WaitGroup

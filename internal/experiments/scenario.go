@@ -350,7 +350,8 @@ func DecodeScenario(r io.Reader) (Scenario, error) {
 	if err := dec.Decode(&s); err != nil {
 		return s, fmt.Errorf("scenario: %v", err)
 	}
-	if dec.More() {
+	// Only whitespace may follow the document.
+	if _, err := dec.Token(); err != io.EOF {
 		return s, fmt.Errorf("scenario: trailing data after the JSON document")
 	}
 	return s, nil

@@ -143,8 +143,13 @@ func TestScenarioValidation(t *testing.T) {
 	if _, err := LoadScenario(strings.NewReader(`{"schem":"Baseline"}`)); err == nil {
 		t.Error("LoadScenario accepted an unknown field")
 	}
-	if _, err := LoadScenario(strings.NewReader(`{} {}`)); err == nil {
-		t.Error("LoadScenario accepted trailing data")
+	for _, body := range []string{`{} {}`, `{}}`, `{}]`, `{} junk`} {
+		if _, err := LoadScenario(strings.NewReader(body)); err == nil {
+			t.Errorf("LoadScenario accepted trailing data in %q", body)
+		}
+	}
+	if _, err := LoadScenario(strings.NewReader("{}\n \t\n")); err != nil {
+		t.Errorf("LoadScenario refused trailing whitespace: %v", err)
 	}
 }
 

@@ -25,9 +25,6 @@ type LatencyStats struct {
 	sum     time.Duration
 }
 
-// NewLatencyStats returns an empty accumulator.
-func NewLatencyStats() *LatencyStats { return &LatencyStats{} }
-
 // FromSamples wraps an existing slice (copied, in one allocation).
 func FromSamples(ds []time.Duration) *LatencyStats {
 	s := &LatencyStats{samples: append(make([]time.Duration, 0, len(ds)), ds...)}

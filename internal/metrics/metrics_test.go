@@ -11,7 +11,7 @@ import (
 func msd(n float64) time.Duration { return time.Duration(n * float64(time.Millisecond)) }
 
 func TestLatencyStatsBasics(t *testing.T) {
-	s := NewLatencyStats()
+	s := &LatencyStats{}
 	if s.Mean() != 0 || s.Count() != 0 || s.Percentile(0.5) != 0 {
 		t.Fatal("empty stats should be zero")
 	}
@@ -36,7 +36,7 @@ func TestLatencyStatsBasics(t *testing.T) {
 }
 
 func TestLatencyStatsMinMaxEdgeCases(t *testing.T) {
-	empty := NewLatencyStats()
+	empty := &LatencyStats{}
 	if empty.Min() != 0 || empty.Max() != 0 {
 		t.Fatalf("empty Min/Max = %v/%v, want 0/0", empty.Min(), empty.Max())
 	}
@@ -51,7 +51,7 @@ func TestLatencyStatsMinMaxEdgeCases(t *testing.T) {
 			s.Min(), s.Max(), s.Percentile(0), s.Percentile(1))
 	}
 	// Min/Max before any Percentile call must still trigger the sort.
-	u := NewLatencyStats()
+	u := &LatencyStats{}
 	u.Add(msd(9))
 	u.Add(msd(3))
 	if u.Min() != msd(3) || u.Max() != msd(9) {
@@ -60,7 +60,7 @@ func TestLatencyStatsMinMaxEdgeCases(t *testing.T) {
 }
 
 func TestLatencyStatsInterleavedAddAndQuery(t *testing.T) {
-	s := NewLatencyStats()
+	s := &LatencyStats{}
 	s.Add(msd(10))
 	_ = s.Percentile(0.5) // forces a sort
 	s.Add(msd(5))         // must invalidate sort
@@ -101,7 +101,7 @@ func TestPercentileOrderingProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		s := NewLatencyStats()
+		s := &LatencyStats{}
 		for _, v := range raw {
 			s.Add(time.Duration(v))
 		}

@@ -132,27 +132,6 @@ func (h *StreamingHistogram) Reset() {
 	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
 }
 
-// Merge folds every sample of o into h. Counts are bucket-exact, so a
-// merged histogram answers Quantile exactly as if every sample had been
-// Added to h directly. Merging an empty histogram is a no-op.
-func (h *StreamingHistogram) Merge(o *StreamingHistogram) {
-	if o.count == 0 {
-		return
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-	lo, hi := o.occupied()
-	for i := lo; i <= hi; i++ {
-		h.counts[i] += o.counts[i]
-	}
-}
-
 // Quantile returns the q-quantile (q in [0,1]) with the same linear
 // interpolation between order statistics as sim.Quantile, each order
 // statistic resolved to the top of its bucket (clamped to the observed

@@ -28,9 +28,6 @@ func NewWindowedHistogram(w int) *WindowedHistogram {
 	return &WindowedHistogram{subs: make([]StreamingHistogram, w)}
 }
 
-// Width returns the window width in sub-histograms.
-func (h *WindowedHistogram) Width() int { return len(h.subs) }
-
 // Add records one sample into the current sub-histogram.
 func (h *WindowedHistogram) Add(d time.Duration) { h.subs[h.cur].Add(d) }
 
@@ -101,9 +98,9 @@ const maxWindowQuantiles = 8
 
 // Quantiles resolves up to maxWindowQuantiles quantiles in one cumulative
 // walk, writing out[i] for qs[i]. The result of each quantile is identical
-// to merging every sub-histogram into one StreamingHistogram and calling
-// its Quantile — the property the unit tests pin — but without building
-// the merged histogram. It never allocates.
+// to adding every live sample to one StreamingHistogram and calling its
+// Quantile — the property the unit tests pin — but without building that
+// histogram. It never allocates.
 func (h *WindowedHistogram) Quantiles(qs []float64, out []time.Duration) {
 	if len(qs) > maxWindowQuantiles || len(out) < len(qs) {
 		panic("metrics: WindowedHistogram.Quantiles called with a bad shape")
@@ -265,14 +262,4 @@ func (h *WindowedHistogram) Load(s *WindowState) {
 		off += copy(sh.counts[lo:hi+1], s.counts[off:])
 	}
 	h.cur = s.cur
-}
-
-// MergedInto folds every live sub-histogram into dst (after resetting it)
-// — the reference the fused walk is tested against, and a convenience for
-// offline consumers that want a full StreamingHistogram of the window.
-func (h *WindowedHistogram) MergedInto(dst *StreamingHistogram) {
-	dst.Reset()
-	for i := range h.subs {
-		dst.Merge(&h.subs[i])
-	}
 }

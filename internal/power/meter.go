@@ -205,17 +205,6 @@ func (m *Meter) LoadsInto(loads []float64) {
 	}
 }
 
-// ServerSeries returns the readings for one server in time order.
-func (m *Meter) ServerSeries(name string) []Sample {
-	var out []Sample
-	for _, s := range m.samples {
-		if s.Server == name {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // TagPowerSeries returns, per sampling instant, the dynamic power
 // attributed to tag summed over all servers (the Figure 13 power traces).
 func (m *Meter) TagPowerSeries(tag string) []TagPoint {

@@ -81,12 +81,3 @@ func (m Model) Predict(load float64, f cluster.GHz) Watts {
 	}
 	return m.Power(f, util)
 }
-
-// Dynamic returns the dynamic component (total minus idle) at (f, u).
-func (m Model) Dynamic(f cluster.GHz, u float64) Watts {
-	return m.Power(f, u) - m.Idle
-}
-
-// MaxDynamic returns the largest possible dynamic draw (full utilization at
-// FMax).
-func (m Model) MaxDynamic() Watts { return m.Peak - m.Idle }

@@ -51,13 +51,10 @@ func TestModelClampsUtil(t *testing.T) {
 
 func TestDynamicComponent(t *testing.T) {
 	m := DefaultModel()
-	if got := m.Dynamic(cluster.FreqMax, 1.0); math.Abs(float64(got-55)) > 1e-9 {
+	if got := m.Power(cluster.FreqMax, 1.0) - m.Idle; math.Abs(float64(got-55)) > 1e-9 {
 		t.Fatalf("max dynamic = %v, want 55W", got)
 	}
-	if m.MaxDynamic() != 55 {
-		t.Fatalf("MaxDynamic = %v, want 55", m.MaxDynamic())
-	}
-	if got := m.Dynamic(cluster.FreqMax, 0); got != 0 {
+	if got := m.Power(cluster.FreqMax, 0) - m.Idle; got != 0 {
 		t.Fatalf("idle dynamic = %v, want 0", got)
 	}
 }
@@ -65,8 +62,8 @@ func TestDynamicComponent(t *testing.T) {
 func TestCubicScaling(t *testing.T) {
 	m := DefaultModel()
 	// At half frequency the dynamic component should be 1/8.
-	half := m.Dynamic(1.2, 1.0)
-	full := m.Dynamic(2.4, 1.0)
+	half := m.Power(1.2, 1.0) - m.Idle
+	full := m.Power(2.4, 1.0) - m.Idle
 	if math.Abs(float64(half)/float64(full)-0.125) > 1e-9 {
 		t.Fatalf("dynamic at fmin/fmax ratio = %v, want 0.125", float64(half)/float64(full))
 	}
@@ -116,6 +113,17 @@ func buildBusyCluster(t *testing.T) (*sim.Engine, *cluster.Cluster) {
 	return eng, cl
 }
 
+// serverSeries returns the meter's readings for one server in time order.
+func serverSeries(m *Meter, name string) []Sample {
+	var out []Sample
+	for _, s := range m.Samples() {
+		if s.Server == name {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func TestMeterSamplesUtilAndPower(t *testing.T) {
 	eng, cl := buildBusyCluster(t)
 	m := NewMeter(cl, DefaultModel(), 100*time.Millisecond)
@@ -126,7 +134,7 @@ func TestMeterSamplesUtilAndPower(t *testing.T) {
 	if len(m.ClusterSamples()) != 10 {
 		t.Fatalf("got %d cluster samples, want 10", len(m.ClusterSamples()))
 	}
-	n1 := m.ServerSeries("n1")
+	n1 := serverSeries(m, "n1")
 	if len(n1) != 10 {
 		t.Fatalf("got %d n1 samples, want 10", len(n1))
 	}
@@ -138,7 +146,7 @@ func TestMeterSamplesUtilAndPower(t *testing.T) {
 			t.Fatalf("n1 power = %v, want 100W", s.Power)
 		}
 	}
-	for _, s := range m.ServerSeries("n2") {
+	for _, s := range serverSeries(m, "n2") {
 		if math.Abs(s.Util-0.5) > 1e-9 {
 			t.Fatalf("n2 util = %v, want 0.5", s.Util)
 		}

@@ -83,8 +83,8 @@ func Unregister(p *Profiler) {
 
 // Reset clears the registry and the retired bucket (the enabled flag is
 // left alone). Reports aggregate everything registered since the last
-// Reset; the bench trajectory uses this to scope per-phase seconds to
-// one measurement.
+// Reset, so tests call it to scope per-phase totals to the runs they
+// start.
 func Reset() {
 	regMu.Lock()
 	registry = nil

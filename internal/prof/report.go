@@ -8,8 +8,8 @@ import (
 	"sort"
 )
 
-// The -profile report: a JSON document for machines (CI artifacts, the
-// bench trajectory) and a sorted per-phase table for stderr. Wall-clock
+// The -profile report: a JSON document for machines (CI artifacts) and a
+// sorted per-phase table for stderr. Wall-clock
 // numbers vary run to run, so neither output is golden-diffed — the
 // determinism gates diff the simulation outputs, which profiling leaves
 // byte-identical.

@@ -356,6 +356,9 @@ func TestQueueCancelAndErrors(t *testing.T) {
 		{`{"tick_ms":1e-7}`, "tick_ms 1e-07 is shorter than a nanosecond"},
 		{`{"telemetry":{"interval_ms":1e-7}}`, "telemetry.interval_ms 1e-07 is shorter than a nanosecond"},
 		{`{"telemetry":{"slo_target_ms":1e-7}}`, "telemetry.slo_target_ms 1e-07 is shorter than a nanosecond"},
+		{`{"duration_s":1}}`, "trailing data"},
+		{`{"duration_s":1}]`, "trailing data"},
+		{`{"duration_s":1} junk`, "trailing data"},
 	} {
 		if code, body := doReq(t, "POST", ts.URL+"/sessions", tc.body); code != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
 			t.Errorf("POST %s: %d %s, want 400 naming %s", tc.body, code, body, tc.want)
@@ -368,6 +371,18 @@ func TestQueueCancelAndErrors(t *testing.T) {
 	waitState(t, ts, id, StateDone)
 	if code, _ := doReq(t, "POST", ts.URL+"/sessions/"+id+"/whatif", `{"at_s":1}`); code != http.StatusBadRequest {
 		t.Errorf("perturbation-free whatif accepted: %d", code)
+	}
+	// Only whitespace may follow the query: a second document, a stray
+	// closing delimiter or junk is refused, not answered as the first.
+	for _, body := range []string{
+		`{"at_s":6,"budget":0.75}{"budget":0.1}`,
+		`{"at_s":6,"budget":0.75} junk`,
+		`{"at_s":6,"budget":0.75}}`,
+		`{"at_s":6,"budget":0.75}]`,
+	} {
+		if code, reply := doReq(t, "POST", ts.URL+"/sessions/"+id+"/whatif", body); code != http.StatusBadRequest || !strings.Contains(string(reply), "trailing data") {
+			t.Errorf("whatif %s: %d %s, want 400 naming trailing data", body, code, reply)
+		}
 	}
 	// Fork times past the run's end, including those whose nanoseconds
 	// overflow a sim.Time, are the client's error.

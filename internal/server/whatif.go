@@ -75,12 +75,18 @@ func (q WhatIfRequest) validate() error {
 	return nil
 }
 
+// parseWhatIf decodes one what-if query from r, rejecting unknown fields
+// and trailing data, and validates it.
 func parseWhatIf(r io.Reader) (WhatIfRequest, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var q WhatIfRequest
 	if err := dec.Decode(&q); err != nil {
 		return q, err
+	}
+	// Only whitespace may follow the document.
+	if _, err := dec.Token(); err != io.EOF {
+		return q, fmt.Errorf("trailing data after the JSON document")
 	}
 	return q, q.validate()
 }

@@ -121,7 +121,7 @@ func (t *Telemetry) LoadSnapshot() *Snapshot { return t.pub.snap.Load() }
 // block, and /healthz. Built on the published snapshot and process state
 // only — handlers never touch the running simulation. Callers composing
 // a larger surface (the control plane in internal/server) register onto
-// their own mux; NewHandler remains for a telemetry-only server.
+// their own mux.
 func Register(mux *http.ServeMux, t *Telemetry) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		var buf bytes.Buffer
@@ -138,13 +138,6 @@ func Register(mux *http.ServeMux, t *Telemetry) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte("ok\n"))
 	})
-}
-
-// NewHandler returns a handler serving only the telemetry routes.
-func NewHandler(t *Telemetry) http.Handler {
-	mux := http.NewServeMux()
-	Register(mux, t)
-	return mux
 }
 
 // promEscape escapes a label value per the Prometheus text exposition

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -413,7 +414,9 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	h := newHarness(t, Options{}, probe)
 	h.tel.EnablePublishing()
-	srv := httptest.NewServer(NewHandler(h.tel))
+	mux := http.NewServeMux()
+	Register(mux, h.tel)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	get := func(path string) (int, string) {

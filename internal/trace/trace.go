@@ -73,17 +73,6 @@ func (t *Trace) CallCount(service string) int {
 	return n
 }
 
-// ServiceExec returns the total execution time spent in service.
-func (t *Trace) ServiceExec(service string) time.Duration {
-	var sum time.Duration
-	for _, s := range t.Spans {
-		if s.Service == service {
-			sum += s.Exec()
-		}
-	}
-	return sum
-}
-
 // series is a finish-ordered store of completed-trace response times.
 // Traces complete in simulation-time order, so finish is (normally)
 // already sorted and warm-up queries reduce to one binary search; unsorted
@@ -304,23 +293,6 @@ func (c *Collector) Count(region string) int {
 		return len(rs.resp)
 	}
 	return 0
-}
-
-// ResponseTimes returns the response times of completed traces for region
-// ("" matches all), in completion order. The slice is the caller's to keep.
-func (c *Collector) ResponseTimes(region string) []time.Duration {
-	src := c.all.resp
-	if region != "" {
-		rs := c.byRegion[region]
-		if rs == nil {
-			return nil
-		}
-		src = rs.resp
-	}
-	if len(src) == 0 {
-		return nil
-	}
-	return append([]time.Duration(nil), src...)
 }
 
 // ResponseAfter returns response times of traces that finished at or after

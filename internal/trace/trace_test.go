@@ -41,8 +41,14 @@ func TestTraceLifecycle(t *testing.T) {
 	if tr.CallCount("route") != 2 || tr.CallCount("price") != 1 || tr.CallCount("x") != 0 {
 		t.Fatal("call counts wrong")
 	}
-	if tr.ServiceExec("route") != 6*time.Millisecond {
-		t.Fatalf("route exec = %v, want 6ms", tr.ServiceExec("route"))
+	var routeExec time.Duration
+	for _, s := range tr.Spans {
+		if s.Service == "route" {
+			routeExec += s.Exec()
+		}
+	}
+	if routeExec != 6*time.Millisecond {
+		t.Fatalf("route exec = %v, want 6ms", routeExec)
 	}
 }
 
@@ -60,7 +66,7 @@ func TestCollectorAggregation(t *testing.T) {
 	if c.Count("") != 4 || c.Count("A") != 3 || c.Count("B") != 1 {
 		t.Fatal("counts wrong")
 	}
-	if got := c.ResponseTimes("A"); len(got) != 3 || got[0] != 20*time.Millisecond {
+	if got := c.ResponseAfter("A", 0); len(got) != 3 || got[0] != 20*time.Millisecond {
 		t.Fatalf("A responses = %v", got)
 	}
 	if got := c.MeanCallTimes("seat", "A"); got != 1 {

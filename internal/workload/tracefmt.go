@@ -69,6 +69,9 @@ func ParseTrace(r io.Reader) (*Profile, error) {
 			if err := dec.Decode(&row); err != nil {
 				return nil, fmt.Errorf("workload: trace line %d: %v", line, err)
 			}
+			if _, err := dec.Token(); err != io.EOF {
+				return nil, fmt.Errorf("workload: trace line %d: trailing data after the JSON object", line)
+			}
 		} else {
 			fields := strings.Split(text, ",")
 			if len(fields) != 3 {

@@ -85,6 +85,10 @@ func TestParseTraceRejectsMalformed(t *testing.T) {
 		{"jsonl region with a line break", `{"t_s":0,"region":"A\nB","rate":1}`},
 		{"region not UTF-8", TraceHeader + "\n0,\xff,1"},
 		{"time overflow", TraceHeader + "\n1e300,A,1"},
+		// Only whitespace may follow a line's object.
+		{"jsonl two setpoints on one line", `{"t_s":0,"region":"A","rate":1}{"t_s":5,"region":"A","rate":9}`},
+		{"jsonl junk after the object", `{"t_s":0,"region":"A","rate":1} junk`},
+		{"jsonl stray closing brace", `{"t_s":0,"region":"A","rate":1}}`},
 	}
 	for _, c := range cases {
 		if _, err := ParseTrace(strings.NewReader(c.in)); err == nil {

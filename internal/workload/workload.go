@@ -66,16 +66,6 @@ func (m *Mix) Pick(r *sim.RNG) string {
 // Regions returns the regions with positive weight, in construction order.
 func (m *Mix) Regions() []string { return append([]string(nil), m.regions...) }
 
-// Share returns region's fraction of the total weight.
-func (m *Mix) Share(region string) float64 {
-	for i, r := range m.regions {
-		if r == region {
-			return m.weights[i] / m.total
-		}
-	}
-	return 0
-}
-
 // ClosedLoop drives a pool of synchronous workers: each worker launches a
 // request, waits for its completion, and immediately launches the next —
 // the behaviour of the paper's Python access programs. The pool size can

@@ -55,4 +55,4 @@ for i in $(seq "$ITERS"); do
   echo "pair $i/$ITERS: base=${b}s profiled=${p}s"
 done
 
-go run ./cmd/benchgate -file "" -overhead "$(median "${base[@]}"):$(median "${profiled[@]}"):$MAX_RATIO"
+go run ./cmd/benchgate -overhead "$(median "${base[@]}"):$(median "${profiled[@]}"):$MAX_RATIO"
